@@ -63,8 +63,13 @@ double AdaptiveThresholds::step_threshold(const std::string& flow_key) const {
 }
 
 bool AdaptiveThresholds::adapt(Track& t) {
-  if (t.sketch.count() < cfg_.warmup) return false;
-  double candidate = cfg_.margin * t.sketch.quantile(cfg_.target_quantile);
+  const std::uint64_t n = t.sketch.count();
+  if (n < cfg_.warmup) return false;
+  if (t.target_count != n) {
+    t.target = cfg_.margin * t.sketch.quantile(cfg_.target_quantile);
+    t.target_count = n;
+  }
+  double candidate = t.target;
   // Hard envelope around the configured static threshold: the one bound a
   // patient attacker can never walk past.
   const double lo = cfg_.floor_frac * t.base;
@@ -95,6 +100,7 @@ bool AdaptiveThresholds::Track::load(persist::ByteReader& r) {
   base = b;
   value = v;
   sketch = std::move(s);
+  target_count = kNoTarget;
   return true;
 }
 

@@ -105,9 +105,18 @@ class AdaptiveThresholds {
 
  private:
   struct Track {
+    static constexpr std::uint64_t kNoTarget = ~std::uint64_t{0};
+
     double base = 0.0;   // configured static threshold (envelope anchor)
     double value = 0.0;  // current adapted threshold
     obs::QuantileSketch sketch;
+    /// margin · quantile(target_quantile) of the sketch, cached at sketch
+    /// count `target_count`. Tracks only change through observe(), which
+    /// bumps the count, so an unchanged count means an unchanged quantile
+    /// and adapt() skips the bucket walk. Not persisted: new and loaded
+    /// tracks start at kNoTarget, so checkpoints stay byte-identical.
+    double target = 0.0;
+    std::uint64_t target_count = kNoTarget;
 
     void save(persist::ByteWriter& w) const;
     bool load(persist::ByteReader& r);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
-#include "nn/loss.hpp"
 #include "nn/serialize.hpp"
 #include "util/check.hpp"
 
@@ -230,13 +230,27 @@ EnsembleDisagreement::EnsembleDisagreement(nn::Model sibling)
   sibling_.set_inference_only(true);
 }
 
+double sibling_disbelief(const float* logits, int classes, int pred) {
+  if (pred < 0 || pred >= classes) return 1.0;
+  // nn::softmax_t at T = 1 (x / 1.0f == x exactly): float max and
+  // exponentials, double denominator, probability rounded to float.
+  float row_max = -std::numeric_limits<float>::infinity();
+  for (int j = 0; j < classes; ++j) row_max = std::max(row_max, logits[j]);
+  double denom = 0.0;
+  float e_pred = 0.0f;
+  for (int j = 0; j < classes; ++j) {
+    const float e = std::exp(logits[j] - row_max);
+    if (j == pred) e_pred = e;
+    denom += e;
+  }
+  return 1.0 - static_cast<double>(static_cast<float>(e_pred / denom));
+}
+
 double EnsembleDisagreement::score(const nn::Tensor& input, int primary_pred) {
-  if (primary_pred < 0 || primary_pred >= sibling_.num_classes()) return 1.0;
-  const nn::Tensor proba =
-      nn::softmax(sibling_.logits_one(input).reshaped(
-          {1, sibling_.num_classes()}));
-  return 1.0 - static_cast<double>(
-                   proba[static_cast<std::size_t>(primary_pred)]);
+  const int classes = sibling_.num_classes();
+  if (primary_pred < 0 || primary_pred >= classes) return 1.0;
+  return sibling_disbelief(sibling_.logits_one(input).raw(), classes,
+                           primary_pred);
 }
 
 // ---------------------------------------------------------------------------
@@ -244,8 +258,17 @@ double EnsembleDisagreement::score(const nn::Tensor& input, int primary_pred) {
 
 FineTuneQueue::FineTuneQueue(int capacity) : capacity_(std::max(capacity, 1)) {}
 
-bool FineTuneQueue::push(nn::Tensor sample, int label) {
-  if (static_cast<int>(items_.size()) >= capacity_) {
+bool FineTuneQueue::push(const nn::Tensor& sample, int label) {
+  if (full()) {
+    ++dropped_;
+    return false;
+  }
+  items_.push_back(Item{sample, label});
+  return true;
+}
+
+bool FineTuneQueue::push(nn::Tensor&& sample, int label) {
+  if (full()) {
     ++dropped_;
     return false;
   }

@@ -172,6 +172,13 @@ class NormScreen {
   double linf_mean_ = 0.0, linf_m2_ = 0.0;
 };
 
+/// The ensemble detector's score from raw sibling logits: 1 − the
+/// temperature-1 softmax probability of class `pred`, with the exact op
+/// order of nn::softmax_t(…, 1.0f) so compiled and layer-walk logits score
+/// bit-identically. An out-of-range `pred` (a shed request's −1) scores 1.
+/// Reads `logits[0, classes)`; allocates nothing.
+double sibling_disbelief(const float* logits, int classes, int pred);
+
 /// Ensemble-disagreement detector: a compact sibling model (typically a
 /// distilled student of the served model) votes on the primary's argmax.
 class EnsembleDisagreement {
@@ -204,13 +211,16 @@ class FineTuneQueue {
   };
 
   /// False (and counted in dropped()) once the queue is full — the plane
-  /// must stay bounded under a quarantine flood.
-  bool push(nn::Tensor sample, int label);
+  /// must stay bounded under a quarantine flood. Capacity is checked
+  /// before the sample is copied, so a flood past capacity costs nothing.
+  bool push(const nn::Tensor& sample, int label);
+  bool push(nn::Tensor&& sample, int label);
 
   std::size_t size() const { return items_.size(); }
   int capacity() const { return capacity_; }
   std::uint64_t dropped() const { return dropped_; }
   bool empty() const { return items_.empty(); }
+  bool full() const { return static_cast<int>(items_.size()) >= capacity_; }
   const std::deque<Item>& items() const { return items_; }
   void clear() { items_.clear(); }
 

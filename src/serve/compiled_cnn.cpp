@@ -470,6 +470,10 @@ nn::Tensor CompiledCnn::logits_rows(const float* rows, int m) {
   return out;
 }
 
+void CompiledCnn::logits_rows(const float* rows, int m, float* out) {
+  run_batch(rows, m, out, nullptr);
+}
+
 nn::Tensor CompiledCnn::logits(const nn::Tensor& batch) {
   OREV_CHECK(batch.rank() >= 2 &&
                  batch.numel() ==

@@ -104,6 +104,9 @@ class CompiledCnn : public CompiledPlan {
   /// these byte-for-byte against the layer walk.
   nn::Tensor logits(const nn::Tensor& batch);
   nn::Tensor logits_rows(const float* rows, int m);
+  /// Same logits into a caller-owned [m, num_classes] buffer: no
+  /// allocation once the plan's scratch has grown to m rows.
+  void logits_rows(const float* rows, int m, float* out);
 
   int input_features() const override { return in0_; }
   int num_classes() const override { return classes_; }

@@ -26,6 +26,7 @@ DefensePlane::DefensePlane(const DefenseConfig& cfg, std::string engine_name)
       finetune_(cfg.finetune_capacity),
       adaptive_(cfg.adaptive, cfg.dist_threshold, cfg.step_threshold,
                 cfg.ens_threshold),
+      recent_(static_cast<std::size_t>(std::max(cfg.burst_window, 1)), 0),
       m_screened_(obs::counter("serve." + name_ + ".defense.screened",
                                "requests screened by the defense plane")),
       m_flagged_(obs::counter("serve." + name_ + ".defense.quarantined",
@@ -60,6 +61,24 @@ DefensePlane::DefensePlane(const DefenseConfig& cfg, std::string engine_name)
 void DefensePlane::attach_sibling(nn::Model sibling) {
   ensemble_ =
       std::make_unique<defense::EnsembleDisagreement>(std::move(sibling));
+  // The ensemble locked the sibling, so it compiles as-is; the plan
+  // snapshots the weights, and the sibling is never trained in place.
+  sibling_plan_ = CompiledCnn::compile(ensemble_->sibling()).plan;
+  sibling_logits_.assign(
+      sibling_plan_ != nullptr
+          ? static_cast<std::size_t>(sibling_plan_->num_classes())
+          : 0,
+      0.0f);
+}
+
+double DefensePlane::ensemble_score(const nn::Tensor& input, int pred) {
+  if (sibling_plan_ == nullptr ||
+      static_cast<int>(input.numel()) != sibling_plan_->input_features())
+    return ensemble_->score(input, pred);
+  const int classes = sibling_plan_->num_classes();
+  if (pred < 0 || pred >= classes) return 1.0;
+  sibling_plan_->logits_rows(input.raw(), 1, sibling_logits_.data());
+  return defense::sibling_disbelief(sibling_logits_.data(), classes, pred);
 }
 
 void DefensePlane::calibrate(const nn::Tensor& rows) {
@@ -79,11 +98,15 @@ void DefensePlane::calibrate_flow(const std::string& key,
                      stride);
 }
 
-double DefensePlane::burst_rate() const {
-  if (static_cast<int>(recent_.size()) < cfg_.burst_window) return 0.0;
-  int hits = 0;
-  for (const bool f : recent_) hits += f ? 1 : 0;
-  return static_cast<double>(hits) / static_cast<double>(recent_.size());
+void DefensePlane::record_burst(bool flagged) {
+  std::uint8_t& slot = recent_[recent_pos_];
+  if (recent_fill_ == recent_.size())
+    recent_hits_ -= slot;
+  else
+    ++recent_fill_;
+  slot = flagged ? 1 : 0;
+  recent_hits_ += slot;
+  recent_pos_ = recent_pos_ + 1 == recent_.size() ? 0 : recent_pos_ + 1;
 }
 
 DefenseVerdict DefensePlane::screen(std::uint64_t request_id,
@@ -102,7 +125,7 @@ DefenseVerdict DefensePlane::screen(std::uint64_t request_id,
     v.step_score =
         norms_.score(flow_key, flow_version, input.raw(), input.numel());
   if (cfg_.use_ensemble && ensemble_ != nullptr)
-    v.ens_score = ensemble_->score(input, primary_pred);
+    v.ens_score = ensemble_score(input, primary_pred);
 
   // With adaptive thresholds disabled the accessors return the configured
   // statics verbatim, so this is the exact pre-adaptive comparison.
@@ -164,9 +187,7 @@ DefenseVerdict DefensePlane::screen(std::uint64_t request_id,
   }
   adaptive_.on_row();
 
-  recent_.push_back(v.flagged);
-  if (static_cast<int>(recent_.size()) > cfg_.burst_window)
-    recent_.pop_front();
+  record_burst(v.flagged);
   const double rate = burst_rate();
   m_burst_rate_.set(rate);
   if (!burst_latched_ && rate >= cfg_.burst_threshold) {
@@ -214,7 +235,7 @@ std::vector<ReviewOutcome> DefensePlane::review(
       step = norms_.review_score(rec.flow_key, rec.sample.raw(),
                                  rec.sample.numel());
     if (cfg_.use_ensemble && ensemble_ != nullptr)
-      ens = ensemble_->score(rec.sample, re_pred);
+      ens = ensemble_score(rec.sample, re_pred);
     const double review_score =
         std::max(std::max(dist / adaptive_.dist_threshold(),
                           step / adaptive_.step_threshold(rec.flow_key)),
@@ -222,7 +243,7 @@ std::vector<ReviewOutcome> DefensePlane::review(
 
     ReviewOutcome o;
     o.request_id = rec.request_id;
-    o.flow_key = rec.flow_key;
+    o.flow_key = std::move(rec.flow_key);
     o.flow_version = rec.flow_version;
     o.original_score = rec.score;
     o.review_score = review_score;
@@ -236,7 +257,8 @@ std::vector<ReviewOutcome> DefensePlane::review(
     } else {
       ++confirmed_;
       m_confirmed_.inc();
-      if (rec.ref_label >= 0) finetune_.push(rec.sample, rec.ref_label);
+      if (rec.ref_label >= 0)
+        finetune_.push(std::move(rec.sample), rec.ref_label);
     }
     out.push_back(std::move(o));
   }
@@ -505,7 +527,9 @@ persist::Status DefensePlane::load_status(const std::string& path) {
   model_epoch_ = model_epoch;
   // The burst window is observational, not durable: resumed planes start
   // it empty and unlatched.
-  recent_.clear();
+  recent_pos_ = 0;
+  recent_fill_ = 0;
+  recent_hits_ = 0;
   burst_latched_ = false;
   return Status::Ok();
 }

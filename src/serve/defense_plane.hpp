@@ -52,6 +52,7 @@
 #include "defense/detectors.hpp"
 #include "nn/model.hpp"
 #include "nn/tensor.hpp"
+#include "serve/compiled_cnn.hpp"
 #include "util/obs/metrics.hpp"
 #include "util/persist/persist.hpp"
 
@@ -188,8 +189,14 @@ class DefensePlane {
 
   /// Install the compact sibling for the ensemble detector (typically a
   /// defense::distill student of the served model). Must match the served
-  /// model's input shape and class count — the engine checks.
+  /// model's input shape and class count — the engine checks. The sibling
+  /// is inference-locked and compiled to a stage program (CompiledCnn
+  /// covers its Flatten→Dense and Dense/ReLU chains) whose logits are
+  /// byte-identical to the layer walk; siblings that do not compile are
+  /// scored through the walk.
   void attach_sibling(nn::Model sibling);
+  /// True when the sibling runs on a compiled plan rather than the walk.
+  bool sibling_compiled() const { return sibling_plan_ != nullptr; }
   bool has_sibling() const { return ensemble_ != nullptr; }
 
   /// Calibrate the distribution profile on clean [m, ...sample] rows.
@@ -253,7 +260,12 @@ class DefensePlane {
   /// Flight triggers fired ("defense.quarantine_burst").
   std::uint64_t bursts() const { return bursts_; }
   /// Flagged fraction over the trailing window (0 until the window fills).
-  double burst_rate() const;
+  double burst_rate() const {
+    return recent_fill_ < recent_.size()
+               ? 0.0
+               : static_cast<double>(recent_hits_) /
+                     static_cast<double>(recent_.size());
+  }
   const std::deque<QuarantineRecord>& quarantine() const {
     return quarantine_;
   }
@@ -273,19 +285,35 @@ class DefensePlane {
   persist::Status load_status(const std::string& path);
 
  private:
+  /// Ensemble score of `input` against primary prediction `pred`: the
+  /// compiled sibling into plane-owned scratch when there is one, else
+  /// EnsembleDisagreement::score's layer walk. Bit-identical either way.
+  double ensemble_score(const nn::Tensor& input, int pred);
+  /// Append one flag outcome to the burst window ring.
+  void record_burst(bool flagged);
+
   DefenseConfig cfg_;
   std::string name_;
   defense::CalibrationProfile profile_;
   defense::NormScreen norms_;
   std::unique_ptr<defense::EnsembleDisagreement> ensemble_;
+  /// The sibling's compiled plan (null when it does not compile) and its
+  /// [classes] logits scratch.
+  std::unique_ptr<CompiledCnn> sibling_plan_;
+  std::vector<float> sibling_logits_;
   defense::FineTuneQueue finetune_;
   defense::AdaptiveThresholds adaptive_;
   /// Last accepted (unflagged) prediction per flow: the reference label
   /// quarantined samples are fine-tuned toward (temporal consistency).
   std::map<std::string, int> last_pred_;
   std::deque<QuarantineRecord> quarantine_;
-  /// Trailing flag/pass outcomes for the burst window.
-  std::deque<bool> recent_;
+  /// Trailing flag/pass outcomes for the burst window: a fixed ring of
+  /// burst_window slots with a write cursor, fill count and running hit
+  /// count, so the rate costs O(1) per row.
+  std::vector<std::uint8_t> recent_;
+  std::size_t recent_pos_ = 0;
+  std::size_t recent_fill_ = 0;
+  int recent_hits_ = 0;
   bool burst_latched_ = false;
   std::uint64_t screened_ = 0;
   std::uint64_t flagged_ = 0;

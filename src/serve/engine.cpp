@@ -276,8 +276,17 @@ void ServeEngine::run_review(std::uint64_t extra_us) {
   const std::size_t pending = defense_->quarantine().size();
   const std::uint64_t start = std::max(now_us_, busy_until_us_);
   busy_until_us_ = start + defense_->review_cost_us(pending) + extra_us;
-  const std::vector<ReviewOutcome> outcomes = defense_->review(
-      [this](const nn::Tensor& sample) { return predict_on_replica(0, sample); });
+  // Re-predict on replica 0's compiled float plan (byte-identical to its
+  // layer walk, which stays the fallback) — never on the int8 tier, so
+  // review verdicts stay float-exact whichever tier is serving.
+  CompiledPlan* plan = compiled_.front().get();
+  const std::vector<ReviewOutcome> outcomes =
+      defense_->review([this, plan](const nn::Tensor& sample) {
+        if (plan != nullptr &&
+            static_cast<int>(sample.numel()) == plan->input_features())
+          return plan->predict_rows(sample.raw(), 1).front();
+        return predict_on_replica(0, sample);
+      });
   if (!release_handler_) return;
   // Released rows replay to the apps under the completion no-reentry rule.
   in_completion_ = true;

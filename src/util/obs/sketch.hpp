@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <map>
 
@@ -45,6 +46,7 @@ class QuantileSketch {
       return;
     }
     ++buckets_[index_of(v)];
+    ++bucket_total_;
   }
 
   /// Exact merge: integer addition of bucket counts. Associative and
@@ -56,6 +58,7 @@ class QuantileSketch {
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
     zero_count_ += other.zero_count_;
+    bucket_total_ += other.bucket_total_;
     for (const auto& [idx, n] : other.buckets_) buckets_[idx] += n;
   }
 
@@ -67,17 +70,22 @@ class QuantileSketch {
     q = std::clamp(q, 0.0, 1.0);
     const std::uint64_t rank = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_))));
-    std::uint64_t seen = zero_count_;
-    if (rank <= seen) return std::clamp(0.0, min_, max_);
-    for (const auto& [idx, n] : buckets_) {
-      seen += n;
-      if (rank <= seen) {
-        const double g = std::pow(gamma_, static_cast<double>(idx));
-        const double v = 2.0 * g / (gamma_ + 1.0);  // bucket midpoint
-        return std::clamp(v, min_, max_);
-      }
+    if (rank <= zero_count_) return std::clamp(0.0, min_, max_);
+    // The answer is the lowest bucket whose ascending cumulative count
+    // (zeros included) reaches `rank`. Walk down from the top bucket, where
+    // the cumulative count is zeros + bucket total, subtracting each
+    // bucket as it is passed: tail quantiles (p99, the adaptive
+    // thresholds' q0.995) touch only the few buckets above them.
+    std::uint64_t cum = zero_count_ + bucket_total_;
+    if (rank > cum) return max_;
+    auto it = buckets_.rbegin();
+    for (auto next = std::next(it); next != buckets_.rend(); ++it, ++next) {
+      cum -= it->second;  // cumulative count of `next`
+      if (rank > cum) break;
     }
-    return max_;
+    const double g = std::pow(gamma_, static_cast<double>(it->first));
+    const double v = 2.0 * g / (gamma_ + 1.0);  // bucket midpoint
+    return std::clamp(v, min_, max_);
   }
 
   std::uint64_t count() const { return count_; }
@@ -93,6 +101,7 @@ class QuantileSketch {
     buckets_.clear();
     count_ = 0;
     zero_count_ = 0;
+    bucket_total_ = 0;
     sum_ = 0.0;
     min_ = std::numeric_limits<double>::infinity();
     max_ = -std::numeric_limits<double>::infinity();
@@ -132,6 +141,8 @@ class QuantileSketch {
       if (!r.i32(idx) || !r.u64(n)) return false;
       buckets[idx] = n;
     }
+    std::uint64_t total = 0;
+    for (const auto& [idx, n] : buckets) total += n;
     alpha_ = alpha;
     gamma_ = (1.0 + alpha) / (1.0 - alpha);
     inv_log_gamma_ = 1.0 / std::log(gamma_);
@@ -141,6 +152,7 @@ class QuantileSketch {
     min_ = mn;
     max_ = mx;
     buckets_ = std::move(buckets);
+    bucket_total_ = total;
     return true;
   }
 
@@ -157,6 +169,7 @@ class QuantileSketch {
   std::map<std::int32_t, std::uint64_t> buckets_;  // sorted → ordered walks
   std::uint64_t count_ = 0;
   std::uint64_t zero_count_ = 0;
+  std::uint64_t bucket_total_ = 0;  // sum of buckets_ (not persisted)
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();

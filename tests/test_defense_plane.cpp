@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -226,6 +227,31 @@ TEST(EnsembleDisagreement, ScoresTheSiblingsDisbelief) {
   EXPECT_EQ(ens.score(hi, 5), 1.0);
 }
 
+TEST(EnsembleDisagreement, DisbeliefMatchesNnSoftmaxBitForBit) {
+  // The shared helper behind both the compiled and the layer-walk ensemble
+  // score must reproduce 1 − nn::softmax(logits)[pred] exactly, including
+  // saturated and tied logits.
+  Rng rng(0x50f7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int classes = 2 + trial % 6;
+    const float scale = trial % 5 == 4 ? 80.0f : 3.0f;
+    nn::Tensor logits({1, classes});
+    for (int j = 0; j < classes; ++j)
+      logits[static_cast<std::size_t>(j)] = rng.uniform(-scale, scale);
+    if (trial % 7 == 0) logits[1] = logits[0];  // a tie
+    const nn::Tensor proba = nn::softmax(logits);
+    for (int pred = -1; pred <= classes; ++pred) {
+      const double want =
+          pred < 0 || pred >= classes
+              ? 1.0
+              : 1.0 - static_cast<double>(
+                          proba[static_cast<std::size_t>(pred)]);
+      ASSERT_EQ(defense::sibling_disbelief(logits.raw(), classes, pred), want)
+          << "trial " << trial << " pred " << pred;
+    }
+  }
+}
+
 // ------------------------------------------------------ fine-tune queue --
 
 TEST(FineTuneQueue, StaysBoundedAndCountsDrops) {
@@ -400,6 +426,42 @@ TEST(DefensePlane, BurstTriggerLatchesFiresOnceAndRearms) {
   for (int i = 0; i < 4; ++i) plane.screen(++id, "", 0, far_row(rng), 1);
   EXPECT_EQ(plane.bursts(), 2u);
   EXPECT_EQ(obs::flight_trigger_count(), flight_before + 2);
+
+  // The rate is kept as a running hit count over a fixed ring: on a
+  // seeded random flag stream it must equal a brute-force recount of the
+  // trailing window at every row, and the latch must fire exactly where
+  // the recount crosses the threshold.
+  DefenseConfig rcfg = tight_defense();
+  rcfg.burst_window = 7;
+  rcfg.burst_threshold = 0.4;
+  DefensePlane ring(rcfg, "burstring");
+  ring.calibrate(cluster_rows(64, 0xb3));
+  Rng mix(0xb4);
+  std::vector<bool> flags;
+  bool latched = false;
+  std::uint64_t fired = 0;
+  for (int i = 0; i < 400; ++i) {
+    const bool attack = mix.uniform(0.0f, 1.0f) < 0.35f;
+    flags.push_back(
+        ring.screen(++id, "", 0, attack ? far_row(mix) : cluster_row(mix), 1)
+            .flagged);
+    double expect = 0.0;
+    if (flags.size() >= 7) {
+      int hits = 0;
+      for (std::size_t k = flags.size() - 7; k < flags.size(); ++k)
+        hits += flags[k] ? 1 : 0;
+      expect = static_cast<double>(hits) / 7.0;
+    }
+    ASSERT_EQ(ring.burst_rate(), expect) << "row " << i;
+    if (!latched && expect >= rcfg.burst_threshold) {
+      latched = true;
+      ++fired;
+    } else if (latched && expect < rcfg.burst_threshold * 0.5) {
+      latched = false;
+    }
+    ASSERT_EQ(ring.bursts(), fired) << "row " << i;
+  }
+  EXPECT_GT(fired, 1u);
 }
 
 TEST(DefensePlane, BurstFlightReportIsDeterministic) {
@@ -850,6 +912,44 @@ TEST(AdaptiveThresholds, RoundTripsThroughBytes) {
       std::string_view(w.buffer().data(), w.buffer().size() / 2));
   defense::AdaptiveThresholds partial;
   EXPECT_FALSE(partial.load(torn));
+
+  // Resume mid-stream. The target quantile is cached per track keyed on
+  // the sketch count, so load into a plane whose own tracks sit at the
+  // *same* counts with different scores, and open the continuation with
+  // unobserved (quarantined) rows so the first update after the load sees
+  // unchanged counts: a cache that survived the load would answer with
+  // the stale quantile. Continued on one stream, the resumed and the
+  // uninterrupted plane must agree at every row.
+  defense::AdaptiveThresholds resumed(fast_adaptive(), 6.0, 6.0, 0.9);
+  for (int i = 0; i < 100; ++i) {
+    resumed.observe_accepted("flow/a", 5.0, 0.5, 0.6);
+    resumed.on_row();
+  }
+  persist::ByteReader again(w.buffer());
+  ASSERT_TRUE(resumed.load(again));
+  const char* flows[3] = {"flow/a", "flow/b", "flow/c"};
+  for (int i = 0; i < 300; ++i) {
+    const char* flow = flows[i % 3];
+    const double d = 0.5 + 0.05 * (i % 11) + (i > 150 ? 3.0 : 0.0);
+    const double st = 1.0 + 0.3 * (i % 5) + (i > 200 ? 6.0 : 0.0);
+    const double e = 0.05 + 0.02 * (i % 13);
+    if (i >= 8 && i % 9 != 0) {
+      at.observe_accepted(flow, d, st, e);
+      resumed.observe_accepted(flow, d, st, e);
+    }
+    at.on_row();
+    resumed.on_row();
+    ASSERT_EQ(resumed.dist_threshold(), at.dist_threshold()) << "row " << i;
+    ASSERT_EQ(resumed.ens_threshold(), at.ens_threshold()) << "row " << i;
+    for (const char* f : flows)
+      ASSERT_EQ(resumed.step_threshold(f), at.step_threshold(f))
+          << "row " << i << " " << f;
+  }
+  EXPECT_EQ(resumed.updates(), at.updates());
+  EXPECT_EQ(resumed.held_by_hysteresis(), at.held_by_hysteresis());
+  EXPECT_EQ(resumed.clamped(), at.clamped());
+  // The continuation actually moved thresholds after the resume point.
+  EXPECT_NE(at.dist_threshold(), loaded.dist_threshold());
 }
 
 // ------------------------------------------------ quarantine review loop --
@@ -1263,6 +1363,219 @@ TEST(ServeReview, ReleaseHandlerReplaysRecalibratedFalsePositives) {
   EXPECT_GE(releases[0].corrected_pred, 0);
   EXPECT_EQ(eng.defense()->released(), 1u);
   EXPECT_EQ(eng.defense()->review_passes(), 1u);
+}
+
+// ------------------------------------------- compiled sibling disbelief --
+
+/// Screens seeded random rows through a plane that carries `sibling` with
+/// only the ensemble detector on, and checks every ensemble score — at
+/// screen and at review — against EnsembleDisagreement::score's layer walk
+/// on an identical sibling, bit for bit. Predictions cover −1, each class
+/// and out-of-range classes.
+void expect_sibling_scores_match_walk(nn::Model sibling, bool compiles,
+                                      std::uint64_t seed) {
+  DefenseConfig cfg = tight_defense();
+  cfg.use_distribution = false;
+  cfg.use_norm_screen = false;
+  cfg.review_every = 1000;  // manual review below
+  cfg.quarantine_capacity = 1024;
+  DefensePlane plane(cfg, "siblingwalk");
+  defense::EnsembleDisagreement walk(sibling.clone());
+  plane.attach_sibling(std::move(sibling));
+  ASSERT_EQ(plane.sibling_compiled(), compiles);
+
+  const int classes = walk.sibling().num_classes();
+  std::vector<int> preds;
+  for (int p = -1; p <= classes + 1; ++p) preds.push_back(p);
+  Rng rng(seed);
+  std::uint64_t id = 0;
+  for (int i = 0; i < 48; ++i) {
+    nn::Tensor x(walk.sibling().input_shape());
+    // Every 4th row is scaled far out so the softmax saturates.
+    const float scale = i % 4 == 3 ? 40.0f : 2.0f;
+    for (std::size_t j = 0; j < x.numel(); ++j)
+      x[j] = rng.uniform(-scale, scale);
+    for (const int pred : preds) {
+      const DefenseVerdict v = plane.screen(++id, "", 0, x, pred);
+      ASSERT_EQ(v.ens_score, walk.score(x, pred))
+          << "row " << i << " pred " << pred;
+    }
+  }
+
+  // Review re-scores each quarantined record against the re-prediction.
+  const std::deque<serve::QuarantineRecord> pending = plane.quarantine();
+  ASSERT_FALSE(pending.empty());
+  const int re_pred = classes / 2;
+  const std::vector<serve::ReviewOutcome> outcomes =
+      plane.review([re_pred](const nn::Tensor&) { return re_pred; });
+  ASSERT_EQ(outcomes.size(), pending.size());
+  for (std::size_t k = 0; k < outcomes.size(); ++k)
+    ASSERT_EQ(outcomes[k].review_score,
+              walk.score(pending[k].sample, re_pred) / cfg.ens_threshold)
+        << "record " << k;
+}
+
+TEST(CompiledSibling, DistilledOneLayerSiblingMatchesTheWalk) {
+  // defense::distill's student architecture: Flatten → Dense.
+  expect_sibling_scores_match_walk(apps::make_one_layer({4}, 4, 31), true,
+                                   0x5a1);
+}
+
+TEST(CompiledSibling, DenseReluMlpSiblingMatchesTheWalk) {
+  expect_sibling_scores_match_walk(kpm_model(29), true, 0x5a2);
+}
+
+TEST(CompiledSibling, UncompilableSiblingFallsBackToTheWalk) {
+  // Sigmoid has no compiled stage: the plane keeps the layer walk.
+  auto seq = std::make_unique<nn::Sequential>();
+  seq->emplace<nn::Dense>(4, 8);
+  seq->emplace<nn::Sigmoid>();
+  seq->emplace<nn::Dense>(8, 4);
+  nn::Model m("SigmoidSibling", std::move(seq), {4}, 4);
+  Rng init(0x5a3);
+  m.init(init);
+  expect_sibling_scores_match_walk(std::move(m), false, 0x5a4);
+}
+
+/// 4-feature classifier whose classes differ by hairline weights: the
+/// float walk picks the largest feature, while int8 weight rounding makes
+/// every row identical, so the int8 tier ties and answers class 0.
+nn::Model hairline_kpm_model() {
+  auto seq = std::make_unique<nn::Sequential>();
+  seq->emplace<nn::Dense>(4, 4, /*bias=*/false);
+  nn::Model m("HairlineKpm", std::move(seq), {4}, 4);
+  nn::Tensor w({4, 4}, 1.0f);
+  for (int j = 0; j < 4; ++j) w.at2(j, j) = 1.0001f;
+  std::vector<nn::Tensor> ws;
+  ws.push_back(w);
+  m.set_weights(ws);
+  return m;
+}
+
+TEST(ServeReview, CompiledRepredictionMatchesTheLayerWalkUnderInt8) {
+  // A defended engine serving on the int8 tier, with a sibling, adaptive
+  // thresholds and a review cadence. Review re-predicts on replica 0's
+  // compiled float plan; its outcomes must equal those of a reference
+  // plane fed the same screens and re-predicting through the layer walk.
+  ServeConfig cfg = defended_engine_config("int8review");
+  cfg.batch_max = 1;
+  cfg.replicas = 1;
+  cfg.quant.enable = true;
+  // The gate must admit a tier that disagrees with float: that
+  // disagreement is what would expose an int8 re-predictor.
+  cfg.quant.tol_clean = 1.0;
+  cfg.defense.adaptive = fast_adaptive();
+  cfg.defense.review_every = 12;
+  // Sibling disbelief enters every review score but, at ≤ 0.5 of this
+  // flag line, never vetoes a release on its own.
+  cfg.defense.ens_threshold = 2.0;
+
+  // Clean rows, borderline drift rows (flag under the thin early profile,
+  // clear after recalibration) and attack-scale rows, over four flows.
+  Rng rng(0x1e8);
+  std::vector<nn::Tensor> inputs;
+  for (int i = 0; i < 120; ++i)
+    inputs.push_back(i % 3 == 1   ? offset_row(rng, 0.225f)
+                     : i % 7 == 3 ? offset_row(rng, 2.0f)
+                                  : cluster_row(rng));
+  const nn::Tensor clean = cluster_rows(64, 0x1e9);
+  nn::Model walk = hairline_kpm_model();
+  walk.set_inference_only(true);
+  const std::vector<int> labels = walk.predict(clean);
+
+  // Primary predictions as served: an undefended twin on the same gated
+  // int8 tier (the tier build is deterministic).
+  ServeConfig twin_cfg = cfg;
+  twin_cfg.name = "int8review_twin";
+  twin_cfg.defense.enable = false;
+  ServeEngine twin(hairline_kpm_model(), twin_cfg);
+  ASSERT_TRUE(twin.activate_int8_tier(clean, labels).activated);
+  std::vector<int> served(inputs.size(), -1);
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    twin.submit(nn::Tensor(inputs[i]), [&served, i](const ServeResult& r) {
+      served[i] = r.prediction;
+    });
+  twin.drain();
+
+  ServeEngine eng(hairline_kpm_model(), cfg);
+  ASSERT_TRUE(eng.activate_int8_tier(clean, labels).activated);
+  eng.attach_defense_sibling(apps::make_one_layer({4}, 4, 31));
+  eng.defense()->calibrate(cluster_rows(64, 0x1ea));
+  std::vector<serve::ReviewOutcome> released;
+  eng.set_release_handler(
+      [&released](const serve::ReviewOutcome& o) { released.push_back(o); });
+
+  DefensePlane ref(cfg.defense, "int8review_ref");
+  ref.attach_sibling(apps::make_one_layer({4}, 4, 31));
+  ref.calibrate(cluster_rows(64, 0x1ea));
+  const auto walk_repredict = [&walk](const nn::Tensor& x) {
+    return walk.predict_one(x);
+  };
+  std::vector<serve::ReviewOutcome> expected;
+
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (i == 54) {
+      // Operator recalibration mid-stream turns pending early flags into
+      // reviewable false positives.
+      eng.defense()->calibrate(wide_rows(384, 0x1eb));
+      ref.calibrate(wide_rows(384, 0x1eb));
+    }
+    const std::string key = "flow/" + std::to_string(i % 4);
+    const std::uint64_t version = i / 4;
+    eng.submit(nn::Tensor(inputs[i]), serve::FlowTag{key, version},
+               obs::TraceContext{}, [](const ServeResult&) {});
+    // Past the virtual busy window: the row screens, then a due review
+    // runs, before the next row arrives — the reference's order.
+    eng.advance_us(1000000);
+    ref.screen(i + 1, key, version, inputs[i], served[i]);
+    if (ref.review_due()) {
+      for (serve::ReviewOutcome& o : ref.review(walk_repredict))
+        expected.push_back(std::move(o));
+    }
+  }
+  eng.drain();
+
+  // Both branches ran.
+  EXPECT_GT(ref.released(), 0u);
+  EXPECT_GT(ref.confirmed(), 0u);
+
+  const serve::DefensePlane& live = *eng.defense();
+  EXPECT_EQ(live.review_passes(), ref.review_passes());
+  EXPECT_EQ(live.reviewed(), ref.reviewed());
+  EXPECT_EQ(live.released(), ref.released());
+  EXPECT_EQ(live.confirmed(), ref.confirmed());
+  std::vector<serve::ReviewOutcome> expected_released;
+  int int8_would_differ = 0;
+  for (const serve::ReviewOutcome& o : expected) {
+    if (!o.released) continue;
+    expected_released.push_back(o);
+    if (served[o.request_id - 1] != o.corrected_pred) ++int8_would_differ;
+  }
+  // The int8 tier answers these released rows differently from the float
+  // walk, so an int8 re-predictor could not pass the comparison below.
+  EXPECT_GT(int8_would_differ, 0);
+  ASSERT_EQ(released.size(), expected_released.size());
+  for (std::size_t k = 0; k < released.size(); ++k) {
+    EXPECT_EQ(released[k].request_id, expected_released[k].request_id) << k;
+    EXPECT_EQ(released[k].flow_key, expected_released[k].flow_key) << k;
+    EXPECT_EQ(released[k].review_score, expected_released[k].review_score)
+        << k;
+    EXPECT_EQ(released[k].corrected_pred, expected_released[k].corrected_pred)
+        << k;
+  }
+  // Confirmed records land in the fine-tuning queue in review order.
+  const auto& got = live.finetune().items();
+  const auto& want = ref.finetune().items();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].label, want[k].label) << k;
+    EXPECT_EQ(std::memcmp(got[k].sample.raw(), want[k].sample.raw(),
+                          want[k].sample.numel() * sizeof(float)),
+              0)
+        << k;
+  }
+  EXPECT_EQ(live.adaptive().dist_threshold(), ref.adaptive().dist_threshold());
+  EXPECT_EQ(live.adaptive().ens_threshold(), ref.adaptive().ens_threshold());
 }
 
 // ------------------------------------------------ IC xApp quarantine e2e --

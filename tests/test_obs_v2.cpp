@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <numeric>
@@ -125,6 +126,50 @@ TEST(QuantileSketch, MergeAssociativeCommutativeUnderRandomShardOrders) {
   EXPECT_EQ(tree.count(), chain.count());
   for (const double q : {0.5, 0.99})
     EXPECT_DOUBLE_EQ(tree.quantile(q), chain.quantile(q));
+}
+
+TEST(QuantileSketch, EveryQuantileIsTheBucketOfTheRankedObservation) {
+  // quantile(q) is the bucket midpoint of the rank-ceil(q·n) observation
+  // (zero bucket below kMinTrackable). Checked on a grid of q for a merged
+  // and a checkpoint-loaded sketch, so the running bucket total behind the
+  // top-down bucket walk is exercised on every path that builds it.
+  const double alpha = 0.01;
+  const double gamma = (1.0 + alpha) / (1.0 - alpha);
+  const double inv_log_gamma = 1.0 / std::log(gamma);
+  std::mt19937_64 rng(11);
+  std::lognormal_distribution<double> dist(0.0, 2.0);
+  std::vector<double> values;
+  obs::QuantileSketch a(alpha), b(alpha);
+  for (int i = 0; i < 3000; ++i) {
+    const double v = i % 10 == 0 ? 0.0 : dist(rng);
+    values.push_back(v);
+    (i % 3 == 0 ? b : a).observe(v);
+  }
+  obs::QuantileSketch merged(alpha);
+  merged.merge(a);
+  merged.merge(b);
+  persist::ByteWriter w;
+  merged.save(w);
+  persist::ByteReader r(w.buffer());
+  obs::QuantileSketch loaded;
+  ASSERT_TRUE(loaded.load(r));
+
+  std::sort(values.begin(), values.end());
+  const double lo = values.front(), hi = values.back();
+  for (int k = 0; k <= 1000; ++k) {
+    const double q = k / 1000.0;
+    const std::uint64_t rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::ceil(q * static_cast<double>(values.size()))));
+    const double v = values[rank - 1];
+    double want = std::clamp(0.0, lo, hi);
+    if (v >= 1e-9) {
+      const double idx = std::ceil(std::log(v) * inv_log_gamma);
+      want = std::clamp(2.0 * std::pow(gamma, idx) / (gamma + 1.0), lo, hi);
+    }
+    ASSERT_EQ(merged.quantile(q), want) << "q=" << q;
+    ASSERT_EQ(loaded.quantile(q), want) << "q=" << q;
+  }
 }
 
 TEST(QuantileSketch, ResetEmptiesEverything) {
