@@ -1,0 +1,768 @@
+#include "nn/kernels.hpp"
+
+#include <algorithm>
+#include <vector>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
+namespace orev::nn::kernels {
+
+namespace {
+
+/// The float epilogue of a conv output element: bias, optional BatchNorm
+/// affine, optional ReLU — the layer walk's exact op sequence.
+struct ConvEpilogue {
+  const float* bias;
+  const float* bn_mean;  // null: no BatchNorm
+  const float* bn_invstd;
+  const float* bn_gamma;
+  const float* bn_beta;
+  bool relu;
+};
+
+inline float conv_epilogue1(float v, const ConvEpilogue& e, int c) {
+  v += e.bias[c];
+  if (e.bn_mean != nullptr) {
+    const float xh = (v - e.bn_mean[c]) * e.bn_invstd[c];
+    v = e.bn_gamma[c] * xh + e.bn_beta[c];
+  }
+  if (e.relu) v = std::max(v, 0.0f);
+  return v;
+}
+
+/// One conv output pixel on the scalar path: the reference op order every
+/// SIMD lane reproduces.
+inline float conv_pixel(const float* colsT, const double* wrow, int m, int k,
+                        int p, const ConvEpilogue& e, int c) {
+  double acc = 0.0;
+  for (int kk = 0; kk < k; ++kk)
+    acc += static_cast<double>(colsT[static_cast<std::size_t>(kk) * m + p]) *
+           wrow[kk];
+  return conv_epilogue1(static_cast<float>(acc), e, c);
+}
+
+inline float dense_epilogue1(double acc, const float* bias, bool relu,
+                             int j) {
+  float v = static_cast<float>(acc);
+  if (bias != nullptr) v += bias[j];
+  if (relu) v = std::max(v, 0.0f);
+  return v;
+}
+
+/// Rows of the row-axpy are compacted in chunks of this many k entries:
+/// the nonzero multipliers (and their k index) are gathered first, so the
+/// SIMD inner loop runs branch-free over exactly the rows the reference
+/// does not skip, in the same ascending order.
+constexpr int kAxpyChunk = 256;
+
+inline int compact_nonzero(const float* a, std::ptrdiff_t a_stride, int k0,
+                           int k1, int* idx, float* val) {
+  int cnt = 0;
+  for (int kk = k0; kk < k1; ++kk) {
+    const float av = a[kk * a_stride];
+    idx[cnt] = kk;
+    val[cnt] = av;
+    cnt += av != 0.0f ? 1 : 0;
+  }
+  return cnt;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+
+// SIMD ReLU as max(0, v), not max(v, 0): _mm*_max_ps returns its second
+// operand unless the first is strictly greater, so this form keeps −0.0
+// and NaN exactly as std::max(v, 0.0f) does.
+__attribute__((target("avx2"))) inline __m128 relu4(__m128 v) {
+  return _mm_max_ps(_mm_setzero_ps(), v);
+}
+__attribute__((target("avx2"))) inline __m256 relu8(__m256 v) {
+  return _mm256_max_ps(_mm256_setzero_ps(), v);
+}
+
+// Dense epilogue over four cast lanes at column j.
+__attribute__((target("avx2"))) inline __m128 dense_epilogue4(
+    __m128 v, const float* bias, bool relu, int j) {
+  if (bias != nullptr) v = _mm_add_ps(v, _mm_loadu_ps(bias + j));
+  if (relu) v = relu4(v);
+  return v;
+}
+
+// Conv epilogue over eight pixel lanes of channel c. A separate function
+// (not a lambda) because GCC lambdas do not inherit the enclosing
+// function's target attribute.
+__attribute__((target("avx2"))) inline __m256 conv_epilogue8(
+    __m256 v, const ConvEpilogue& e, int c) {
+  v = _mm256_add_ps(v, _mm256_set1_ps(e.bias[c]));
+  if (e.bn_mean != nullptr) {
+    v = _mm256_sub_ps(v, _mm256_set1_ps(e.bn_mean[c]));
+    v = _mm256_mul_ps(v, _mm256_set1_ps(e.bn_invstd[c]));
+    v = _mm256_add_ps(_mm256_mul_ps(v, _mm256_set1_ps(e.bn_gamma[c])),
+                      _mm256_set1_ps(e.bn_beta[c]));
+  }
+  if (e.relu) v = relu8(v);
+  return v;
+}
+
+// Sixteen dense columns of row xrow as four ymm double accumulators live
+// across the whole k loop.
+__attribute__((target("avx2,fma"))) inline void dense_tile16_avx2(
+    const float* xrow, const double* bt, const float* bias, bool relu,
+    float* yrow, int k, int n, int j0) {
+  __m256d c0 = _mm256_setzero_pd();
+  __m256d c1 = _mm256_setzero_pd();
+  __m256d c2 = _mm256_setzero_pd();
+  __m256d c3 = _mm256_setzero_pd();
+  for (int kk = 0; kk < k; ++kk) {
+    const __m256d av = _mm256_set1_pd(static_cast<double>(xrow[kk]));
+    const double* bp = bt + static_cast<std::size_t>(kk) * n + j0;
+    c0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bp), c0);
+    c1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bp + 4), c1);
+    c2 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bp + 8), c2);
+    c3 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bp + 12), c3);
+  }
+  _mm_storeu_ps(yrow + j0,
+                dense_epilogue4(_mm256_cvtpd_ps(c0), bias, relu, j0));
+  _mm_storeu_ps(yrow + j0 + 4,
+                dense_epilogue4(_mm256_cvtpd_ps(c1), bias, relu, j0 + 4));
+  _mm_storeu_ps(yrow + j0 + 8,
+                dense_epilogue4(_mm256_cvtpd_ps(c2), bias, relu, j0 + 8));
+  _mm_storeu_ps(yrow + j0 + 12,
+                dense_epilogue4(_mm256_cvtpd_ps(c3), bias, relu, j0 + 12));
+}
+
+inline void dense_column(const float* xrow, const double* bt,
+                         const float* bias, bool relu, float* yrow, int k,
+                         int n, int j) {
+  double acc = 0.0;
+  for (int kk = 0; kk < k; ++kk)
+    acc += double(xrow[kk]) * bt[static_cast<std::size_t>(kk) * n + j];
+  yrow[j] = dense_epilogue1(acc, bias, relu, j);
+}
+
+// Conv channels [c, c + NC) over eight pixels starting at p: NC × 2 ymm
+// accumulators, so each widened eight-float patch load feeds 2·NC fmadds.
+template <int NC>
+__attribute__((target("avx2,fma"))) inline void conv_tile8_avx2(
+    const float* colsT, const double* w, const ConvEpilogue& e, float* y,
+    int m, int k, int c, int p) {
+  __m256d lo[NC], hi[NC];
+  for (int j = 0; j < NC; ++j) lo[j] = hi[j] = _mm256_setzero_pd();
+  const double* wc = w + static_cast<std::size_t>(c) * k;
+  for (int kk = 0; kk < k; ++kk) {
+    const float* xp = colsT + static_cast<std::size_t>(kk) * m + p;
+    const __m256d x0 = _mm256_cvtps_pd(_mm_loadu_ps(xp));
+    const __m256d x1 = _mm256_cvtps_pd(_mm_loadu_ps(xp + 4));
+    for (int j = 0; j < NC; ++j) {
+      const __m256d wv =
+          _mm256_broadcast_sd(wc + static_cast<std::size_t>(j) * k + kk);
+      lo[j] = _mm256_fmadd_pd(x0, wv, lo[j]);
+      hi[j] = _mm256_fmadd_pd(x1, wv, hi[j]);
+    }
+  }
+  for (int j = 0; j < NC; ++j) {
+    const __m256 v =
+        _mm256_set_m128(_mm256_cvtpd_ps(hi[j]), _mm256_cvtpd_ps(lo[j]));
+    _mm256_storeu_ps(y + static_cast<std::size_t>(c + j) * m + p,
+                     conv_epilogue8(v, e, c + j));
+  }
+}
+
+// Conv channels [c, c + NC) over sixteen pixels: NC × 2 zmm accumulators.
+template <int NC>
+__attribute__((target("avx2,fma,avx512f"))) inline void conv_tile16_avx512(
+    const float* colsT, const double* w, const ConvEpilogue& e, float* y,
+    int m, int k, int c, int p) {
+  __m512d lo[NC], hi[NC];
+  for (int j = 0; j < NC; ++j) lo[j] = hi[j] = _mm512_setzero_pd();
+  const double* wc = w + static_cast<std::size_t>(c) * k;
+  for (int kk = 0; kk < k; ++kk) {
+    const float* xp = colsT + static_cast<std::size_t>(kk) * m + p;
+    const __m512d x0 = _mm512_cvtps_pd(_mm256_loadu_ps(xp));
+    const __m512d x1 = _mm512_cvtps_pd(_mm256_loadu_ps(xp + 8));
+    for (int j = 0; j < NC; ++j) {
+      const __m512d wv =
+          _mm512_set1_pd(wc[static_cast<std::size_t>(j) * k + kk]);
+      lo[j] = _mm512_fmadd_pd(x0, wv, lo[j]);
+      hi[j] = _mm512_fmadd_pd(x1, wv, hi[j]);
+    }
+  }
+  for (int j = 0; j < NC; ++j) {
+    float* out = y + static_cast<std::size_t>(c + j) * m + p;
+    _mm256_storeu_ps(out, conv_epilogue8(_mm512_cvtpd_ps(lo[j]), e, c + j));
+    _mm256_storeu_ps(out + 8,
+                     conv_epilogue8(_mm512_cvtpd_ps(hi[j]), e, c + j));
+  }
+}
+
+// Conv channels [c, c + NC) over eight pixels: NC zmm accumulators.
+template <int NC>
+__attribute__((target("avx2,fma,avx512f"))) inline void conv_tile8_avx512(
+    const float* colsT, const double* w, const ConvEpilogue& e, float* y,
+    int m, int k, int c, int p) {
+  __m512d acc[NC];
+  for (int j = 0; j < NC; ++j) acc[j] = _mm512_setzero_pd();
+  const double* wc = w + static_cast<std::size_t>(c) * k;
+  for (int kk = 0; kk < k; ++kk) {
+    const __m512d x = _mm512_cvtps_pd(
+        _mm256_loadu_ps(colsT + static_cast<std::size_t>(kk) * m + p));
+    for (int j = 0; j < NC; ++j)
+      acc[j] = _mm512_fmadd_pd(
+          x, _mm512_set1_pd(wc[static_cast<std::size_t>(j) * k + kk]),
+          acc[j]);
+  }
+  for (int j = 0; j < NC; ++j)
+    _mm256_storeu_ps(y + static_cast<std::size_t>(c + j) * m + p,
+                     conv_epilogue8(_mm512_cvtpd_ps(acc[j]), e, c + j));
+}
+
+// Channels [c, c + NC) over every pixel: SIMD tiles, then the scalar
+// pixel tail.
+template <int NC>
+__attribute__((target("avx2,fma"))) void conv_channels_avx2(
+    const float* colsT, const double* w, const ConvEpilogue& e, float* y,
+    int m, int k, int c) {
+  int p = 0;
+  for (; p + 8 <= m; p += 8) conv_tile8_avx2<NC>(colsT, w, e, y, m, k, c, p);
+  for (; p < m; ++p)
+    for (int j = 0; j < NC; ++j)
+      y[static_cast<std::size_t>(c + j) * m + p] = conv_pixel(
+          colsT, w + static_cast<std::size_t>(c + j) * k, m, k, p, e, c + j);
+}
+
+template <int NC>
+__attribute__((target("avx2,fma,avx512f"))) void conv_channels_avx512(
+    const float* colsT, const double* w, const ConvEpilogue& e, float* y,
+    int m, int k, int c) {
+  int p = 0;
+  for (; p + 16 <= m; p += 16)
+    conv_tile16_avx512<NC>(colsT, w, e, y, m, k, c, p);
+  for (; p + 8 <= m; p += 8)
+    conv_tile8_avx512<NC>(colsT, w, e, y, m, k, c, p);
+  for (; p < m; ++p)
+    for (int j = 0; j < NC; ++j)
+      y[static_cast<std::size_t>(c + j) * m + p] = conv_pixel(
+          colsT, w + static_cast<std::size_t>(c + j) * k, m, k, p, e, c + j);
+}
+
+// Row-axpy over one compacted k chunk, columns [j0, j0 + 8·NV) as NV ymm
+// float accumulators held across the chunk. Masked blocks (a row's last,
+// partial one) load and store through lane masks; masked-off lanes read as
+// zero and are never written back.
+template <int NV, bool Masked>
+__attribute__((target("avx2"))) inline void axpy_block_avx2(
+    const int* idx, const float* val, int cnt, const float* b, float* y,
+    int n, int j0) {
+  __m256i mask[NV];
+  __m256 acc[NV];
+  float* yp = y + j0;
+  for (int q = 0; q < NV; ++q) {
+    if (Masked) {
+      const __m256i lane = _mm256_add_epi32(
+          _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+          _mm256_set1_epi32(j0 + 8 * q));
+      mask[q] = _mm256_cmpgt_epi32(_mm256_set1_epi32(n), lane);
+      acc[q] = _mm256_maskload_ps(yp + 8 * q, mask[q]);
+    } else {
+      acc[q] = _mm256_loadu_ps(yp + 8 * q);
+    }
+  }
+  for (int t = 0; t < cnt; ++t) {
+    const __m256 av = _mm256_set1_ps(val[t]);
+    const float* bp = b + static_cast<std::size_t>(idx[t]) * n + j0;
+    for (int q = 0; q < NV; ++q) {
+      const __m256 bv = Masked ? _mm256_maskload_ps(bp + 8 * q, mask[q])
+                               : _mm256_loadu_ps(bp + 8 * q);
+      acc[q] = _mm256_add_ps(acc[q], _mm256_mul_ps(av, bv));
+    }
+  }
+  for (int q = 0; q < NV; ++q) {
+    if (Masked) {
+      _mm256_maskstore_ps(yp + 8 * q, mask[q], acc[q]);
+    } else {
+      _mm256_storeu_ps(yp + 8 * q, acc[q]);
+    }
+  }
+}
+
+// Same over columns [j0, j0 + 16·NV) as NV zmm accumulators; AVX-512
+// masks cost nothing, so every block goes through them.
+template <int NV>
+__attribute__((target("avx2,avx512f"))) inline void axpy_block_avx512(
+    const int* idx, const float* val, int cnt, const float* b, float* y,
+    int n, int j0) {
+  __mmask16 mask[NV];
+  __m512 acc[NV];
+  float* yp = y + j0;
+  for (int q = 0; q < NV; ++q) {
+    const int left = std::clamp(n - j0 - 16 * q, 0, 16);
+    mask[q] = static_cast<__mmask16>((1u << left) - 1u);
+    acc[q] = _mm512_maskz_loadu_ps(mask[q], yp + 16 * q);
+  }
+  for (int t = 0; t < cnt; ++t) {
+    const __m512 av = _mm512_set1_ps(val[t]);
+    const float* bp = b + static_cast<std::size_t>(idx[t]) * n + j0;
+    for (int q = 0; q < NV; ++q)
+      acc[q] = _mm512_add_ps(
+          acc[q],
+          _mm512_mul_ps(av, _mm512_maskz_loadu_ps(mask[q], bp + 16 * q)));
+  }
+  for (int q = 0; q < NV; ++q)
+    _mm512_mask_storeu_ps(yp + 16 * q, mask[q], acc[q]);
+}
+
+// One output row over every column: full four-vector blocks, then one
+// block just wide enough for the remainder.
+__attribute__((target("avx2"))) inline void axpy_row_avx2(
+    const int* idx, const float* val, int cnt, const float* b, float* y,
+    int n) {
+  int j0 = 0;
+  for (; j0 + 32 <= n; j0 += 32)
+    axpy_block_avx2<4, false>(idx, val, cnt, b, y, n, j0);
+  switch ((n - j0 + 7) / 8) {
+    case 1: return axpy_block_avx2<1, true>(idx, val, cnt, b, y, n, j0);
+    case 2: return axpy_block_avx2<2, true>(idx, val, cnt, b, y, n, j0);
+    case 3: return axpy_block_avx2<3, true>(idx, val, cnt, b, y, n, j0);
+    case 4: return axpy_block_avx2<4, true>(idx, val, cnt, b, y, n, j0);
+    default: return;
+  }
+}
+
+__attribute__((target("avx2,avx512f"))) inline void axpy_row_avx512(
+    const int* idx, const float* val, int cnt, const float* b, float* y,
+    int n) {
+  int j0 = 0;
+  for (; j0 + 64 <= n; j0 += 64)
+    axpy_block_avx512<4>(idx, val, cnt, b, y, n, j0);
+  switch ((n - j0 + 15) / 16) {
+    case 1: return axpy_block_avx512<1>(idx, val, cnt, b, y, n, j0);
+    case 2: return axpy_block_avx512<2>(idx, val, cnt, b, y, n, j0);
+    case 3: return axpy_block_avx512<3>(idx, val, cnt, b, y, n, j0);
+    case 4: return axpy_block_avx512<4>(idx, val, cnt, b, y, n, j0);
+    default: return;
+  }
+}
+
+// Int8 dot-product rows: widen int8 lanes to int16, multiply-accumulate
+// pairs into int32 with pmaddwd. Integer adds associate freely, so lane
+// order cannot change the result — the dispatch here is purely about
+// speed, unlike the float kernels above where it is about preserving bits.
+__attribute__((target("avx2"))) void s8_gemm_avx2(const std::int8_t* a,
+                                                  const std::int8_t* w,
+                                                  std::int32_t* y, int m,
+                                                  int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const std::int8_t* arow = a + static_cast<std::size_t>(i) * k;
+    std::int32_t* yrow = y + static_cast<std::size_t>(i) * n;
+    for (int j = 0; j < n; ++j) {
+      const std::int8_t* wrow = w + static_cast<std::size_t>(j) * k;
+      __m256i acc = _mm256_setzero_si256();
+      int kk = 0;
+      for (; kk + 16 <= k; kk += 16) {
+        const __m256i av = _mm256_cvtepi8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(arow + kk)));
+        const __m256i wv = _mm256_cvtepi8_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(wrow + kk)));
+        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, wv));
+      }
+      __m128i lo = _mm256_castsi256_si128(acc);
+      __m128i hi = _mm256_extracti128_si256(acc, 1);
+      __m128i s = _mm_add_epi32(lo, hi);
+      s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4e));
+      s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xb1));
+      std::int32_t total = _mm_cvtsi128_si32(s);
+      for (; kk < k; ++kk)
+        total += static_cast<std::int32_t>(arow[kk]) *
+                 static_cast<std::int32_t>(wrow[kk]);
+      yrow[j] = total;
+    }
+  }
+}
+
+#endif  // x86_64 && GNUC
+
+void s8_gemm_generic(const std::int8_t* a, const std::int8_t* w,
+                     std::int32_t* y, int m, int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const std::int8_t* arow = a + static_cast<std::size_t>(i) * k;
+    std::int32_t* yrow = y + static_cast<std::size_t>(i) * n;
+    for (int j = 0; j < n; ++j) {
+      const std::int8_t* wrow = w + static_cast<std::size_t>(j) * k;
+      std::int32_t total = 0;
+      for (int kk = 0; kk < k; ++kk)
+        total += static_cast<std::int32_t>(arow[kk]) *
+                 static_cast<std::int32_t>(wrow[kk]);
+      yrow[j] = total;
+    }
+  }
+}
+
+}  // namespace
+
+// ------------------------------------------------------- ISA variants
+
+namespace detail {
+
+// Reference dense stage. Every output element accumulates double(x) * bt
+// in ascending-k order, casts once to float, then applies the optional
+// bias add and ReLU as single float ops.
+void dense_stage_generic(const float* x, const double* bt, const float* bias,
+                         bool relu, float* y, int m, int k, int n) {
+  std::vector<double> acc(static_cast<std::size_t>(n));
+  for (int i = 0; i < m; ++i) {
+    const float* xrow = x + static_cast<std::size_t>(i) * k;
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (int kk = 0; kk < k; ++kk) {
+      const double av = xrow[kk];
+      const double* btrow = bt + static_cast<std::size_t>(kk) * n;
+      for (int j = 0; j < n; ++j) acc[j] += av * btrow[j];
+    }
+    float* yrow = y + static_cast<std::size_t>(i) * n;
+    for (int j = 0; j < n; ++j)
+      yrow[j] = dense_epilogue1(acc[j], bias, relu, j);
+  }
+}
+
+void conv_stage_generic(const float* colsT, const double* w,
+                        const float* bias, const float* bn_mean,
+                        const float* bn_invstd, const float* bn_gamma,
+                        const float* bn_beta, bool relu, float* y, int m,
+                        int k, int n) {
+  const ConvEpilogue e{bias, bn_mean, bn_invstd, bn_gamma, bn_beta, relu};
+  for (int c = 0; c < n; ++c) {
+    const double* wrow = w + static_cast<std::size_t>(c) * k;
+    float* out = y + static_cast<std::size_t>(c) * m;
+    for (int p = 0; p < m; ++p) out[p] = conv_pixel(colsT, wrow, m, k, p, e, c);
+  }
+}
+
+void row_axpy_generic(const float* a, std::ptrdiff_t a_row,
+                      std::ptrdiff_t a_k, const float* b, float* y, int m,
+                      int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const float* ai = a + i * a_row;
+    float* yi = y + static_cast<std::size_t>(i) * n;
+    for (int kk = 0; kk < k; ++kk) {
+      const float av = ai[kk * a_k];
+      if (av == 0.0f) continue;
+      const float* brow = b + static_cast<std::size_t>(kk) * n;
+      for (int j = 0; j < n; ++j) yi[j] += av * brow[j];
+    }
+  }
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+
+// 16-column register tiles; remainder columns take the scalar element
+// loop (identical per-element op order either way).
+__attribute__((target("avx2,fma"))) void dense_stage_avx2(
+    const float* x, const double* bt, const float* bias, bool relu, float* y,
+    int m, int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const float* xrow = x + static_cast<std::size_t>(i) * k;
+    float* yrow = y + static_cast<std::size_t>(i) * n;
+    int j0 = 0;
+    for (; j0 + 16 <= n; j0 += 16)
+      dense_tile16_avx2(xrow, bt, bias, relu, yrow, k, n, j0);
+    for (; j0 < n; ++j0) dense_column(xrow, bt, bias, relu, yrow, k, n, j0);
+  }
+}
+
+// 32-column zmm tiles with a 16-column ymm tail; same op order, 8 wide.
+__attribute__((target("avx2,fma,avx512f"))) void dense_stage_avx512(
+    const float* x, const double* bt, const float* bias, bool relu, float* y,
+    int m, int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const float* xrow = x + static_cast<std::size_t>(i) * k;
+    float* yrow = y + static_cast<std::size_t>(i) * n;
+    int j0 = 0;
+    for (; j0 + 32 <= n; j0 += 32) {
+      __m512d c0 = _mm512_setzero_pd();
+      __m512d c1 = _mm512_setzero_pd();
+      __m512d c2 = _mm512_setzero_pd();
+      __m512d c3 = _mm512_setzero_pd();
+      for (int kk = 0; kk < k; ++kk) {
+        const __m512d av = _mm512_set1_pd(static_cast<double>(xrow[kk]));
+        const double* bp = bt + static_cast<std::size_t>(kk) * n + j0;
+        c0 = _mm512_fmadd_pd(av, _mm512_loadu_pd(bp), c0);
+        c1 = _mm512_fmadd_pd(av, _mm512_loadu_pd(bp + 8), c1);
+        c2 = _mm512_fmadd_pd(av, _mm512_loadu_pd(bp + 16), c2);
+        c3 = _mm512_fmadd_pd(av, _mm512_loadu_pd(bp + 24), c3);
+      }
+      const __m512d cs[4] = {c0, c1, c2, c3};
+      for (int q = 0; q < 4; ++q) {
+        __m256 v = _mm512_cvtpd_ps(cs[q]);
+        if (bias != nullptr)
+          v = _mm256_add_ps(v, _mm256_loadu_ps(bias + j0 + 8 * q));
+        if (relu) v = relu8(v);
+        _mm256_storeu_ps(yrow + j0 + 8 * q, v);
+      }
+    }
+    for (; j0 + 16 <= n; j0 += 16)
+      dense_tile16_avx2(xrow, bt, bias, relu, yrow, k, n, j0);
+    for (; j0 < n; ++j0) dense_column(xrow, bt, bias, relu, yrow, k, n, j0);
+  }
+}
+
+// Pixel-vectorized conv: each SIMD lane owns one output pixel's double
+// accumulator, walking k in ascending order — the scalar reference's op
+// sequence eight pixels at a time, four output channels per tile and one
+// narrower tile for the remaining channels. The float epilogue is
+// lane-wise; nothing reassociates.
+__attribute__((target("avx2,fma"))) void conv_stage_avx2(
+    const float* colsT, const double* w, const float* bias,
+    const float* bn_mean, const float* bn_invstd, const float* bn_gamma,
+    const float* bn_beta, bool relu, float* y, int m, int k, int n) {
+  const ConvEpilogue e{bias, bn_mean, bn_invstd, bn_gamma, bn_beta, relu};
+  int c = 0;
+  for (; c + 4 <= n; c += 4) conv_channels_avx2<4>(colsT, w, e, y, m, k, c);
+  switch (n - c) {
+    case 3: return conv_channels_avx2<3>(colsT, w, e, y, m, k, c);
+    case 2: return conv_channels_avx2<2>(colsT, w, e, y, m, k, c);
+    case 1: return conv_channels_avx2<1>(colsT, w, e, y, m, k, c);
+    default: return;
+  }
+}
+
+// Sixteen pixels per tile (two zmm per channel), then an eight-pixel
+// tile, then scalar pixels.
+__attribute__((target("avx2,fma,avx512f"))) void conv_stage_avx512(
+    const float* colsT, const double* w, const float* bias,
+    const float* bn_mean, const float* bn_invstd, const float* bn_gamma,
+    const float* bn_beta, bool relu, float* y, int m, int k, int n) {
+  const ConvEpilogue e{bias, bn_mean, bn_invstd, bn_gamma, bn_beta, relu};
+  int c = 0;
+  for (; c + 4 <= n; c += 4) conv_channels_avx512<4>(colsT, w, e, y, m, k, c);
+  switch (n - c) {
+    case 3: return conv_channels_avx512<3>(colsT, w, e, y, m, k, c);
+    case 2: return conv_channels_avx512<2>(colsT, w, e, y, m, k, c);
+    case 1: return conv_channels_avx512<1>(colsT, w, e, y, m, k, c);
+    default: return;
+  }
+}
+
+// Each row's nonzero multipliers are compacted chunk by chunk, then the
+// row is updated a register block at a time over that chunk.
+__attribute__((target("avx2"))) void row_axpy_avx2(
+    const float* a, std::ptrdiff_t a_row, std::ptrdiff_t a_k, const float* b,
+    float* y, int m, int k, int n) {
+  int idx[kAxpyChunk];
+  float val[kAxpyChunk];
+  for (int i = 0; i < m; ++i) {
+    for (int k0 = 0; k0 < k; k0 += kAxpyChunk) {
+      const int cnt = compact_nonzero(a + i * a_row, a_k, k0,
+                                      std::min(k, k0 + kAxpyChunk), idx, val);
+      if (cnt > 0)
+        axpy_row_avx2(idx, val, cnt, b, y + static_cast<std::size_t>(i) * n,
+                      n);
+    }
+  }
+}
+
+__attribute__((target("avx2,avx512f"))) void row_axpy_avx512(
+    const float* a, std::ptrdiff_t a_row, std::ptrdiff_t a_k, const float* b,
+    float* y, int m, int k, int n) {
+  int idx[kAxpyChunk];
+  float val[kAxpyChunk];
+  for (int i = 0; i < m; ++i) {
+    for (int k0 = 0; k0 < k; k0 += kAxpyChunk) {
+      const int cnt = compact_nonzero(a + i * a_row, a_k, k0,
+                                      std::min(k, k0 + kAxpyChunk), idx, val);
+      if (cnt > 0)
+        axpy_row_avx512(idx, val, cnt, b,
+                        y + static_cast<std::size_t>(i) * n, n);
+    }
+  }
+}
+
+#endif  // x86_64 && GNUC
+
+}  // namespace detail
+
+// ---------------------------------------------------------- dispatch
+
+int isa_level() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  static const int isa = [] {
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma"))
+      return 2;
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+      return 1;
+    return 0;
+  }();
+  return isa;
+#else
+  return 0;
+#endif
+}
+
+void dense_stage(const float* x, const double* bt, const float* bias,
+                 bool relu, float* y, int m, int k, int n) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  const int isa = isa_level();
+  if (isa == 2)
+    return detail::dense_stage_avx512(x, bt, bias, relu, y, m, k, n);
+  if (isa == 1) return detail::dense_stage_avx2(x, bt, bias, relu, y, m, k, n);
+#endif
+  detail::dense_stage_generic(x, bt, bias, relu, y, m, k, n);
+}
+
+void conv_stage(const float* colsT, const double* w, const float* bias,
+                const float* bn_mean, const float* bn_invstd,
+                const float* bn_gamma, const float* bn_beta, bool relu,
+                float* y, int m, int k, int n) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  const int isa = isa_level();
+  if (isa == 2)
+    return detail::conv_stage_avx512(colsT, w, bias, bn_mean, bn_invstd,
+                                     bn_gamma, bn_beta, relu, y, m, k, n);
+  if (isa == 1)
+    return detail::conv_stage_avx2(colsT, w, bias, bn_mean, bn_invstd,
+                                   bn_gamma, bn_beta, relu, y, m, k, n);
+#endif
+  detail::conv_stage_generic(colsT, w, bias, bn_mean, bn_invstd, bn_gamma,
+                             bn_beta, relu, y, m, k, n);
+}
+
+void row_axpy(const float* a, std::ptrdiff_t a_row, std::ptrdiff_t a_k,
+              const float* b, float* y, int m, int k, int n) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  const int isa = isa_level();
+  if (isa == 2) return detail::row_axpy_avx512(a, a_row, a_k, b, y, m, k, n);
+  if (isa == 1) return detail::row_axpy_avx2(a, a_row, a_k, b, y, m, k, n);
+#endif
+  detail::row_axpy_generic(a, a_row, a_k, b, y, m, k, n);
+}
+
+void s8_gemm(const std::int8_t* a, const std::int8_t* w, std::int32_t* y,
+             int m, int k, int n) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (isa_level() >= 1) {
+    s8_gemm_avx2(a, w, y, m, k, n);
+    return;
+  }
+#endif
+  s8_gemm_generic(a, w, y, m, k, n);
+}
+
+// ----------------------------------------------------------- im2col
+
+namespace {
+
+/// Output positions [lo, hi) along one axis whose k taps all land inside
+/// [0, extent): interior positions, copied without per-tap checks.
+struct Interior {
+  int lo, hi;
+};
+
+Interior interior(int out, int extent, int k, int stride, int pad) {
+  int lo = 0;
+  while (lo < out && lo * stride - pad < 0) ++lo;
+  int hi = out;
+  while (hi > lo && (hi - 1) * stride - pad + k > extent) --hi;
+  return {lo, hi};
+}
+
+// K > 0 fixes the kernel size at compile time so the per-tap loops
+// unroll; K == 0 reads it from k.
+template <int K, typename T>
+void im2col_rows(const T* src, int c_in, int h, int w, int k, int stride,
+                 int pad, int oh, int ow, T* cols) {
+  if (K > 0) k = K;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const Interior ry = interior(oh, h, k, stride, pad);
+  const Interior rx = interior(ow, w, k, stride, pad);
+  T* row = cols;
+  for (int oy = 0; oy < oh; ++oy) {
+    const int iy0 = oy * stride - pad;
+    const bool row_in = oy >= ry.lo && oy < ry.hi;
+    for (int ox = 0; ox < ow; ++ox) {
+      const int ix0 = ox * stride - pad;
+      if (row_in && ox >= rx.lo && ox < rx.hi) {
+        const std::size_t corner = static_cast<std::size_t>(iy0) * w + ix0;
+        for (int c = 0; c < c_in; ++c) {
+          const T* tap = src + c * plane + corner;
+          for (int ky = 0; ky < k; ++ky)
+            for (int kx = 0; kx < k; ++kx)
+              *row++ = tap[static_cast<std::size_t>(ky) * w + kx];
+        }
+        continue;
+      }
+      for (int c = 0; c < c_in; ++c) {
+        const T* pl = src + c * plane;
+        for (int ky = 0; ky < k; ++ky) {
+          const int iy = iy0 + ky;
+          for (int kx = 0; kx < k; ++kx) {
+            const int ix = ix0 + kx;
+            *row++ = (iy >= 0 && iy < h && ix >= 0 && ix < w)
+                         ? pl[static_cast<std::size_t>(iy) * w + ix]
+                         : T(0);
+          }
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+void im2col_any(const T* src, int c_in, int h, int w, int k, int stride,
+                int pad, int oh, int ow, T* cols) {
+  switch (k) {
+    case 1:
+      return im2col_rows<1>(src, c_in, h, w, k, stride, pad, oh, ow, cols);
+    case 3:
+      return im2col_rows<3>(src, c_in, h, w, k, stride, pad, oh, ow, cols);
+    default:
+      return im2col_rows<0>(src, c_in, h, w, k, stride, pad, oh, ow, cols);
+  }
+}
+
+}  // namespace
+
+void im2col_f32(const float* src, int c_in, int h, int w, int k, int stride,
+                int pad, int oh, int ow, float* cols) {
+  im2col_any<float>(src, c_in, h, w, k, stride, pad, oh, ow, cols);
+}
+
+void im2col_s8(const std::int8_t* src, int c_in, int h, int w, int k,
+               int stride, int pad, int oh, int ow, std::int8_t* cols) {
+  im2col_any<std::int8_t>(src, c_in, h, w, k, stride, pad, oh, ow, cols);
+}
+
+void im2col_f32_t(const float* src, int c_in, int h, int w, int k, int stride,
+                  int pad, int oh, int ow, float* colsT) {
+  const int m = oh * ow;
+  float* row = colsT;
+  for (int c = 0; c < c_in; ++c) {
+    const float* plane = src + static_cast<std::size_t>(c) * h * w;
+    for (int ky = 0; ky < k; ++ky) {
+      for (int kx = 0; kx < k; ++kx, row += m) {
+        // Along x, tap kx lands inside the plane for ox in [x.lo, x.hi) —
+        // the interior of a one-wide kernel padded by pad − kx; the rest
+        // of each output row is padding.
+        const Interior x = interior(ow, w, 1, stride, pad - kx);
+        float* out = row;
+        for (int oy = 0; oy < oh; ++oy, out += ow) {
+          const int iy = oy * stride - pad + ky;
+          if (iy < 0 || iy >= h) {
+            std::fill(out, out + ow, 0.0f);
+            continue;
+          }
+          const float* srow = plane + static_cast<std::size_t>(iy) * w;
+          const int off = kx - pad;  // ix = ox * stride + off
+          std::fill(out, out + x.lo, 0.0f);
+          if (stride == 1) {
+            std::copy(srow + x.lo + off, srow + x.hi + off, out + x.lo);
+          } else {
+            for (int ox = x.lo; ox < x.hi; ++ox)
+              out[ox] = srow[ox * stride + off];
+          }
+          std::fill(out + x.hi, out + ow, 0.0f);
+        }
+      }
+    }
+  }
+}
+
+}  // namespace orev::nn::kernels

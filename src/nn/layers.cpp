@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/kernels.hpp"
 #include "nn/serialize.hpp"
 #include "util/thread_pool.hpp"
 
@@ -15,24 +16,52 @@ float he_stddev(int fan_in) {
   return std::sqrt(2.0f / static_cast<float>(std::max(fan_in, 1)));
 }
 
-/// im2col for one sample: x_n is [C, H, W] laid out contiguously at `src`.
-/// Produces a [oH*oW, C*k*k] matrix in `cols` (row per output position).
-void im2col(const float* src, int c_in, int h, int w, int k, int stride,
-            int pad, int oh, int ow, float* cols) {
-  const int patch = c_in * k * k;
+/// Per-thread scratch for Conv2D's patch matrices, shared by every Conv2D
+/// on the thread. Each use fills what it reads before reading it, and
+/// nothing inside a use re-enters a layer, so one buffer per thread is
+/// enough: memory stays at one sample's widest patch matrix per thread,
+/// whatever the batch size, and steady-state forwards and backwards
+/// allocate nothing.
+float* conv_scratch(std::size_t n) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+/// col2im accumulate: inverse scatter of an im2col patch matrix into dx
+/// (one sample). Every dx element receives its contributions in ascending
+/// output-pixel order; interior pixels skip the per-tap bounds checks,
+/// which changes neither a value nor that order. K > 0 fixes the kernel
+/// size at compile time so the tap loops unroll; K == 0 reads it from k.
+template <int K>
+void col2im_rows(const float* cols, int c_in, int h, int w, int k,
+                 int stride, int pad, int oh, int ow, float* dst) {
+  if (K > 0) k = K;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const float* row = cols;
   for (int oy = 0; oy < oh; ++oy) {
+    const int iy0 = oy * stride - pad;
+    const bool row_in = iy0 >= 0 && iy0 + k <= h;
     for (int ox = 0; ox < ow; ++ox) {
-      float* row = cols + (static_cast<std::size_t>(oy) * ow + ox) * patch;
-      int col = 0;
+      const int ix0 = ox * stride - pad;
+      if (row_in && ix0 >= 0 && ix0 + k <= w) {
+        const std::size_t corner = static_cast<std::size_t>(iy0) * w + ix0;
+        for (int c = 0; c < c_in; ++c) {
+          float* tap = dst + c * plane + corner;
+          for (int ky = 0; ky < k; ++ky)
+            for (int kx = 0; kx < k; ++kx)
+              tap[static_cast<std::size_t>(ky) * w + kx] += *row++;
+        }
+        continue;
+      }
       for (int c = 0; c < c_in; ++c) {
-        const float* plane = src + static_cast<std::size_t>(c) * h * w;
+        float* pl = dst + c * plane;
         for (int ky = 0; ky < k; ++ky) {
-          const int iy = oy * stride - pad + ky;
-          for (int kx = 0; kx < k; ++kx) {
-            const int ix = ox * stride - pad + kx;
-            row[col++] = (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                             ? plane[static_cast<std::size_t>(iy) * w + ix]
-                             : 0.0f;
+          const int iy = iy0 + ky;
+          for (int kx = 0; kx < k; ++kx, ++row) {
+            const int ix = ix0 + kx;
+            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+              pl[static_cast<std::size_t>(iy) * w + ix] += *row;
           }
         }
       }
@@ -40,29 +69,15 @@ void im2col(const float* src, int c_in, int h, int w, int k, int stride,
   }
 }
 
-/// col2im accumulate: inverse scatter of im2col into dx (one sample).
 void col2im_accum(const float* cols, int c_in, int h, int w, int k,
                   int stride, int pad, int oh, int ow, float* dst) {
-  const int patch = c_in * k * k;
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      const float* row =
-          cols + (static_cast<std::size_t>(oy) * ow + ox) * patch;
-      int col = 0;
-      for (int c = 0; c < c_in; ++c) {
-        float* plane = dst + static_cast<std::size_t>(c) * h * w;
-        for (int ky = 0; ky < k; ++ky) {
-          const int iy = oy * stride - pad + ky;
-          for (int kx = 0; kx < k; ++kx) {
-            const int ix = ox * stride - pad + kx;
-            if (iy >= 0 && iy < h && ix >= 0 && ix < w) {
-              plane[static_cast<std::size_t>(iy) * w + ix] += row[col];
-            }
-            ++col;
-          }
-        }
-      }
-    }
+  switch (k) {
+    case 1:
+      return col2im_rows<1>(cols, c_in, h, w, k, stride, pad, oh, ow, dst);
+    case 3:
+      return col2im_rows<3>(cols, c_in, h, w, k, stride, pad, oh, ow, dst);
+    default:
+      return col2im_rows<0>(cols, c_in, h, w, k, stride, pad, oh, ow, dst);
   }
 }
 
@@ -159,31 +174,31 @@ Tensor Conv2D::forward(const Tensor& x, bool /*training*/) {
 
   if (!inference_mode_) cached_input_ = x;
   const int patch = in_ch_ * k_ * k_;
-  // In inference mode the im2col buffer is forward-pass scratch; only a
-  // training forward persists it for the following backward().
-  Tensor local_cols;
-  Tensor& cols_t = inference_mode_ ? local_cols : cached_cols_;
-  cols_t = Tensor({n, oh * ow, patch});
+  const int ohw = oh * ow;
+  // Weights change under training, so they are widened afresh each call.
+  const std::span<const float> wv = weight_.value.data();
+  wide_weight_.assign(wv.begin(), wv.end());
+  // The bias is added unconditionally: +0.0f is not a no-op in IEEE
+  // arithmetic, and the compiled plans add it the same way. A bias-less
+  // layer's bias_ stays all zeros — it is never in params(), so nothing
+  // trains or loads it.
+  const float* bias = bias_.value.raw();
 
   Tensor out({n, out_ch_, oh, ow});
-  // Sample-parallel: each sample writes its own im2col slice and output
-  // planes, so results are identical at every thread count.
+  // Sample-parallel: each sample packs its transposed patch matrix into
+  // thread scratch and writes its own output planes through the compiled
+  // plans' conv kernel — double(x)·double(w) summed in ascending patch
+  // order, one cast to float, then + b — so results are identical at
+  // every thread count and to the serving plans.
   util::parallel_for(0, n, 1, [&](std::int64_t i) {
-    float* cols = cols_t.raw() +
-                  static_cast<std::size_t>(i) * oh * ow * patch;
-    im2col(x.raw() + static_cast<std::size_t>(i) * in_ch_ * h * w, in_ch_, h,
-           w, k_, stride_, pad_, oh, ow, cols);
-    const Tensor cols_m({oh * ow, patch},
-                        std::vector<float>(cols, cols + std::size_t(oh) * ow * patch));
-    Tensor y = matmul_bt(cols_m, weight_.value);  // [oH*oW, out_ch]
-    // Transpose [oH*oW, out_ch] → [out_ch, oH, oW].
-    for (int c = 0; c < out_ch_; ++c) {
-      const float b = has_bias_ ? bias_.value[c] : 0.0f;
-      for (int p = 0; p < oh * ow; ++p) {
-        out.raw()[((static_cast<std::size_t>(i) * out_ch_ + c) * oh * ow) + p] =
-            y.raw()[static_cast<std::size_t>(p) * out_ch_ + c] + b;
-      }
-    }
+    float* colsT = conv_scratch(static_cast<std::size_t>(patch) * ohw);
+    kernels::im2col_f32_t(
+        x.raw() + static_cast<std::size_t>(i) * in_ch_ * h * w, in_ch_, h,
+        w, k_, stride_, pad_, oh, ow, colsT);
+    kernels::conv_stage(colsT, wide_weight_.data(), bias, nullptr, nullptr,
+                        nullptr, nullptr, /*relu=*/false,
+                        out.raw() + static_cast<std::size_t>(i) * out_ch_ * ohw,
+                        ohw, patch, out_ch_);
   });
   return out;
 }
@@ -198,6 +213,10 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
              "Conv2D backward gradient shape mismatch");
 
   const int patch = in_ch_ * k_ * k_;
+  const int ohw = oh * ow;
+  const std::size_t cols_n = static_cast<std::size_t>(ohw) * patch;
+  const std::size_t dw_n = static_cast<std::size_t>(out_ch_) * patch;
+  const float* wt = weight_.value.raw();
   Tensor dx(cached_input_.shape());
 
   // Sample-parallel with an ordered reduction for the shared parameter
@@ -214,29 +233,34 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
         return GradAcc{Tensor({out_ch_, patch}), Tensor({out_ch_})};
       },
       [&](GradAcc& acc, std::int64_t i) {
-        // G: [oH*oW, out_ch] — transpose of grad_out sample i.
-        Tensor g({oh * ow, out_ch_});
-        for (int c = 0; c < out_ch_; ++c) {
-          for (int p = 0; p < oh * ow; ++p) {
-            g.raw()[static_cast<std::size_t>(p) * out_ch_ + c] =
-                grad_out.raw()[((static_cast<std::size_t>(i) * out_ch_ + c) *
-                                oh * ow) +
-                               p];
-          }
-        }
-        const float* colp = cached_cols_.raw() +
-                            static_cast<std::size_t>(i) * oh * ow * patch;
-        const Tensor cols(
-            {oh * ow, patch},
-            std::vector<float>(colp, colp + std::size_t(oh) * ow * patch));
-        acc.w += matmul_at(g, cols);  // [out_ch, patch]
+        // Thread scratch: the sample's [oH*oW, patch] patch matrix, rebuilt
+        // from the cached input, then its [out_ch, patch] weight gradient.
+        float* cols = conv_scratch(cols_n + dw_n);
+        float* dw = cols + cols_n;
+        kernels::im2col_f32(
+            cached_input_.raw() + static_cast<std::size_t>(i) * in_ch_ * h * w,
+            in_ch_, h, w, k_, stride_, pad_, oh, ow, cols);
+        // grad_out's [out_ch, oH*oW] planes are G^T, read in place.
+        const float* g =
+            grad_out.raw() + static_cast<std::size_t>(i) * out_ch_ * ohw;
+
+        // dW_i = G^T · cols: row c accumulates plane c's pixels in
+        // ascending order; then added into the chunk sum as its own step.
+        std::fill(dw, dw + dw_n, 0.0f);
+        kernels::row_axpy(g, ohw, 1, cols, dw, out_ch_, ohw, patch);
+        float* aw = acc.w.raw();
+        for (std::size_t e = 0; e < dw_n; ++e) aw[e] += dw[e];
         if (has_bias_) {
-          for (int p = 0; p < oh * ow; ++p)
+          for (int p = 0; p < ohw; ++p)
             for (int c = 0; c < out_ch_; ++c)
-              acc.b[c] += g.raw()[static_cast<std::size_t>(p) * out_ch_ + c];
+              acc.b[c] += g[static_cast<std::size_t>(c) * ohw + p];
         }
-        Tensor dcols = matmul(g, weight_.value);  // [oH*oW, patch]
-        col2im_accum(dcols.raw(), in_ch_, h, w, k_, stride_, pad_, oh, ow,
+
+        // dcols = G · W, overwriting the consumed patch matrix: row p takes
+        // pixel p of every plane (stride oH*oW) in ascending channel order.
+        std::fill(cols, cols + cols_n, 0.0f);
+        kernels::row_axpy(g, 1, ohw, wt, cols, ohw, out_ch_, patch);
+        col2im_accum(cols, in_ch_, h, w, k_, stride_, pad_, oh, ow,
                      dx.raw() + static_cast<std::size_t>(i) * in_ch_ * h * w);
       },
       [](GradAcc& total, const GradAcc& chunk) {

@@ -30,7 +30,8 @@ class Dense : public Layer {
   Tensor cached_input_;
 };
 
-/// 2-D convolution over [N, C, H, W] tensors, implemented with im2col.
+/// 2-D convolution over [N, C, H, W] tensors, implemented with im2col and
+/// the compiled plans' conv kernel (nn/kernels.hpp).
 class Conv2D : public Layer {
  public:
   Conv2D(int in_channels, int out_channels, int kernel, int stride = 1,
@@ -57,9 +58,9 @@ class Conv2D : public Layer {
   int in_ch_, out_ch_, k_, stride_, pad_;
   bool has_bias_;
   Param weight_;  // [out_ch, in_ch * k * k]
-  Param bias_;    // [out_ch]
-  Tensor cached_input_;
-  Tensor cached_cols_;  // [N * outH*outW rows concatenated] im2col cache
+  Param bias_;    // [out_ch]; all zeros when bias-less
+  Tensor cached_input_;  // backward rebuilds each sample's patch matrix
+  std::vector<double> wide_weight_;  // weight_ widened to double, per call
 };
 
 /// Depthwise 2-D convolution (one filter per channel), the defining block

@@ -5,16 +5,19 @@
 #include <numeric>
 #include <sstream>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#endif
-
+#include "nn/kernels.hpp"
 #include "util/thread_pool.hpp"
 
 namespace orev::nn {
 
 namespace {
 
+// The products below run on the shared kernels (nn/kernels.hpp). Their
+// double accumulation may use FMA — double(a)·double(b) of two floats is
+// exact, so the fused multiply-add rounds exactly where mul + add does —
+// while the float row updates of matmul/matmul_at never fuse (src/ is
+// compiled with -ffp-contract=off).
+//
 // Each output row is produced by exactly one task with a fixed inner-loop
 // order, so the kernels below are bit-identical at every thread count; the
 // threshold only gates whether the pool is woken for tiny products. Serving
@@ -24,93 +27,6 @@ constexpr std::int64_t kParallelFlops = 1 << 17;
 
 std::int64_t row_grain(int m) {
   return std::max<std::int64_t>(1, m / 32);
-}
-
-// Packed row kernel for matmul_bt: a is [m, k] row-major, bt is b^T packed
-// [k, n] row-major, out rows [lo, hi) are produced. Every output element
-// accumulates double(a[i,kk]) * double(bt[kk, j]) over ascending kk into
-// its own double accumulator — bit-identical to the naive per-element dot
-// product, but with unit-stride inner loops the compiler can vectorise
-// across output columns (independent accumulator chains, no reassociation).
-#define OREV_PACKED_ROWS_BODY                                           \
-  std::vector<double> acc(static_cast<std::size_t>(n));                 \
-  for (std::int64_t i = lo; i < hi; ++i) {                              \
-    const float* arow = pa + static_cast<std::size_t>(i) * k;           \
-    std::fill(acc.begin(), acc.end(), 0.0);                             \
-    for (int kk = 0; kk < k; ++kk) {                                    \
-      const double av = arow[kk];                                       \
-      const float* btrow = bt + static_cast<std::size_t>(kk) * n;       \
-      for (int j = 0; j < n; ++j) acc[j] += av * double(btrow[j]);      \
-    }                                                                   \
-    float* orow = po + static_cast<std::size_t>(i) * n;                 \
-    for (int j = 0; j < n; ++j) orow[j] = static_cast<float>(acc[j]);   \
-  }
-
-void packed_rows_generic(const float* pa, const float* bt, float* po,
-                         std::int64_t lo, std::int64_t hi, int k, int n) {
-  OREV_PACKED_ROWS_BODY
-}
-
-#if defined(__x86_64__) && defined(__GNUC__)
-// Hand-vectorised AVX2 variant: 16-column register tiles, four ymm double
-// accumulators held live across the whole kk loop. Deliberately built from
-// separate _mm256_mul_pd / _mm256_add_pd intrinsics — never FMA — so every
-// lane performs exactly the multiply-round-add-round sequence of the
-// scalar kernel; float→double conversion is exact and the per-element
-// accumulation order is unchanged, making the output bitwise identical to
-// the generic path at any tile split.
-__attribute__((target("avx2"))) void packed_rows_avx2(
-    const float* pa, const float* bt, float* po, std::int64_t lo,
-    std::int64_t hi, int k, int n) {
-  for (std::int64_t i = lo; i < hi; ++i) {
-    const float* arow = pa + static_cast<std::size_t>(i) * k;
-    float* orow = po + static_cast<std::size_t>(i) * n;
-    int j0 = 0;
-    for (; j0 + 16 <= n; j0 += 16) {
-      __m256d c0 = _mm256_setzero_pd();
-      __m256d c1 = _mm256_setzero_pd();
-      __m256d c2 = _mm256_setzero_pd();
-      __m256d c3 = _mm256_setzero_pd();
-      for (int kk = 0; kk < k; ++kk) {
-        const __m256d av = _mm256_set1_pd(static_cast<double>(arow[kk]));
-        const float* bp = bt + static_cast<std::size_t>(kk) * n + j0;
-        c0 = _mm256_add_pd(
-            c0, _mm256_mul_pd(av, _mm256_cvtps_pd(_mm_loadu_ps(bp))));
-        c1 = _mm256_add_pd(
-            c1, _mm256_mul_pd(av, _mm256_cvtps_pd(_mm_loadu_ps(bp + 4))));
-        c2 = _mm256_add_pd(
-            c2, _mm256_mul_pd(av, _mm256_cvtps_pd(_mm_loadu_ps(bp + 8))));
-        c3 = _mm256_add_pd(
-            c3, _mm256_mul_pd(av, _mm256_cvtps_pd(_mm_loadu_ps(bp + 12))));
-      }
-      _mm_storeu_ps(orow + j0, _mm256_cvtpd_ps(c0));
-      _mm_storeu_ps(orow + j0 + 4, _mm256_cvtpd_ps(c1));
-      _mm_storeu_ps(orow + j0 + 8, _mm256_cvtpd_ps(c2));
-      _mm_storeu_ps(orow + j0 + 12, _mm256_cvtpd_ps(c3));
-    }
-    for (; j0 < n; ++j0) {
-      double acc = 0.0;
-      for (int kk = 0; kk < k; ++kk)
-        acc += double(arow[kk]) *
-               double(bt[static_cast<std::size_t>(kk) * n + j0]);
-      orow[j0] = static_cast<float>(acc);
-    }
-  }
-}
-#endif
-
-#undef OREV_PACKED_ROWS_BODY
-
-void packed_rows(const float* pa, const float* bt, float* po, std::int64_t lo,
-                 std::int64_t hi, int k, int n) {
-#if defined(__x86_64__) && defined(__GNUC__)
-  static const bool has_avx2 = __builtin_cpu_supports("avx2") != 0;
-  if (has_avx2) {
-    packed_rows_avx2(pa, bt, po, lo, hi, k, n);
-    return;
-  }
-#endif
-  packed_rows_generic(pa, bt, po, lo, hi, k, n);
 }
 
 }  // namespace
@@ -308,17 +224,12 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const float* pa = a.raw();
   const float* pb = b.raw();
   float* po = out.raw();
-  // ikj loop order: streams through b and out rows for cache friendliness.
+  // ikj order: out row i accumulates a[i, kk] * b[kk, :] for ascending kk,
+  // skipping zero multipliers (kernels::row_axpy).
   auto rows = [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = pa[static_cast<std::size_t>(i) * k + kk];
-        if (av == 0.0f) continue;
-        const float* brow = pb + static_cast<std::size_t>(kk) * n;
-        float* orow = po + static_cast<std::size_t>(i) * n;
-        for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
+    kernels::row_axpy(pa + static_cast<std::size_t>(lo) * k, k, 1, pb,
+                      po + static_cast<std::size_t>(lo) * n,
+                      static_cast<int>(hi - lo), k, n);
   };
   if (static_cast<std::int64_t>(m) * k * n < kParallelFlops) {
     rows(0, m);
@@ -337,27 +248,30 @@ Tensor matmul_bt(const Tensor& a, const Tensor& b) {
   const float* pa = a.raw();
   const float* pb = b.raw();
   float* po = out.raw();
-  // Every output element accumulates double(a[i,kk]) * b[j,kk] over kk in
-  // ascending order in both branches below, so the result is bit-identical
-  // regardless of batch size or thread count — the serving engine's
-  // byte-identity guarantee (batched == single-sample) relies on this.
+  // Every output element accumulates double(a[i,kk]) * double(b[j,kk])
+  // over kk in ascending order and is cast to float once, in both
+  // branches below, so the result is bit-identical regardless of batch
+  // size or thread count — the serving engine's byte-identity guarantee
+  // (batched == single-sample) relies on this.
   //
-  // For batched rows we pack b^T once so the inner loop runs unit-stride
-  // over output columns: independent per-column accumulator chains that
-  // the compiler can vectorise, instead of one latency-bound dot-product
-  // chain per element. The pack cost amortises over the batch rows, which
-  // is the structural reason batched inference outruns the single-sample
-  // path on the same kernel.
+  // For batched rows we pack b^T, widened to double, once so the shared
+  // dense kernel (kernels::dense_stage, the compiled MLP plan's) runs
+  // unit-stride over output columns: independent per-column accumulator
+  // chains instead of one latency-bound dot-product chain per element.
+  // The pack cost amortises over the batch rows; below kPackRows the
+  // plain dot products are cheaper than the pack.
   constexpr int kPackRows = 8;
   if (m >= kPackRows) {
-    std::vector<float> bt(static_cast<std::size_t>(n) * k);
-    for (int j = 0; j < n; ++j)
-      for (int kk = 0; kk < k; ++kk)
+    std::vector<double> bt(static_cast<std::size_t>(n) * k);
+    for (int kk = 0; kk < k; ++kk)
+      for (int j = 0; j < n; ++j)
         bt[static_cast<std::size_t>(kk) * n + j] =
             pb[static_cast<std::size_t>(j) * k + kk];
-    const float* pbt = bt.data();
     auto rows = [&](std::int64_t lo, std::int64_t hi) {
-      packed_rows(pa, pbt, po, lo, hi, k, n);
+      kernels::dense_stage(pa + static_cast<std::size_t>(lo) * k, bt.data(),
+                           nullptr, false,
+                           po + static_cast<std::size_t>(lo) * n,
+                           static_cast<int>(hi - lo), k, n);
     };
     if (static_cast<std::int64_t>(m) * k * n < kParallelFlops) {
       rows(0, m);
@@ -393,17 +307,10 @@ Tensor matmul_at(const Tensor& a, const Tensor& b) {
   float* po = out.raw();
   // i-outer so each out row is owned by one task; the accumulation over kk
   // stays in ascending order per element, matching the serial kernel bit
-  // for bit.
+  // for bit. Row i's multipliers are column i of a (stride m).
   auto rows = [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      float* orow = po + static_cast<std::size_t>(i) * n;
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = pa[static_cast<std::size_t>(kk) * m + i];
-        if (av == 0.0f) continue;
-        const float* brow = pb + static_cast<std::size_t>(kk) * n;
-        for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
+    kernels::row_axpy(pa + lo, 1, m, pb, po + static_cast<std::size_t>(lo) * n,
+                      static_cast<int>(hi - lo), k, n);
   };
   if (static_cast<std::int64_t>(m) * k * n < kParallelFlops) {
     rows(0, m);

@@ -4,7 +4,7 @@
 
 #include "nn/blocks.hpp"
 #include "nn/layers.hpp"
-#include "serve/kernels.hpp"
+#include "nn/kernels.hpp"
 #include "util/check.hpp"
 
 namespace orev::serve {
@@ -80,9 +80,9 @@ std::vector<int> CompiledMlp::predict_rows(const float* rows, int m) {
   const float* cur = rows;
   float* nxt = buf_a_.data();
   for (const Stage& s : stages_) {
-    kernels::dense_stage(cur, s.bt.data(),
-                         s.bias.empty() ? nullptr : s.bias.data(), s.relu,
-                         nxt, m, s.in, s.out);
+    nn::kernels::dense_stage(cur, s.bt.data(),
+                             s.bias.empty() ? nullptr : s.bias.data(), s.relu,
+                             nxt, m, s.in, s.out);
     cur = nxt;
     nxt = nxt == buf_a_.data() ? buf_b_.data() : buf_a_.data();
   }

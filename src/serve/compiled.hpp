@@ -1,7 +1,7 @@
 // Compiled inference plans for the serving engine (DESIGN.md §11–12).
 //
 // A ServeEngine replica is "compiled" once at engine construction: layer
-// weights are re-packed for the batched kernels (serve/kernels.hpp), the
+// weights are re-packed for the batched kernels (nn/kernels.hpp), the
 // bias/BatchNorm/ReLU epilogues are fused into the output loops, and
 // activation scratch is allocated once and reused for every micro-batch.
 //

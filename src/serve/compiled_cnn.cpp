@@ -6,7 +6,7 @@
 
 #include "nn/blocks.hpp"
 #include "nn/layers.hpp"
-#include "serve/kernels.hpp"
+#include "nn/kernels.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -389,14 +389,14 @@ void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
           // Transposed im2col + pixel-vectorized GEMM writing each channel
           // plane of dst directly — bias/BN/ReLU fused in the kernel with
           // the walk's exact per-element op order.
-          kernels::im2col_f32_t(cur, s.in_c, s.in_h, s.in_w, s.k, s.stride,
-                                s.pad, s.out_h, s.out_w, cols);
-          kernels::conv_stage(cols, s.bt.data(), s.bias.data(),
-                              s.bn ? s.bn_mean.data() : nullptr,
-                              s.bn ? s.bn_invstd.data() : nullptr,
-                              s.bn ? s.bn_gamma.data() : nullptr,
-                              s.bn ? s.bn_beta.data() : nullptr, s.relu, dst,
-                              ohw, patch, s.out_c);
+          nn::kernels::im2col_f32_t(cur, s.in_c, s.in_h, s.in_w, s.k,
+                                    s.stride, s.pad, s.out_h, s.out_w, cols);
+          nn::kernels::conv_stage(cols, s.bt.data(), s.bias.data(),
+                                  s.bn ? s.bn_mean.data() : nullptr,
+                                  s.bn ? s.bn_invstd.data() : nullptr,
+                                  s.bn ? s.bn_gamma.data() : nullptr,
+                                  s.bn ? s.bn_beta.data() : nullptr, s.relu,
+                                  dst, ohw, patch, s.out_c);
           break;
         }
         case CnnStage::Kind::kDepthwise: {
@@ -430,8 +430,8 @@ void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
           break;
         }
         case CnnStage::Kind::kDense: {
-          kernels::dense_stage(cur, s.bt.data(), nullptr, false, gout, 1,
-                               s.in_c, s.out_c);
+          nn::kernels::dense_stage(cur, s.bt.data(), nullptr, false, gout,
+                                   1, s.in_c, s.out_c);
           for (int j = 0; j < s.out_c; ++j) {
             float v = gout[j];
             if (s.has_bias) v += s.bias[static_cast<std::size_t>(j)];

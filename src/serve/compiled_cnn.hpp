@@ -5,9 +5,12 @@
 // [C, H, W] (or flat [F]) input into a fused stage list:
 //
 //   * im2col patch packing into per-plan scratch allocated once;
-//   * the shared double-accumulating GEMM microkernels
-//     (serve/kernels.hpp — scalar/AVX2/AVX-512 with runtime dispatch,
-//     separate mul+add, never FMA);
+//   * the double-accumulating GEMM microkernels the layer walk runs on
+//     too (nn/kernels.hpp — scalar/AVX2/AVX-512 with runtime dispatch;
+//     nn::Conv2D's forward is the same im2col + conv_stage). The double
+//     multiply-add may be one FMA, since a float×float product is exact
+//     in double; float epilogue arithmetic never fuses (src/ is compiled
+//     with -ffp-contract=off);
 //   * bias, BatchNorm and ReLU folded into each stage's output loop as
 //     the *exact* float op sequence of the layer walk. BatchNorm folding
 //     is epilogue fusion, not algebraic weight folding: rescaling the

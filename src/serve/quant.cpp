@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "serve/kernels.hpp"
+#include "nn/kernels.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -165,9 +165,9 @@ void CompiledInt8::run_batch(const float* rows, int m, float* logits_out) {
           const int patch = s.in_c * s.k * s.k;
           const int ohw = s.out_h * s.out_w;
           quantize_row(cur, s.in_elems(), qs.sx, q8);
-          kernels::im2col_s8(q8, s.in_c, s.in_h, s.in_w, s.k, s.stride,
-                             s.pad, s.out_h, s.out_w, cols8);
-          kernels::s8_gemm(cols8, qs.wq.data(), acc, ohw, patch, s.out_c);
+          nn::kernels::im2col_s8(q8, s.in_c, s.in_h, s.in_w, s.k, s.stride,
+                                 s.pad, s.out_h, s.out_w, cols8);
+          nn::kernels::s8_gemm(cols8, qs.wq.data(), acc, ohw, patch, s.out_c);
           for (int cc = 0; cc < s.out_c; ++cc) {
             const float deq = qs.sx * qs.sw[static_cast<std::size_t>(cc)];
             const float bc = s.bias[static_cast<std::size_t>(cc)];
@@ -220,7 +220,7 @@ void CompiledInt8::run_batch(const float* rows, int m, float* logits_out) {
         }
         case CnnStage::Kind::kDense: {
           quantize_row(cur, s.in_elems(), qs.sx, q8);
-          kernels::s8_gemm(q8, qs.wq.data(), acc, 1, s.in_c, s.out_c);
+          nn::kernels::s8_gemm(q8, qs.wq.data(), acc, 1, s.in_c, s.out_c);
           for (int j = 0; j < s.out_c; ++j) {
             float v = static_cast<float>(acc[j]) * qs.sx *
                       qs.sw[static_cast<std::size_t>(j)];

@@ -11,7 +11,7 @@
 //     recording each GEMM stage's max|input| (sx = max|x| / 127, floored
 //     so constant / denormal-adjacent / extreme-range distributions all
 //     produce finite, usable scales — fuzzed in tests);
-//   * integer dot products via kernels::s8_gemm (exact in the integer
+//   * integer dot products via nn::kernels::s8_gemm (exact in the integer
 //     domain), dequantized as float(acc32) · (sx · sw[c]) + bias;
 //   * BatchNorm / ReLU epilogues and MaxPool stages stay float.
 //

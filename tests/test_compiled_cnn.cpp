@@ -78,9 +78,27 @@ void fill_uniform(nn::Tensor& t, Rng& rng, float lo, float hi) {
   for (std::size_t i = 0; i < t.numel(); ++i) t[i] = rng.uniform(lo, hi);
 }
 
+/// Give every top-level BatchNorm a random affine (γ ∈ [0.5, 1.5],
+/// β ∈ [-0.5, 0.5]). At γ = 1, β = 0 the epilogue's γ·x̂ + β is exact
+/// whether or not it is fused into one FMA, so a harness that never moves
+/// them cannot see a contracted epilogue.
+void randomize_bn_affine(nn::Model& m, Rng& rng) {
+  auto* seq = dynamic_cast<nn::Sequential*>(&m.root());
+  if (seq == nullptr) return;
+  for (std::size_t i = 0; i < seq->size(); ++i) {
+    auto* bn = dynamic_cast<nn::BatchNorm*>(&seq->layer(i));
+    if (bn == nullptr) continue;
+    const std::vector<nn::Param*> ps = bn->params();  // {γ, β}
+    for (float& v : ps[0]->value.data()) v = rng.uniform(0.5f, 1.5f);
+    for (float& v : ps[1]->value.data()) v = rng.uniform(-0.5f, 0.5f);
+  }
+}
+
 /// Move BatchNorm running stats off their init values the way a trained
-/// model would look, then lock the model for inference.
-void warm_and_lock(nn::Model& m, std::uint64_t seed, int batch = 8) {
+/// model would look, randomize the BN affine (unless `random_affine` is
+/// false), then lock the model for inference.
+void warm_and_lock(nn::Model& m, std::uint64_t seed, int batch = 8,
+                   bool random_affine = true) {
   Rng rng(seed);
   nn::Shape shape = m.input_shape();
   shape.insert(shape.begin(), batch);
@@ -89,6 +107,7 @@ void warm_and_lock(nn::Model& m, std::uint64_t seed, int batch = 8) {
     fill_uniform(x, rng, -1.0f, 1.0f);
     m.forward(x, /*training=*/true);
   }
+  if (random_affine) randomize_bn_affine(m, rng);
   m.set_inference_only(true);
 }
 
@@ -235,6 +254,38 @@ TEST(CompiledCnnDifferential, HandBuiltDepthwiseBnChainExercisesEveryFusion) {
   const std::string d4 = tensor_digest(r.plan->logits(batch));
   EXPECT_EQ(d1, tensor_digest(walk));
   EXPECT_EQ(d1, d4);
+}
+
+TEST(CompiledCnnDifferential, FusedBnEpilogueMatchesWalkOnScalarPixelTails) {
+  // Conv + fused BatchNorm with a random affine, ending in Flatten so the
+  // logits *are* the BN output. Odd spatial sizes leave pixel counts that
+  // are not multiples of 8, so the conv kernel's scalar pixel tail runs
+  // the epilogue γ·x̂ + β: compiled with FMA contraction it would round
+  // once instead of twice and drift from the walk's separate mul and add.
+  ThreadGuard guard;
+  util::set_num_threads(1);
+  for (const int hw : {5, 7, 9, 11, 13}) {
+    auto seq = std::make_unique<nn::Sequential>();
+    seq->emplace<nn::Conv2D>(2, 5, 3, /*stride=*/1, /*padding=*/1);
+    seq->emplace<nn::BatchNorm>(5);
+    seq->emplace<nn::Flatten>();
+    nn::Model m("ConvBn", std::move(seq), {2, hw, hw}, 5 * hw * hw);
+    Rng rng(0xb7 + static_cast<std::uint64_t>(hw));
+    m.init(rng);
+    for (float& v : m.params()[1]->value.data()) v = rng.uniform(-0.5f, 0.5f);
+    warm_and_lock(m, 0xbeef + static_cast<std::uint64_t>(hw));
+
+    CompiledCnn::CompileResult r = CompiledCnn::compile(m);
+    ASSERT_NE(r.plan, nullptr) << r.failure.detail;
+    ASSERT_EQ(r.plan->stages().size(), 1u) << "BN was not fused into conv";
+    const nn::Tensor batch = random_batch(m, 3, 0x5eed + hw);
+    const nn::Tensor walk = m.forward(batch, /*training=*/false);
+    const nn::Tensor lg = r.plan->logits(batch);
+    ASSERT_EQ(lg.numel(), walk.numel());
+    EXPECT_EQ(std::memcmp(lg.raw(), walk.raw(), walk.numel() * sizeof(float)),
+              0)
+        << hw << "x" << hw << ": fused BN epilogue differs from the walk";
+  }
 }
 
 // ------------------------------------------------- typed compile errors --
@@ -613,7 +664,8 @@ TEST(ServeCheckpoint, GoldenCnnCheckpointPredictionsAreLocked) {
 
   if (std::getenv("OREV_UPDATE_GOLDEN") != nullptr) {
     nn::Model gen = ckpt_cnn_model(42);
-    warm_and_lock(gen, 0x601d);
+    // The committed golden predates BN affine randomization.
+    warm_and_lock(gen, 0x601d, /*batch=*/8, /*random_affine=*/false);
     ASSERT_TRUE(gen.save(ckpt_path)) << "failed to write " << ckpt_path;
   }
 

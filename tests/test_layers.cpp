@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <vector>
 
 #include "nn/blocks.hpp"
 #include "nn/layers.hpp"
+#include "util/thread_pool.hpp"
 
 namespace orev::nn {
 namespace {
@@ -169,6 +173,180 @@ TEST(Conv2D, StridedGradientCheck) {
   c.init(rng);
   check_input_gradient(c, random_input({1, 1, 7, 7}));
   check_param_gradients(c, random_input({1, 1, 7, 7}));
+}
+
+// ------------------------------------------------- Conv2D reference --
+//
+// Conv2D runs on the compiled plans' kernels (nn/kernels.hpp): a
+// transposed im2col into the pixel-lane conv_stage forward, and a
+// row-axpy backward that rebuilds each sample's patch matrix from the
+// cached input. The reference below is the layer's earlier formulation —
+// im2col, then matmul_bt / matmul_at / matmul as plain loops — kept here
+// so the kernels are checked against an implementation they share no
+// code with. Every output, dx, dW and db must match it bit for bit.
+
+struct ConvReference {
+  Tensor y, dx, dw, db;
+};
+
+ConvReference conv_reference(const Tensor& x, const Tensor& wt,
+                             const Tensor& b, bool has_bias, int k,
+                             int stride, int pad, const Tensor* grad_out) {
+  const int n = x.dim(0), c_in = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int out_ch = wt.dim(0), patch = c_in * k * k;
+  const int oh = (h + 2 * pad - k) / stride + 1;
+  const int ow = (w + 2 * pad - k) / stride + 1;
+  const int pix = oh * ow;
+  ConvReference r{Tensor({n, out_ch, oh, ow}), Tensor(x.shape()),
+                  Tensor({out_ch, patch}), Tensor({out_ch})};
+  Tensor total_w({out_ch, patch}), total_b({out_ch});
+  for (int i = 0; i < n; ++i) {
+    // im2col: [pix, patch], one row per output position.
+    Tensor cols({pix, patch});
+    for (int p = 0; p < pix; ++p) {
+      int col = 0;
+      for (int c = 0; c < c_in; ++c)
+        for (int ky = 0; ky < k; ++ky)
+          for (int kx = 0; kx < k; ++kx, ++col) {
+            const int iy = p / ow * stride - pad + ky;
+            const int ix = p % ow * stride - pad + kx;
+            cols.at2(p, col) = iy >= 0 && iy < h && ix >= 0 && ix < w
+                                   ? x.at4(i, c, iy, ix)
+                                   : 0.0f;
+          }
+    }
+    // Forward: matmul_bt(cols, W) with double accumulation, transposed
+    // into channel planes, then + bias (0.0f when bias-less).
+    for (int p = 0; p < pix; ++p)
+      for (int c = 0; c < out_ch; ++c) {
+        double acc = 0.0;
+        for (int kk = 0; kk < patch; ++kk)
+          acc += double(cols.at2(p, kk)) * double(wt.at2(c, kk));
+        r.y[(std::size_t(i) * out_ch + c) * pix + p] =
+            static_cast<float>(acc) + (has_bias ? b[c] : 0.0f);
+      }
+    if (grad_out == nullptr) continue;
+    const float* g = grad_out->raw() + std::size_t(i) * out_ch * pix;
+    // dW_i = matmul_at(G, cols), zero multipliers skipped; folded into a
+    // per-sample chunk sum, then into the total in sample order.
+    Tensor dwi({out_ch, patch});
+    for (int c = 0; c < out_ch; ++c)
+      for (int p = 0; p < pix; ++p) {
+        const float av = g[std::size_t(c) * pix + p];
+        if (av == 0.0f) continue;
+        for (int j = 0; j < patch; ++j) dwi.at2(c, j) += av * cols.at2(p, j);
+      }
+    Tensor chunk_w({out_ch, patch}), chunk_b({out_ch});
+    chunk_w += dwi;
+    if (has_bias)
+      for (int p = 0; p < pix; ++p)
+        for (int c = 0; c < out_ch; ++c)
+          chunk_b[c] += g[std::size_t(c) * pix + p];
+    total_w += chunk_w;
+    total_b += chunk_b;
+    // dcols = matmul(G, W), then col2im in ascending output position.
+    for (int p = 0; p < pix; ++p) {
+      std::vector<float> row(static_cast<std::size_t>(patch), 0.0f);
+      for (int c = 0; c < out_ch; ++c) {
+        const float av = g[std::size_t(c) * pix + p];
+        if (av == 0.0f) continue;
+        for (int j = 0; j < patch; ++j) row[j] += av * wt.at2(c, j);
+      }
+      int col = 0;
+      for (int c = 0; c < c_in; ++c)
+        for (int ky = 0; ky < k; ++ky)
+          for (int kx = 0; kx < k; ++kx, ++col) {
+            const int iy = p / ow * stride - pad + ky;
+            const int ix = p % ow * stride - pad + kx;
+            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+              r.dx.at4(i, c, iy, ix) += row[col];
+          }
+    }
+  }
+  // The layer's gradients start at zero and take the totals with +=.
+  r.dw += total_w;
+  if (has_bias) r.db += total_b;
+  return r;
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Uniform values with exact ±0 mixed in at rate `zero_rate`.
+Tensor with_zeros(Shape s, Rng& rng, float zero_rate) {
+  Tensor t(std::move(s));
+  for (float& v : t.data()) {
+    const float u = rng.uniform();
+    v = u < zero_rate / 2   ? 0.0f
+        : u < zero_rate     ? -0.0f
+                            : rng.uniform(-1.5f, 1.5f);
+  }
+  return t;
+}
+
+TEST(Conv2DReference, ForwardAndGradientsBitExactAcrossShapesAndThreads) {
+  const int saved_threads = util::num_threads();
+  Rng rng(0xc2d);
+  int checked = 0;
+  for (int k = 1; k <= 3; ++k) {
+    for (int stride = 1; stride <= 2; ++stride) {
+      for (int pad = 0; pad <= 1; ++pad) {
+        for (const bool bias : {true, false}) {
+          for (const int n : {1, 3, 32}) {
+            const int c_in = rng.uniform_int(1, 3);
+            const int out_ch = rng.uniform_int(1, 7);
+            const int h = rng.uniform_int(k, 11);
+            const int w = rng.uniform_int(k, 11);
+            Conv2D layer(c_in, out_ch, k, stride, pad, bias);
+            layer.init(rng);
+            if (bias)
+              for (float& v : layer.params()[1]->value.data())
+                v = rng.uniform(-0.5f, 0.5f);
+            const Tensor wt = layer.params()[0]->value;
+            const Tensor b = bias ? layer.params()[1]->value : Tensor({1});
+            const Tensor x = with_zeros({n, c_in, h, w}, rng, 0.2f);
+            const Tensor gout = with_zeros(
+                {n, out_ch, layer.out_height(h), layer.out_width(w)}, rng,
+                0.4f);
+            const ConvReference ref =
+                conv_reference(x, wt, b, bias, k, stride, pad, &gout);
+            std::ostringstream where;
+            where << "k=" << k << " s=" << stride << " p=" << pad
+                  << " bias=" << bias << " n=" << n << " c_in=" << c_in
+                  << " out=" << out_ch << " " << h << "x" << w;
+
+            for (const int threads : {1, 4}) {
+              util::set_num_threads(threads);
+              // Training mode: forward caches, backward against the
+              // reference gradients.
+              layer.set_inference_mode(false);
+              for (Param* p : layer.params()) p->zero_grad();
+              EXPECT_TRUE(same_bytes(layer.forward(x, true), ref.y))
+                  << "training forward, " << where.str() << " t=" << threads;
+              EXPECT_TRUE(same_bytes(layer.backward(gout), ref.dx))
+                  << "dx, " << where.str() << " t=" << threads;
+              EXPECT_TRUE(same_bytes(layer.params()[0]->grad, ref.dw))
+                  << "dW, " << where.str() << " t=" << threads;
+              if (bias) {
+                EXPECT_TRUE(same_bytes(layer.params()[1]->grad, ref.db))
+                    << "db, " << where.str() << " t=" << threads;
+              }
+              // Inference mode: no caches, same output.
+              layer.set_inference_mode(true);
+              EXPECT_TRUE(same_bytes(layer.forward(x, false), ref.y))
+                  << "inference forward, " << where.str()
+                  << " t=" << threads;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  util::set_num_threads(saved_threads);
+  EXPECT_EQ(checked, 144);
 }
 
 // -------------------------------------------------------- DepthwiseConv2D
