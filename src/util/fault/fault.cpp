@@ -242,7 +242,7 @@ FaultDecision FaultInjector::decide(const std::string& site) {
     d.kind = spec.kind;
     d.delay_ms = spec.delay_ms;
     d.corrupt_scale = spec.corrupt_scale;
-    d.payload_seed = rng.engine()();
+    d.payload_seed = rng();
     return d;
   }
   return FaultDecision{};

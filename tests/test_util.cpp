@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+#include <sstream>
+
 #include "util/check.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -92,6 +96,57 @@ TEST(Sha256, ResetAllowsReuse) {
   EXPECT_EQ(Sha256::to_hex(h.finish()), Sha256::hex("abc"));
 }
 
+// The SHA-NI block must be bit-equal to the portable block; the NIST
+// vectors above already run on whichever block the CPU dispatches to.
+TEST(Sha256Isa, ShaNiBlockMatchesScalar) {
+  if (!detail::sha256_shani_supported()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  std::mt19937_64 e(0x5a5a);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::uint32_t a[8], b[8];
+    std::uint8_t block[64];
+    for (auto& w : a) w = static_cast<std::uint32_t>(e());
+    std::memcpy(b, a, sizeof(a));
+    for (auto& byte : block) byte = static_cast<std::uint8_t>(e());
+    detail::sha256_block_scalar(a, block);
+    detail::sha256_block_shani(b, block);
+    ASSERT_EQ(0, std::memcmp(a, b, sizeof(a))) << "trial " << trial;
+  }
+}
+
+/// Reference digest: FIPS 180-4 padding over the portable block only.
+Sha256::Digest scalar_digest(const std::vector<std::uint8_t>& msg) {
+  std::uint32_t st[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                         0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  std::vector<std::uint8_t> m = msg;
+  m.push_back(0x80);
+  while (m.size() % 64 != 56) m.push_back(0);
+  const std::uint64_t bits = msg.size() * 8;
+  for (int i = 7; i >= 0; --i)
+    m.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  for (std::size_t off = 0; off < m.size(); off += 64)
+    detail::sha256_block_scalar(st, m.data() + off);
+  Sha256::Digest d{};
+  for (std::size_t i = 0; i < 32; ++i)
+    d[i] = static_cast<std::uint8_t>(st[i / 4] >> (24 - 8 * (i % 4)));
+  return d;
+}
+
+TEST(Sha256Isa, SplitUpdatesMatchScalarReference) {
+  std::mt19937_64 e(0xd16e57);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    std::vector<std::uint8_t> msg(len);
+    for (auto& byte : msg) byte = static_cast<std::uint8_t>(e());
+    Sha256 h;
+    std::size_t off = 0;
+    while (off < len) {
+      const std::size_t take = std::min<std::size_t>(len - off, e() % 80);
+      h.update(msg.data() + off, take);
+      off += take;
+    }
+    ASSERT_EQ(h.finish(), scalar_digest(msg)) << "len " << len;
+  }
+}
+
 // -------------------------------------------------------------------- rng
 
 TEST(Rng, DeterministicForSameSeed) {
@@ -167,6 +222,113 @@ TEST(Rng, ShuffleKeepsElements) {
   r.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+// Rng is the mt19937_64 output sequence with a lazily computed prefix;
+// everything below pins it bit-equal to a plain engine across the 156-draw
+// boundary where the prefix hands over to a materialised engine.
+
+std::vector<std::uint64_t> equality_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, ~0ull, 0x5eed};
+  const Rng base(0xfeed);
+  for (std::uint64_t i = 0; i < 1000; ++i)
+    seeds.push_back(base.split(i).seed());
+  return seeds;
+}
+
+std::string state_text(const std::mt19937_64& e) {
+  std::ostringstream os;
+  os << e;
+  return os.str();
+}
+
+TEST(Rng, RawDrawsBitEqualToMt19937_64) {
+  for (const std::uint64_t seed : equality_seeds()) {
+    Rng r(seed);
+    std::mt19937_64 e(seed);
+    for (int i = 0; i <= 700; ++i)
+      ASSERT_EQ(r(), e()) << "seed " << seed << " draw " << i;
+  }
+}
+
+TEST(Rng, DistributionsMatchStdOnPlainEngine) {
+  for (const std::uint64_t seed : equality_seeds()) {
+    Rng r(seed);
+    std::mt19937_64 e(seed);
+    // Six rounds of mixed helpers cross the 156-draw boundary.
+    for (int round = 0; round < 6; ++round) {
+      for (int i = 0; i < 5; ++i) {
+        ASSERT_EQ(r.uniform(-1.0f, 3.0f),
+                  std::uniform_real_distribution<float>(-1.0f, 3.0f)(e));
+        ASSERT_EQ(r.normal(0.5f, 2.0f),
+                  std::normal_distribution<float>(0.5f, 2.0f)(e));
+        ASSERT_EQ(r.uniform_int(-3, 17),
+                  std::uniform_int_distribution<int>(-3, 17)(e));
+        ASSERT_EQ(r.bernoulli(0.3), std::bernoulli_distribution(0.3)(e));
+      }
+      std::vector<int> a(9), b(9);
+      for (int i = 0; i < 9; ++i) a[i] = b[i] = i;
+      r.shuffle(a);
+      std::shuffle(b.begin(), b.end(), e);
+      ASSERT_EQ(a, b) << "seed " << seed;
+      Rng child = r.fork();
+      const std::uint64_t child_seed = e();
+      ASSERT_EQ(child.seed(), child_seed);
+      ASSERT_EQ(child(), std::mt19937_64(child_seed)());
+    }
+  }
+}
+
+TEST(Rng, EngineStateMatchesEngineAfterAnyDrawCount) {
+  for (const std::uint64_t seed : {0ull, 1ull, ~0ull, 0x5eedull}) {
+    for (const int n : {0, 1, 155, 156, 157, 400}) {
+      Rng r(seed);
+      std::mt19937_64 e(seed);
+      for (int i = 0; i < n; ++i) {
+        r();
+        e();
+      }
+      EXPECT_EQ(r.engine_state(), state_text(e))
+          << "seed " << seed << " after " << n;
+    }
+  }
+}
+
+TEST(Rng, SetEngineStateContinuesTheSequence) {
+  for (const int n : {0, 1, 10, 155, 156, 157, 400}) {
+    Rng src(77);
+    std::mt19937_64 e(77);
+    for (int i = 0; i < n; ++i) {
+      src();
+      e();
+    }
+    Rng dst(12345);
+    dst();  // mid-prefix state that the restore must fully replace
+    ASSERT_TRUE(dst.set_engine_state(src.engine_state()));
+    EXPECT_EQ(dst.engine_state(), state_text(e));
+    for (int i = 0; i < 400; ++i) ASSERT_EQ(dst(), e()) << "after " << n;
+  }
+  Rng r(9);
+  std::mt19937_64 e(9);
+  r();
+  e();
+  EXPECT_FALSE(r.set_engine_state("not an engine"));
+  for (int i = 0; i < 300; ++i) ASSERT_EQ(r(), e());  // unchanged on failure
+}
+
+TEST(Rng, CopyMidPrefixContinuesIdentically) {
+  for (const int n : {0, 1, 50, 155, 156, 200}) {
+    Rng a(31);
+    for (int i = 0; i < n; ++i) a();
+    Rng b = a;
+    std::mt19937_64 e(31);
+    e.discard(static_cast<unsigned long long>(n));
+    for (int i = 0; i < 400; ++i) {
+      const std::uint64_t want = e();
+      ASSERT_EQ(a(), want) << "original after " << n;
+      ASSERT_EQ(b(), want) << "copied after " << n;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ stats
