@@ -165,9 +165,10 @@ enum class CodecMode { kCopy, kMove, kBinary };
 /// One delivery loop at city shape: frames round-robin over `cells`
 /// distinct cells, so per-message key/tensor churn is what it is in the
 /// simulator, not what a single hot cell's allocator reuse makes it.
-/// kCopy is the historical string/tensor path (payload copied into the
-/// SDL), kMove the rvalue overload (satellite of this PR), kBinary the
-/// arena-encoded e2_codec path.
+/// kCopy is the const& tensor entry point (payload copied into the SDL),
+/// kMove the rvalue entry point (payload moved into the SDL), kBinary the
+/// arena-encoded e2_codec frame entry point. All three run NearRtRic's one
+/// delivery core; they differ only in how the payload reaches the SDL.
 CodecSide run_codec(CodecMode mode, std::uint64_t inds,
                     std::uint16_t features, std::uint32_t cells) {
   RicFixture fx;

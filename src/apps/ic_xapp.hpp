@@ -15,9 +15,9 @@
 // telemetry tensor into a serve request; the decision publish and the E2
 // control are issued from the completion callback when the engine's
 // micro-batch flushes. Both variants ride the engine's compiled plans —
-// the KPM DNN through CompiledMlp, the spectrogram BaseCNN through the
-// conv-chain CompiledCnn — so served decisions stay byte-identical to the
-// layer walk (and may ride the int8 tier only once its accuracy gate has
+// the KPM DNN and the spectrogram BaseCNN alike compile to a CompiledCnn
+// (the DNN as a plan with no conv prefix) — so served decisions stay
+// byte-identical to the layer walk (and may ride the int8 tier only once its accuracy gate has
 // passed). Requests the engine sheds without a prediction take the
 // fail-safe action (adaptive MCS). Without an engine the historical
 // synchronous path is byte-identical to before.

@@ -31,8 +31,9 @@
 // feature array sits at offset 20 — not 4-float-aligned — and casting to
 // float* would be undefined behaviour.
 //
-// The legacy tensor-based deliver_indication() path is untouched — golden
-// outputs that flow through it stay byte-identical.
+// NearRtRic::deliver_kpm_frame and the tensor-based deliver_indication()
+// overloads share one delivery core; golden outputs that flow through the
+// tensor path stay byte-identical.
 #pragma once
 
 #include <cstdint>

@@ -74,7 +74,18 @@ std::uint64_t NearRtRic::breaker_opens(const std::string& app_id) const {
   return it == breakers_.end() ? 0 : it->second.times_opened();
 }
 
-bool NearRtRic::deliver_indication(const E2Indication& ind) {
+namespace {
+
+const char* telemetry_ns(IndicationKind kind) {
+  return kind == IndicationKind::kSpectrogram ? kNsSpectrogram : kNsKpm;
+}
+
+}  // namespace
+
+template <class Write>
+bool NearRtRic::deliver_core(const E2Indication& ind, std::span<float> payload,
+                             std::size_t wire_bytes, obs::Counter* frames,
+                             Write&& write) {
   static obs::Counter& indications =
       obs::counter("oran.e2.indications", "E2 indications delivered");
   static obs::Counter& dropped = obs::counter(
@@ -86,13 +97,10 @@ bool NearRtRic::deliver_indication(const E2Indication& ind) {
   static obs::Counter& ind_bytes = obs::counter(
       "oran.e2.indication_bytes",
       "telemetry payload bytes carried by delivered E2 indications");
-  OREV_TRACE_SPAN_CAT("e2.deliver_indication", "oran");
 
   // Transport fate of this indication (drop / delay / duplicate / corrupt).
   int copies = 1;
   double transport_delay_ms = 0.0;
-  const E2Indication* effective = &ind;
-  E2Indication corrupted_ind;
   if (fault::FaultInjector* fi = fault::effective(fault_)) {
     const fault::FaultDecision d = fi->decide(fault::sites::kE2Indication);
     switch (d.kind) {
@@ -109,11 +117,8 @@ bool NearRtRic::deliver_indication(const E2Indication& ind) {
         break;
       case fault::FaultKind::kCorrupt: {
         corrupted.inc();
-        corrupted_ind = ind;
         Rng rng(d.payload_seed);
-        for (std::size_t i = 0; i < corrupted_ind.payload.numel(); ++i)
-          corrupted_ind.payload[i] += rng.normal(0.0f, d.corrupt_scale);
-        effective = &corrupted_ind;
+        for (float& f : payload) f += rng.normal(0.0f, d.corrupt_scale);
         break;
       }
       default:
@@ -122,8 +127,9 @@ bool NearRtRic::deliver_indication(const E2Indication& ind) {
   }
 
   for (int copy = 0; copy < copies; ++copy) {
+    if (frames != nullptr) frames->inc();
     indications.inc();
-    ind_bytes.inc(effective->payload.numel() * sizeof(float));
+    ind_bytes.inc(wire_bytes);
     ++indications_;
     // Causal root for this delivery: trace id from the platform-wide
     // delivery sequence number (duplicated copies get distinct traces),
@@ -135,17 +141,13 @@ bool NearRtRic::deliver_indication(const E2Indication& ind) {
           obs::derive_trace_id(obs::domains::kE2, indications_),
           "e2.indication", obs::lanes::kIndication, indications_ * 1000);
     }
-    const char* ns = effective->kind == IndicationKind::kSpectrogram
-                         ? kNsSpectrogram
-                         : kNsKpm;
-    const std::string key = effective->ran_node_id + "/current";
     // The platform write retries transient storage faults; if the store
     // stays down the loop degrades instead of dying — xApps fall back to
     // their last-known-good telemetry or a fail-safe decision.
+    const bool last = copy + 1 == copies;
     const fault::RetryOutcome rc =
         fault::retry_call(retry_, retry_ops_++, [&] {
-          switch (sdl_.write_tensor(kRicPlatformId, ns, key,
-                                    effective->payload)) {
+          switch (write(last)) {
             case SdlStatus::kOk: return fault::TryResult::kOk;
             case SdlStatus::kUnavailable: return fault::TryResult::kTransient;
             default: return fault::TryResult::kFatal;
@@ -160,99 +162,44 @@ bool NearRtRic::deliver_indication(const E2Indication& ind) {
       log_warn("platform SDL write failed after ", rc.attempts,
                " attempt(s); dispatching degraded");
     }
-    dispatch_all(*effective, transport_delay_ms, root);
+    dispatch_all(ind, transport_delay_ms, root);
   }
   return true;
 }
 
-bool NearRtRic::deliver_indication(E2Indication&& ind) {
-  static obs::Counter& indications =
-      obs::counter("oran.e2.indications", "E2 indications delivered");
-  static obs::Counter& dropped = obs::counter(
-      "oran.e2.indications_dropped", "E2 indications lost in transport");
-  static obs::Counter& duplicated = obs::counter(
-      "oran.e2.indications_duplicated", "E2 indications duplicated in transport");
-  static obs::Counter& corrupted = obs::counter(
-      "oran.e2.indications_corrupted", "E2 indication payloads corrupted");
-  static obs::Counter& ind_bytes = obs::counter(
-      "oran.e2.indication_bytes",
-      "telemetry payload bytes carried by delivered E2 indications");
+bool NearRtRic::deliver_indication(const E2Indication& ind) {
   OREV_TRACE_SPAN_CAT("e2.deliver_indication", "oran");
+  // A private copy takes any corrupt fault. Every SDL write attempt
+  // copies it again (write_tensor(const&)), so a retry after an SDL
+  // corrupt fault writes the indication as delivered.
+  E2Indication own = ind;
+  const char* ns = telemetry_ns(own.kind);
+  const std::string key = own.ran_node_id + "/current";
+  return deliver_core(
+      own, std::span<float>(own.payload.raw(), own.payload.numel()),
+      own.payload.numel() * sizeof(float), nullptr, [&](bool) {
+        return sdl_.write_tensor(kRicPlatformId, ns, key, own.payload);
+      });
+}
 
+bool NearRtRic::deliver_indication(E2Indication&& ind) {
+  OREV_TRACE_SPAN_CAT("e2.deliver_indication", "oran");
   // Owned payload: corruption perturbs it in place (no defensive copy),
-  // and the final SDL write moves the buffer instead of copying it.
-  int copies = 1;
-  double transport_delay_ms = 0.0;
-  if (fault::FaultInjector* fi = fault::effective(fault_)) {
-    const fault::FaultDecision d = fi->decide(fault::sites::kE2Indication);
-    switch (d.kind) {
-      case fault::FaultKind::kDrop:
-        ++indications_dropped_;
-        dropped.inc();
-        return false;
-      case fault::FaultKind::kDuplicate:
-        copies = 2;
-        duplicated.inc();
-        break;
-      case fault::FaultKind::kDelay:
-        transport_delay_ms = d.delay_ms;
-        break;
-      case fault::FaultKind::kCorrupt: {
-        corrupted.inc();
-        Rng rng(d.payload_seed);
-        for (std::size_t i = 0; i < ind.payload.numel(); ++i)
-          ind.payload[i] += rng.normal(0.0f, d.corrupt_scale);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  const char* ns = ind.kind == IndicationKind::kSpectrogram ? kNsSpectrogram
-                                                            : kNsKpm;
+  // and the last copy's SDL write moves the buffer instead of copying it.
+  const char* ns = telemetry_ns(ind.kind);
   const std::string key = ind.ran_node_id + "/current";
-  for (int copy = 0; copy < copies; ++copy) {
-    indications.inc();
-    ind_bytes.inc(ind.payload.numel() * sizeof(float));
-    ++indications_;
-    obs::TraceContext root;
-    if (obs::causal_enabled()) {
-      root = obs::causal_root(
-          obs::derive_trace_id(obs::domains::kE2, indications_),
-          "e2.indication", obs::lanes::kIndication, indications_ * 1000);
-    }
-    const bool last = copy + 1 == copies;
-    const fault::RetryOutcome rc =
-        fault::retry_call(retry_, retry_ops_++, [&] {
-          // The rvalue SDL overload consumes the tensor only on commit,
-          // so re-moving it on a retry after kUnavailable is sound. A
-          // duplicated first copy still has to copy (the second needs
-          // the payload too).
-          const SdlStatus st =
-              last ? sdl_.write_tensor(kRicPlatformId, ns, key,
-                                       std::move(ind.payload))
-                   : sdl_.write_tensor(kRicPlatformId, ns, key, ind.payload);
-          switch (st) {
-            case SdlStatus::kOk: return fault::TryResult::kOk;
-            case SdlStatus::kUnavailable: return fault::TryResult::kTransient;
-            default: return fault::TryResult::kFatal;
-          }
-        });
-    if (!rc.success) {
-      static obs::Counter& write_failures = obs::counter(
-          "oran.e2.sdl_write_failures",
-          "platform telemetry writes that failed after retries");
-      ++sdl_write_failures_;
-      write_failures.inc();
-      log_warn("platform SDL write failed after ", rc.attempts,
-               " attempt(s); dispatching degraded");
-    }
-    // After the last write the payload has been moved into the SDL; the
-    // dispatched indication is metadata-only, which is all apps consume.
-    dispatch_all(ind, transport_delay_ms, root);
-  }
-  return true;
+  return deliver_core(
+      ind, std::span<float>(ind.payload.raw(), ind.payload.numel()),
+      ind.payload.numel() * sizeof(float), nullptr, [&](bool last) {
+        // The rvalue SDL overload consumes the tensor only on commit, so
+        // re-moving it on a retry after kUnavailable is sound. A
+        // duplicated first copy still has to copy (the second needs the
+        // payload too). After the last write the dispatched indication
+        // is metadata-only, which is all apps consume.
+        return last ? sdl_.write_tensor(kRicPlatformId, ns, key,
+                                        std::move(ind.payload))
+                    : sdl_.write_tensor(kRicPlatformId, ns, key, ind.payload);
+      });
 }
 
 bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
@@ -261,17 +208,6 @@ bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
   static obs::Counter& rejected = obs::counter(
       "oran.e2.kpm_frames_rejected",
       "binary KPM frames rejected by the decoder");
-  static obs::Counter& ind_bytes = obs::counter(
-      "oran.e2.indication_bytes",
-      "telemetry payload bytes carried by delivered E2 indications");
-  static obs::Counter& indications =
-      obs::counter("oran.e2.indications", "E2 indications delivered");
-  static obs::Counter& dropped = obs::counter(
-      "oran.e2.indications_dropped", "E2 indications lost in transport");
-  static obs::Counter& duplicated = obs::counter(
-      "oran.e2.indications_duplicated", "E2 indications duplicated in transport");
-  static obs::Counter& corrupted = obs::counter(
-      "oran.e2.indications_corrupted", "E2 indication payloads corrupted");
   OREV_TRACE_SPAN_CAT("e2.deliver_kpm_frame", "oran");
 
   KpmFrameView view;
@@ -304,69 +240,14 @@ bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
       kpm_shape_[0] != static_cast<int>(view.feature_count))
     kpm_shape_ = nn::Shape{static_cast<int>(view.feature_count)};
 
-  int copies = 1;
-  double transport_delay_ms = 0.0;
-  if (fault::FaultInjector* fi = fault::effective(fault_)) {
-    const fault::FaultDecision d = fi->decide(fault::sites::kE2Indication);
-    switch (d.kind) {
-      case fault::FaultKind::kDrop:
-        ++indications_dropped_;
-        dropped.inc();
-        return false;
-      case fault::FaultKind::kDuplicate:
-        copies = 2;
-        duplicated.inc();
-        break;
-      case fault::FaultKind::kDelay:
-        transport_delay_ms = d.delay_ms;
-        break;
-      case fault::FaultKind::kCorrupt: {
-        corrupted.inc();
-        Rng rng(d.payload_seed);
-        for (float& f : kpm_features_) f += rng.normal(0.0f, d.corrupt_scale);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  const char* ns = kpm_scratch_.kind == IndicationKind::kSpectrogram
-                       ? kNsSpectrogram
-                       : kNsKpm;
-  for (int copy = 0; copy < copies; ++copy) {
-    frames.inc();
-    ind_bytes.inc(frame.size());
-    indications.inc();
-    ++indications_;
-    obs::TraceContext root;
-    if (obs::causal_enabled()) {
-      root = obs::causal_root(
-          obs::derive_trace_id(obs::domains::kE2, indications_),
-          "e2.indication", obs::lanes::kIndication, indications_ * 1000);
-    }
-    const fault::RetryOutcome rc =
-        fault::retry_call(retry_, retry_ops_++, [&] {
-          switch (sdl_.write_tensor_inplace(
-              kRicPlatformId, ns, kpm_key_, kpm_shape_,
-              std::span<const float>(kpm_features_))) {
-            case SdlStatus::kOk: return fault::TryResult::kOk;
-            case SdlStatus::kUnavailable: return fault::TryResult::kTransient;
-            default: return fault::TryResult::kFatal;
-          }
-        });
-    if (!rc.success) {
-      static obs::Counter& write_failures = obs::counter(
-          "oran.e2.sdl_write_failures",
-          "platform telemetry writes that failed after retries");
-      ++sdl_write_failures_;
-      write_failures.inc();
-      log_warn("platform SDL write failed after ", rc.attempts,
-               " attempt(s); dispatching degraded");
-    }
-    dispatch_all(kpm_scratch_, transport_delay_ms, root);
-  }
-  return true;
+  const char* ns = telemetry_ns(kpm_scratch_.kind);
+  return deliver_core(
+      kpm_scratch_, std::span<float>(kpm_features_), frame.size(), &frames,
+      [&](bool) {
+        return sdl_.write_tensor_inplace(
+            kRicPlatformId, ns, kpm_key_, kpm_shape_,
+            std::span<const float>(kpm_features_));
+      });
 }
 
 void NearRtRic::dispatch_all(const E2Indication& ind,

@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,7 @@
 #include "oran/sdl.hpp"
 #include "util/fault/circuit_breaker.hpp"
 #include "util/fault/retry.hpp"
+#include "util/obs/metrics.hpp"
 
 namespace orev::oran {
 
@@ -95,17 +97,21 @@ class NearRtRic {
 
   void connect_e2(E2Node* node);
 
-  /// Deliver one indication: platform SDL write + prioritized dispatch.
-  /// Returns false when the indication was lost to an injected transport
-  /// drop (the RAN side may retransmit).
+  // Three entry points deliver one indication each through one private
+  // core (deliver_core); they differ only in how the payload reaches the
+  // SDL. Each returns false when the indication was lost to an injected
+  // transport drop (the RAN side may retransmit).
+
+  /// Copy delivery: the indication is copied, and every SDL write attempt
+  /// copies its payload again (Sdl::write_tensor(const&)).
   bool deliver_indication(const E2Indication& ind);
 
-  /// Move-in delivery: identical flow, but the payload buffer is moved
-  /// (not copied) into the platform SDL write, so the tensor allocation
-  /// made by the RAN side is the only one on the whole path. The
-  /// indication handed to xApps afterwards carries an empty payload —
-  /// apps read telemetry through the SDL (read_telemetry), never from
-  /// the in-flight message, which is exactly the paper's attack surface.
+  /// Move-in delivery: the payload buffer is moved (not copied) into the
+  /// last copy's SDL write, so the tensor allocation made by the RAN side
+  /// is the only one on the whole path. The indication handed to xApps
+  /// afterwards carries an empty payload — apps read telemetry through
+  /// the SDL (read_telemetry), never from the in-flight message, which is
+  /// exactly the paper's attack surface.
   bool deliver_indication(E2Indication&& ind);
 
   /// Binary KPM hot path (DESIGN.md §16): decode one e2_codec frame and
@@ -113,7 +119,7 @@ class NearRtRic {
   /// decoded features land in a reusable scratch buffer and the SDL write
   /// goes through write_tensor_inplace. Malformed frames (truncated, bit
   /// flipped, wrong magic/version) are rejected and counted, never
-  /// dispatched. Returns false on rejection or injected transport drop.
+  /// dispatched. Also returns false on rejection.
   bool deliver_kpm_frame(std::string_view frame);
 
   /// Frames rejected by the binary decoder since construction.
@@ -173,6 +179,20 @@ class NearRtRic {
     std::shared_ptr<XApp> app;
     int priority = 0;
   };
+
+  /// The one delivery core behind the three public entry points: the
+  /// transport fault switch (drop / duplicate / delay / corrupt), the
+  /// per-copy counters and causal roots, the retried platform SDL write
+  /// and the dispatch round. `ind` is what apps are dispatched,
+  /// `payload` the features a corrupt fault perturbs in place,
+  /// `wire_bytes` the bytes counted per copy, and `frames` (binary path
+  /// only) a per-copy frame counter. `write(last)` is one SDL write
+  /// attempt for a copy; `last` marks the final copy, whose payload the
+  /// write may consume.
+  template <class Write>
+  bool deliver_core(const E2Indication& ind, std::span<float> payload,
+                    std::size_t wire_bytes, obs::Counter* frames,
+                    Write&& write);
 
   /// `root` is the indication's causal root span (invalid when causal
   /// tracing is off); each app dispatch becomes a child span and the

@@ -15,16 +15,13 @@
 // *around* the arithmetic: per-call weight packing, per-layer tensor
 // allocation, activation-cache copies and virtual layer dispatch.
 //
-// Two plan families implement the CompiledPlan interface:
-//   * CompiledMlp (here) — flat Dense[/ReLU] stacks, the KPM DNN family;
-//   * CompiledCnn (serve/compiled_cnn.hpp) — Conv2D / DepthwiseConv2D /
-//     MaxPool2D / BatchNorm / Flatten / Dense chains, the spectrogram
-//     CNN family, with typed compile errors for everything else.
-// The compile_plan() factory tries them in that order.
+// CompiledCnn (serve/compiled_cnn.hpp) is the one float plan compiler:
+// it covers conv chains (the spectrogram CNN family) and flat Dense/ReLU
+// stacks (the KPM DNN family) alike, with typed compile errors for
+// everything else. compile_plan() below is its factory.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,47 +68,13 @@ class CompiledPlan {
   virtual int input_features() const = 0;
   virtual int num_classes() const = 0;
 
-  /// Plan family tag for reports/tests: "mlp", "cnn" or "int8".
+  /// Plan family tag for reports/tests: "cnn" or "int8".
   virtual const char* kind() const = 0;
 };
 
-class CompiledMlp : public CompiledPlan {
- public:
-  /// Compile `model` into a fused plan. Returns nullopt when the model is
-  /// not a flat Sequential of Dense layers with optional ReLU activations
-  /// over rank-1 inputs — callers fall back to the generic layer walk.
-  /// The plan snapshots the weights: it must be rebuilt if they change
-  /// (engine replicas are inference-locked, so they never do).
-  static std::optional<CompiledMlp> compile(nn::Model& model);
-
-  std::vector<int> predict(const nn::Tensor& batch) override;
-  std::vector<int> predict_rows(const float* rows, int m) override;
-
-  int input_features() const override { return in0_; }
-  int num_classes() const override { return classes_; }
-  const char* kind() const override { return "mlp"; }
-
- private:
-  struct Stage {
-    int in = 0;
-    int out = 0;
-    /// W^T packed [in, out] row-major, pre-widened to double: the kernel
-    /// accumulates double(x) * double(w), so widening at pack time is
-    /// bit-identical and removes a float→double convert per weight load.
-    std::vector<double> bt;
-    std::vector<float> bias;  // empty when the Dense has no bias
-    bool relu = false;
-  };
-
-  std::vector<Stage> stages_;
-  int in0_ = 0;
-  int classes_ = 0;
-  std::vector<float> buf_a_, buf_b_;  // ping-pong activation scratch
-};
-
-/// Factory used by the engine: try CompiledMlp, then CompiledCnn. Returns
-/// nullptr when neither family supports the model; `why` (optional)
-/// receives the CNN compiler's typed failure in that case.
+/// Compile `model` (which must be inference-locked) into a CompiledCnn.
+/// Returns nullptr when the model is outside the supported set; `why`
+/// (optional) receives the typed failure in that case.
 std::unique_ptr<CompiledPlan> compile_plan(nn::Model& model,
                                            CompileFailure* why = nullptr);
 

@@ -12,6 +12,19 @@
 
 namespace orev::serve {
 
+const char* compile_error_name(CompileError e) {
+  switch (e) {
+    case CompileError::kOk: return "ok";
+    case CompileError::kNonSequentialRoot: return "non-sequential-root";
+    case CompileError::kUnsupportedLayer: return "unsupported-layer";
+    case CompileError::kNotInferenceMode: return "not-inference-mode";
+    case CompileError::kBadDims: return "bad-dims";
+    case CompileError::kShapeMismatch: return "shape-mismatch";
+    case CompileError::kNonFiniteStats: return "non-finite-stats";
+  }
+  return "unknown";
+}
+
 namespace {
 
 CompiledCnn::CompileResult fail(CompileError code, std::string detail) {
@@ -141,10 +154,15 @@ CompiledCnn::CompileResult CompiledCnn::compile(nn::Model& model) {
   plan->classes_ = model.num_classes();
   std::vector<CnnStage>& stages = plan->stages_;
 
-  auto last_gemm_no_epilogue = [&]() -> CnnStage* {
+  // A BatchNorm fuses into the stage before it only when that stage's
+  // output channels are the BatchNorm's channels: after Flatten a
+  // BatchNorm indexes flattened features, which a conv stage's
+  // per-channel epilogue cannot express.
+  auto bn_host = [&](int channels) -> CnnStage* {
     if (stages.empty()) return nullptr;
     CnnStage& s = stages.back();
-    return (s.is_gemm() && !s.bn && !s.relu) ? &s : nullptr;
+    return (s.is_gemm() && !s.bn && !s.relu && s.out_c == channels) ? &s
+                                                                     : nullptr;
   };
 
   for (std::size_t li = 0; li < seq->size(); ++li) {
@@ -246,7 +264,7 @@ CompiledCnn::CompileResult CompiledCnn::compile(nn::Model& model) {
     } else if (auto* bn = dynamic_cast<nn::BatchNorm*>(&l)) {
       if (bn->channels() != c)
         return fail(CompileError::kShapeMismatch, "BatchNorm channel mismatch");
-      if (CnnStage* host = last_gemm_no_epilogue()) {
+      if (CnnStage* host = bn_host(c)) {
         if (!snapshot_bn(*bn, *host))
           return fail(CompileError::kNonFiniteStats,
                       "BatchNorm running stats produce non-finite scales");
@@ -284,6 +302,7 @@ CompiledCnn::CompileResult CompiledCnn::compile(nn::Model& model) {
     } else if (dynamic_cast<nn::Flatten*>(&l) != nullptr) {
       if (!flat) {
         flat = true;
+        plan->flat_begin_ = stages.size();
         c = c * h * w;
         h = 1;
         w = 1;
@@ -331,18 +350,20 @@ CompiledCnn::CompileResult CompiledCnn::compile(nn::Model& model) {
                 "model does not end in " + std::to_string(plan->classes_) +
                     " flat logits");
 
-  // Scratch capacities (per sample).
-  plan->max_elems_ = static_cast<std::size_t>(plan->in0_);
-  for (const CnnStage& s : stages) {
-    plan->max_elems_ = std::max(plan->max_elems_, s.out_elems());
+  // Scratch capacities: per sample for the prefix, per row for the suffix.
+  for (std::size_t si = 0; si < stages.size(); ++si) {
+    const CnnStage& s = stages[si];
+    if (si >= plan->flat_begin_) {
+      plan->flat_elems_ =
+          std::max({plan->flat_elems_, s.in_elems(), s.out_elems()});
+      continue;
+    }
+    plan->prefix_elems_ = std::max(plan->prefix_elems_, s.out_elems());
     if (s.kind == CnnStage::Kind::kConv) {
       const std::size_t patch =
           static_cast<std::size_t>(s.in_c) * s.k * s.k;
       const std::size_t ohw = static_cast<std::size_t>(s.out_h) * s.out_w;
       plan->cols_cap_ = std::max(plan->cols_cap_, ohw * patch);
-    } else if (s.kind == CnnStage::Kind::kDense) {
-      plan->gout_cap_ =
-          std::max(plan->gout_cap_, static_cast<std::size_t>(s.out_c));
     }
   }
 
@@ -353,35 +374,42 @@ CompiledCnn::CompileResult CompiledCnn::compile(nn::Model& model) {
 
 void CompiledCnn::ensure_scratch(int m) {
   const std::size_t mm = static_cast<std::size_t>(m);
-  if (buf_a_.size() < mm * max_elems_) buf_a_.resize(mm * max_elems_);
-  if (buf_b_.size() < mm * max_elems_) buf_b_.resize(mm * max_elems_);
+  if (buf_a_.size() < mm * prefix_elems_) buf_a_.resize(mm * prefix_elems_);
+  if (buf_b_.size() < mm * prefix_elems_) buf_b_.resize(mm * prefix_elems_);
   if (cols_.size() < mm * cols_cap_) cols_.resize(mm * cols_cap_);
-  if (gout_.size() < mm * gout_cap_) gout_.resize(mm * gout_cap_);
+  if (flat_a_.size() < mm * flat_elems_) flat_a_.resize(mm * flat_elems_);
+  if (flat_b_.size() < mm * flat_elems_) flat_b_.resize(mm * flat_elems_);
 }
 
 void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
                             std::vector<float>* maxabs) {
   ensure_scratch(m);
   if (maxabs != nullptr) maxabs->assign(stages_.size(), 0.0f);
+  auto note_maxabs = [&](std::size_t si, const float* in, std::size_t n) {
+    if (maxabs == nullptr || !stages_[si].is_gemm()) return;
+    float mx = (*maxabs)[si];
+    for (std::size_t e = 0; e < n; ++e) mx = std::max(mx, std::fabs(in[e]));
+    (*maxabs)[si] = mx;
+  };
 
+  // Spatial prefix, one sample at a time. Its last stage writes the
+  // sample's flattened row into the suffix input (or the logits when the
+  // model ends at Flatten).
+  const std::size_t nstages = stages_.size();
+  float* handoff = flat_begin_ == nstages ? logits_out : flat_a_.data();
+  const std::size_t width =
+      flat_begin_ > 0 ? stages_[flat_begin_ - 1].out_elems() : 0;
   auto run_sample = [&](std::int64_t i) {
-    float* a = buf_a_.data() + static_cast<std::size_t>(i) * max_elems_;
-    float* b = buf_b_.data() + static_cast<std::size_t>(i) * max_elems_;
+    float* a = buf_a_.data() + static_cast<std::size_t>(i) * prefix_elems_;
+    float* b = buf_b_.data() + static_cast<std::size_t>(i) * prefix_elems_;
     float* cols = cols_.data() + static_cast<std::size_t>(i) * cols_cap_;
-    float* gout = gout_.data() + static_cast<std::size_t>(i) * gout_cap_;
     const float* cur = rows + static_cast<std::size_t>(i) * in0_;
-    for (std::size_t si = 0; si < stages_.size(); ++si) {
+    for (std::size_t si = 0; si < flat_begin_; ++si) {
       const CnnStage& s = stages_[si];
-      float* dst = si + 1 == stages_.size()
-                       ? logits_out + static_cast<std::size_t>(i) * classes_
+      float* dst = si + 1 == flat_begin_
+                       ? handoff + static_cast<std::size_t>(i) * width
                        : (cur == a ? b : a);
-      if (maxabs != nullptr && s.is_gemm()) {
-        float mx = (*maxabs)[si];
-        const std::size_t n = s.in_elems();
-        for (std::size_t e = 0; e < n; ++e)
-          mx = std::max(mx, std::fabs(cur[e]));
-        (*maxabs)[si] = mx;
-      }
+      note_maxabs(si, cur, s.in_elems());
       switch (s.kind) {
         case CnnStage::Kind::kConv: {
           const int patch = s.in_c * s.k * s.k;
@@ -429,16 +457,6 @@ void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
           }
           break;
         }
-        case CnnStage::Kind::kDense: {
-          nn::kernels::dense_stage(cur, s.bt.data(), nullptr, false, gout,
-                                   1, s.in_c, s.out_c);
-          for (int j = 0; j < s.out_c; ++j) {
-            float v = gout[j];
-            if (s.has_bias) v += s.bias[static_cast<std::size_t>(j)];
-            dst[j] = epilogue_bn_relu(s, j, v);
-          }
-          break;
-        }
         case CnnStage::Kind::kPool:
           run_pool_stage(s, cur, dst);
           break;
@@ -448,26 +466,63 @@ void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
         case CnnStage::Kind::kRelu:
           run_relu_stage(s, cur, dst);
           break;
+        case CnnStage::Kind::kDense:  // never before Flatten
+          break;
       }
       cur = dst;
     }
   };
-
-  if (maxabs != nullptr) {
+  if (flat_begin_ > 0 && maxabs != nullptr) {
     // Calibration path: serial so the shared maxabs accumulators are safe
     // (and deterministic regardless of pool size).
     for (int i = 0; i < m; ++i) run_sample(i);
-  } else {
+  } else if (flat_begin_ > 0) {
     // Sample-parallel with disjoint per-sample scratch slices: identical
     // arithmetic per sample at every thread count.
     util::parallel_for(0, m, 1, run_sample);
   }
-}
 
-nn::Tensor CompiledCnn::logits_rows(const float* rows, int m) {
-  nn::Tensor out({m, classes_});
-  run_batch(rows, m, out.raw(), nullptr);
-  return out;
+  // Flat suffix, stage-major over all m rows ([m, width] row-major).
+  const float* cur = flat_begin_ > 0 ? handoff : rows;
+  for (std::size_t si = flat_begin_; si < nstages; ++si) {
+    const CnnStage& s = stages_[si];
+    float* dst = si + 1 == nstages ? logits_out
+                 : cur == flat_a_.data() ? flat_b_.data()
+                                         : flat_a_.data();
+    const std::size_t in_w = s.in_elems(), out_w = s.out_elems();
+    note_maxabs(si, cur, static_cast<std::size_t>(m) * in_w);
+    switch (s.kind) {
+      case CnnStage::Kind::kDense:
+        // Bias and ReLU ride in the kernel; a fused BatchNorm sits
+        // between them, so then the kernel adds only the bias.
+        nn::kernels::dense_stage(cur, s.bt.data(),
+                                 s.has_bias ? s.bias.data() : nullptr,
+                                 s.relu && !s.bn, dst, m, s.in_c, s.out_c);
+        if (s.bn) {
+          for (int i = 0; i < m; ++i) {
+            float* row = dst + static_cast<std::size_t>(i) * out_w;
+            for (int j = 0; j < s.out_c; ++j)
+              row[j] = epilogue_bn_relu(s, j, row[j]);
+          }
+        }
+        break;
+      case CnnStage::Kind::kBatchNorm:
+        for (int i = 0; i < m; ++i)
+          run_bn_stage(s, cur + static_cast<std::size_t>(i) * in_w,
+                       dst + static_cast<std::size_t>(i) * out_w);
+        break;
+      case CnnStage::Kind::kRelu:
+        for (int i = 0; i < m; ++i)
+          run_relu_stage(s, cur + static_cast<std::size_t>(i) * in_w,
+                         dst + static_cast<std::size_t>(i) * out_w);
+        break;
+      case CnnStage::Kind::kConv:  // spatial kinds never follow Flatten
+      case CnnStage::Kind::kDepthwise:
+      case CnnStage::Kind::kPool:
+        break;
+    }
+    cur = dst;
+  }
 }
 
 void CompiledCnn::logits_rows(const float* rows, int m, float* out) {
@@ -479,14 +534,20 @@ nn::Tensor CompiledCnn::logits(const nn::Tensor& batch) {
                  batch.numel() ==
                      static_cast<std::size_t>(batch.dim(0)) * in0_,
              "CompiledCnn::logits expects [m, ...input_shape]");
-  return logits_rows(batch.raw(), batch.dim(0));
+  nn::Tensor out({batch.dim(0), classes_});
+  run_batch(batch.raw(), batch.dim(0), out.raw(), nullptr);
+  return out;
 }
 
 std::vector<int> CompiledCnn::predict_rows(const float* rows, int m) {
-  const nn::Tensor lg = logits_rows(rows, m);
+  const std::size_t need = static_cast<std::size_t>(m) * classes_;
+  if (logits_.size() < need) logits_.resize(need);
+  run_batch(rows, m, logits_.data(), nullptr);
+  // Argmax with the exact comparison order of nn::Model::predict: strict
+  // greater-than with the first maximum winning.
   std::vector<int> out(static_cast<std::size_t>(m));
   for (int i = 0; i < m; ++i) {
-    const float* row = lg.raw() + static_cast<std::size_t>(i) * classes_;
+    const float* row = logits_.data() + static_cast<std::size_t>(i) * classes_;
     int best = 0;
     for (int j = 1; j < classes_; ++j)
       if (row[j] > row[best]) best = j;
@@ -513,8 +574,6 @@ std::vector<float> CompiledCnn::calibrate_input_maxabs(const float* rows,
 
 std::unique_ptr<CompiledPlan> compile_plan(nn::Model& model,
                                            CompileFailure* why) {
-  if (auto mlp = CompiledMlp::compile(model))
-    return std::make_unique<CompiledMlp>(std::move(*mlp));
   CompiledCnn::CompileResult r = CompiledCnn::compile(model);
   if (why != nullptr) *why = r.failure;
   return std::move(r.plan);

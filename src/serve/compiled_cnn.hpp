@@ -17,18 +17,24 @@
 //     weights would re-round every product and break bit-exactness, so
 //     the fused epilogue evaluates (v − mean)·invstd·γ + β literally,
 //     with invstd snapshotted as 1.0f/sqrt(var + eps) — the same float
-//     ops nn::BatchNorm performs at inference. A BatchNorm that is not
-//     directly after a conv/depthwise/dense stage (or whose stage already
-//     fused a ReLU) runs as a standalone stage instead — also bit-exact,
-//     just unfused.
+//     ops nn::BatchNorm performs at inference. A BatchNorm fuses only
+//     into a conv/depthwise/dense stage directly before it that has no
+//     epilogue yet and whose output channels are the BatchNorm's
+//     channels (a BatchNorm after Flatten normalises flattened features,
+//     not conv channels); otherwise it runs as a standalone stage — also
+//     bit-exact, just unfused.
 //
-// The compiled float plan is byte-identical to nn::Model::predict at
-// every thread count (sample-parallel execution with disjoint per-sample
-// scratch slices; see util/thread_pool design rule). Architectures or
-// states outside the supported set are rejected with a typed
-// CompileFailure — never an exception — and the engine falls back to the
-// layer walk. Compilation requires the model to be inference-locked,
-// because the plan snapshots BatchNorm running statistics.
+// A plan runs in two parts. The spatial prefix (every stage before
+// Flatten) is sample-parallel with disjoint per-sample scratch slices
+// (see util/thread_pool design rule). The flat suffix (every stage after
+// Flatten, or every stage for a rank-1 input such as the KPM DNN) runs
+// stage-major over all rows: one dense_stage call per Dense stage. Both
+// are byte-identical to nn::Model::predict at every thread count.
+// Architectures or states outside the supported set are rejected with a
+// typed CompileFailure — never an exception — and the engine falls back
+// to the layer walk. Compilation requires the model to be
+// inference-locked, because the plan snapshots BatchNorm running
+// statistics.
 #pragma once
 
 #include <cstdint>
@@ -106,7 +112,6 @@ class CompiledCnn : public CompiledPlan {
   /// Raw [m, num_classes] logits — the differential test harness compares
   /// these byte-for-byte against the layer walk.
   nn::Tensor logits(const nn::Tensor& batch);
-  nn::Tensor logits_rows(const float* rows, int m);
   /// Same logits into a caller-owned [m, num_classes] buffer: no
   /// allocation once the plan's scratch has grown to m rows.
   void logits_rows(const float* rows, int m, float* out);
@@ -129,12 +134,17 @@ class CompiledCnn : public CompiledPlan {
   void ensure_scratch(int m);
 
   std::vector<CnnStage> stages_;
+  /// First stage of the flat suffix; stages before it form the spatial
+  /// prefix (0 for rank-1 inputs).
+  std::size_t flat_begin_ = 0;
   int in0_ = 0;
   int classes_ = 0;
-  std::size_t max_elems_ = 0;  // widest stage boundary, per sample
-  std::size_t cols_cap_ = 0;   // widest im2col matrix, per sample
-  std::size_t gout_cap_ = 0;   // widest GEMM output, per sample
-  std::vector<float> buf_a_, buf_b_, cols_, gout_;
+  std::size_t prefix_elems_ = 0;  // widest prefix stage output, per sample
+  std::size_t cols_cap_ = 0;      // widest im2col matrix, per sample
+  std::size_t flat_elems_ = 0;    // widest suffix stage boundary, per row
+  /// Prefix ping-pong and im2col scratch (per-sample slices), suffix
+  /// ping-pong ([m, width] row-major), and predict_rows' logits.
+  std::vector<float> buf_a_, buf_b_, cols_, flat_a_, flat_b_, logits_;
 };
 
 }  // namespace orev::serve

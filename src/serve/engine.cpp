@@ -71,11 +71,7 @@ ServeEngine::ServeEngine(nn::Model model, ServeConfig cfg)
     replicas_.push_back(std::move(replica));
     replica_rngs_.push_back(base.split(static_cast<std::uint64_t>(i)));
   }
-  // Compile each replica's inference plan where the architecture allows;
-  // the batched path falls back to the generic layer walk otherwise.
-  compiled_.reserve(replicas_.size());
-  for (nn::Model& replica : replicas_)
-    compiled_.push_back(compile_plan(replica));
+  compile_replicas();
   if (cfg_.defense.enable)
     defense_ = std::make_unique<DefensePlane>(cfg_.defense, cfg_.name);
 }
@@ -527,19 +523,18 @@ QuantGateReport ServeEngine::activate_int8_tier(const nn::Tensor& clean,
     return rep;
   };
 
-  // The quantizer needs a CompiledCnn stage list; compile one from replica
-  // 0 regardless of which plan family serves the float tier (CompiledCnn
-  // also covers flat Dense chains).
-  CompiledCnn::CompileResult cr = CompiledCnn::compile(replicas_.front());
-  if (!cr.plan)
+  // The quantizer reads replica 0's float plan stage list.
+  CompiledCnn* plan = compiled_.front().get();
+  if (plan == nullptr)
     return refuse(std::string("float plan not quantizable: ") +
-                  compile_error_name(cr.failure.code) +
-                  (cr.failure.detail.empty() ? "" : " — " + cr.failure.detail));
+                  compile_error_name(plan_failure_.code) +
+                  (plan_failure_.detail.empty() ? ""
+                                                : " — " + plan_failure_.detail));
 
   const int calib_m = std::min(m, std::max(cfg_.quant.calib_samples, 1));
   CompileFailure qwhy;
   std::unique_ptr<CompiledInt8> q =
-      CompiledInt8::build(*cr.plan, clean.raw(), calib_m, &qwhy);
+      CompiledInt8::build(*plan, clean.raw(), calib_m, &qwhy);
   if (!q)
     return refuse(std::string("int8 build failed: ") +
                   compile_error_name(qwhy.code) +
@@ -555,13 +550,13 @@ QuantGateReport ServeEngine::activate_int8_tier(const nn::Tensor& clean,
         ++hits;
     return static_cast<double>(hits) / m;
   };
-  rep.acc_float = accuracy(cr.plan->predict_rows(clean.raw(), m));
+  rep.acc_float = accuracy(plan->predict_rows(clean.raw(), m));
   rep.acc_int8 = accuracy(q->predict_rows(clean.raw(), m));
   rep.clean_delta = std::abs(rep.acc_float - rep.acc_int8);
   if (adv != nullptr) {
     // Attack success rate: fraction of adversarial rows that flip away
     // from the true label.
-    rep.asr_float = 1.0 - accuracy(cr.plan->predict_rows(adv->raw(), m));
+    rep.asr_float = 1.0 - accuracy(plan->predict_rows(adv->raw(), m));
     rep.asr_int8 = 1.0 - accuracy(q->predict_rows(adv->raw(), m));
     rep.attack_delta = std::abs(rep.asr_float - rep.asr_int8);
   }
@@ -591,14 +586,23 @@ void ServeEngine::install_model(const nn::Model& candidate) {
     fresh.push_back(std::move(replica));
   }
   replicas_ = std::move(fresh);
-  compiled_.clear();
-  compiled_.reserve(replicas_.size());
-  for (nn::Model& replica : replicas_)
-    compiled_.push_back(compile_plan(replica));
+  compile_replicas();
   // The int8 tier quantized the *old* weights; it must not outlive them.
   // Re-activation goes back through the accuracy gate.
   int8_active_ = false;
   int8_.reset();
+}
+
+void ServeEngine::compile_replicas() {
+  // Compile each replica's inference plan where the architecture allows;
+  // the batched path falls back to the generic layer walk otherwise.
+  compiled_.clear();
+  compiled_.reserve(replicas_.size());
+  for (nn::Model& replica : replicas_) {
+    CompiledCnn::CompileResult r = CompiledCnn::compile(replica);
+    if (compiled_.empty()) plan_failure_ = r.failure;
+    compiled_.push_back(std::move(r.plan));
+  }
 }
 
 SwapGateReport ServeEngine::request_hot_swap(const nn::Model& candidate,

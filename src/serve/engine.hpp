@@ -287,14 +287,19 @@ class ServeEngine {
   /// Replace the replica pool with inference-locked clones of `candidate`,
   /// recompile the per-replica plans, and retire the int8 tier.
   void install_model(const nn::Model& candidate);
+  /// (Re)compile compiled_ from replicas_, keeping replica 0's failure.
+  void compile_replicas();
 
   ServeConfig cfg_;
   std::vector<nn::Model> replicas_;
-  /// Per-replica compiled inference plan (compile_plan: CompiledMlp for
-  /// flat Dense/ReLU chains, CompiledCnn for conv chains) — bit-identical
-  /// to the layer walk and much faster; null when the architecture is
-  /// unsupported. One per replica because plans own mutable scratch.
-  std::vector<std::unique_ptr<CompiledPlan>> compiled_;
+  /// Per-replica compiled inference plan (CompiledCnn, for conv chains
+  /// and flat Dense/ReLU stacks alike) — bit-identical to the layer walk
+  /// and much faster; null when the architecture is unsupported. One per
+  /// replica because plans own mutable scratch. Replica 0's plan also
+  /// seeds the int8 quantizer.
+  std::vector<std::unique_ptr<CompiledCnn>> compiled_;
+  /// Why replica 0 did not compile (kOk when it did).
+  CompileFailure plan_failure_;
   /// Int8 quantized tier: built and routed to only after the accuracy
   /// gate passes (activate_int8_tier). Internally sample-parallel, so the
   /// whole batch goes through this one plan when active.

@@ -1,9 +1,12 @@
 // City-scale emulation plane (DESIGN.md §16): deterministic sharded
 // simulator, binary KPM codec, CRC-32C, checkpointing, striped SDL
-// equivalence, and the NearRtRic binary/move delivery paths.
+// equivalence, and the NearRtRic delivery entry points (copy, move and
+// binary frame) over their one shared delivery core.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,6 +16,7 @@
 #include "oran/near_rt_ric.hpp"
 #include "oran/onboarding.hpp"
 #include "oran/sdl.hpp"
+#include "util/fault/fault.hpp"
 #include "util/obs/obs.hpp"
 #include "util/persist/persist.hpp"
 #include "util/thread_pool.hpp"
@@ -383,6 +387,177 @@ TEST(RicDelivery, MalformedFramesAreCountedNotDispatched) {
   flipped[oran::kKpmFrameHeaderBytes] ^= 0x01;
   EXPECT_FALSE(fx.ric.deliver_kpm_frame(flipped));
   EXPECT_EQ(fx.ric.frames_rejected(), 2u);
+}
+
+/// Records every dispatch it sees, plus the telemetry the platform wrote
+/// for it, so two RICs' dispatch sequences can be compared entry by entry.
+class TelemetryRecorder : public oran::XApp {
+ public:
+  void on_indication(const oran::E2Indication& ind,
+                     oran::NearRtRic& ric) override {
+    nn::Tensor t;
+    const oran::SdlStatus st = ric.read_telemetry(
+        app_id(), oran::kNsKpm, ind.ran_node_id + "/current", t);
+    std::string entry = ind.ran_node_id + " tti=" + std::to_string(ind.tti) +
+                        " st=" + std::to_string(static_cast<int>(st));
+    for (std::size_t i = 0; i < t.numel(); ++i)
+      entry += " " + std::to_string(t[i]);
+    seen.push_back(std::move(entry));
+  }
+  std::vector<std::string> seen;
+};
+
+/// What one delivery stream left behind: return values, SDL tensors and
+/// versions after every delivery, per-app dispatch sequences and stats,
+/// and the oran.e2.* counter deltas.
+struct DeliveryTrace {
+  std::vector<bool> returned;
+  std::vector<std::string> sdl;
+  std::vector<std::string> dispatch_hi, dispatch_lo;
+  std::vector<std::uint64_t> stats;
+  std::map<std::string, std::uint64_t> counters;
+};
+
+enum class EntryPoint { kCopy, kMove, kFrame };
+
+DeliveryTrace drive_entry_point(EntryPoint entry) {
+  const char* kCounters[] = {
+      "oran.e2.indications",           "oran.e2.indications_dropped",
+      "oran.e2.indications_duplicated", "oran.e2.indications_corrupted",
+      "oran.e2.sdl_write_failures",    "oran.e2.indication_bytes",
+      "oran.e2.kpm_frames"};
+  std::map<std::string, std::uint64_t> before;
+  for (const char* c : kCounters) before[c] = obs::counter(c).value();
+
+  RicFixture fx;
+  fx.rbac.define_role("kpm-reader",
+                      {oran::Permission{"telemetry/*", true, false}});
+  auto onboard = [&](const std::string& name) {
+    oran::AppDescriptor d;
+    d.name = name;
+    d.version = "1";
+    d.vendor = "v";
+    d.payload = "p";
+    d.requested_role = "kpm-reader";
+    return fx.svc.onboard(fx.op.package(d)).app_id;
+  };
+  auto hi = std::make_shared<TelemetryRecorder>();
+  auto lo = std::make_shared<TelemetryRecorder>();
+  const std::string hi_id = onboard("hi");
+  const std::string lo_id = onboard("lo");
+  EXPECT_TRUE(fx.ric.register_xapp(hi, hi_id, 1));
+  EXPECT_TRUE(fx.ric.register_xapp(lo, lo_id, 2));
+
+  // Drop, duplicate, delay (past the control window) and corrupt on the
+  // transport; transient SDL write outages, some outlasting the retries.
+  fault::FaultPlan plan;
+  plan.seed = 0xe2e2;
+  auto spec = [](fault::FaultKind k, double p) {
+    fault::FaultSpec f;
+    f.kind = k;
+    f.probability = p;
+    f.delay_ms = 1500.0;
+    return f;
+  };
+  plan.sites[fault::sites::kE2Indication] = {
+      spec(fault::FaultKind::kDrop, 0.1), spec(fault::FaultKind::kDuplicate, 0.15),
+      spec(fault::FaultKind::kDelay, 0.1), spec(fault::FaultKind::kCorrupt, 0.15)};
+  plan.sites[fault::sites::kSdlWrite] = {
+      spec(fault::FaultKind::kTransient, 0.35)};
+  fault::FaultInjector inj(plan);
+  fx.ric.set_fault_injector(&inj);
+
+  DeliveryTrace t;
+  Rng rng(0xfeed);
+  oran::KpmFrameArena arena;
+  for (std::uint64_t tti = 1; tti <= 150; ++tti) {
+    const std::uint32_t cell = static_cast<std::uint32_t>(tti % 3);
+    std::vector<float> feats(5);
+    for (float& f : feats) f = rng.uniform(-1.0f, 1.0f);
+    oran::E2Indication ind;
+    ind.ran_node_id = "cell-" + std::to_string(cell);
+    ind.tti = tti;
+    ind.kind = oran::IndicationKind::kKpm;
+    ind.payload = nn::Tensor({5}, feats);
+    bool ok = false;
+    switch (entry) {
+      case EntryPoint::kCopy: ok = fx.ric.deliver_indication(ind); break;
+      case EntryPoint::kMove:
+        ok = fx.ric.deliver_indication(std::move(ind));
+        break;
+      case EntryPoint::kFrame:
+        ok = fx.ric.deliver_kpm_frame(arena.encode(
+            cell, tti, oran::IndicationKind::kKpm,
+            std::span<const float>(feats)));
+        break;
+    }
+    t.returned.push_back(ok);
+    const std::string key = "cell-" + std::to_string(cell) + "/current";
+    nn::Tensor stored;
+    std::string row = std::to_string(static_cast<int>(fx.ric.sdl().read_tensor(
+        oran::kRicPlatformId, oran::kNsKpm, key, stored)));
+    row += " v=" + std::to_string(
+                       fx.ric.sdl().version(oran::kNsKpm, key).value_or(0));
+    for (std::size_t i = 0; i < stored.numel(); ++i) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &stored[i], sizeof bits);
+      row += " " + std::to_string(bits);
+    }
+    t.sdl.push_back(std::move(row));
+  }
+  t.dispatch_hi = hi->seen;
+  t.dispatch_lo = lo->seen;
+  for (const std::string& id : {hi_id, lo_id}) {
+    const oran::XAppDispatchStats& st = fx.ric.stats_of(id);
+    t.stats.insert(t.stats.end(), {st.dispatches, st.deadline_misses,
+                                   st.faults, st.quarantined_skips});
+  }
+  t.stats.insert(t.stats.end(),
+                 {fx.ric.indications_delivered(), fx.ric.indications_dropped(),
+                  fx.ric.sdl_write_failures()});
+  for (const char* c : kCounters)
+    t.counters[c] = obs::counter(c).value() - before[c];
+  return t;
+}
+
+TEST(RicDelivery, EntryPointsAgreeUnderAFaultPlan) {
+  const DeliveryTrace copy = drive_entry_point(EntryPoint::kCopy);
+  const DeliveryTrace move = drive_entry_point(EntryPoint::kMove);
+  const DeliveryTrace frame = drive_entry_point(EntryPoint::kFrame);
+
+  // The plan must actually exercise every fault and both outcomes.
+  EXPECT_GT(copy.counters.at("oran.e2.indications_dropped"), 0u);
+  EXPECT_GT(copy.counters.at("oran.e2.indications_duplicated"), 0u);
+  EXPECT_GT(copy.counters.at("oran.e2.indications_corrupted"), 0u);
+  EXPECT_GT(copy.counters.at("oran.e2.sdl_write_failures"), 0u);
+  EXPECT_GT(copy.stats[1], 0u) << "no delayed dispatch missed the window";
+
+  for (const DeliveryTrace* other : {&move, &frame}) {
+    const char* name = other == &move ? "move" : "frame";
+    EXPECT_EQ(other->returned, copy.returned) << name;
+    EXPECT_EQ(other->sdl, copy.sdl) << name;
+    EXPECT_EQ(other->dispatch_hi, copy.dispatch_hi) << name;
+    EXPECT_EQ(other->dispatch_lo, copy.dispatch_lo) << name;
+    EXPECT_EQ(other->stats, copy.stats) << name;
+    for (const char* c :
+         {"oran.e2.indications", "oran.e2.indications_dropped",
+          "oran.e2.indications_duplicated", "oran.e2.indications_corrupted",
+          "oran.e2.sdl_write_failures"})
+      EXPECT_EQ(other->counters.at(c), copy.counters.at(c)) << name << " " << c;
+  }
+  // Tensor paths count payload bytes; the frame path counts wire bytes
+  // (header + payload) and one kpm_frames tick per delivered copy.
+  const std::uint64_t copies = copy.counters.at("oran.e2.indications");
+  EXPECT_EQ(copy.counters.at("oran.e2.indication_bytes"),
+            copies * 5 * sizeof(float));
+  EXPECT_EQ(move.counters.at("oran.e2.indication_bytes"),
+            copies * 5 * sizeof(float));
+  EXPECT_EQ(frame.counters.at("oran.e2.indication_bytes"),
+            copies * (oran::kKpmFrameHeaderBytes + 5 * sizeof(float) +
+                      oran::kKpmFrameTrailerBytes));
+  EXPECT_EQ(copy.counters.at("oran.e2.kpm_frames"), 0u);
+  EXPECT_EQ(move.counters.at("oran.e2.kpm_frames"), 0u);
+  EXPECT_EQ(frame.counters.at("oran.e2.kpm_frames"), copies);
 }
 
 }  // namespace

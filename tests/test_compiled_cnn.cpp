@@ -20,6 +20,7 @@
 //     locked byte-for-byte (regenerate with OREV_UPDATE_GOLDEN=1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -160,9 +161,15 @@ nn::Model random_cnn_model(std::uint64_t seed) {
     }
   }
   seq->emplace<nn::Flatten>();
+  // BatchNorm/ReLU after Flatten act on flattened features: the BN can
+  // only fuse into a conv host whose output is 1×1 spatially.
+  const int features = c * h * w;
+  if (rng.uniform() < 0.5f) seq->emplace<nn::BatchNorm>(features);
+  if (rng.uniform() < 0.5f) seq->emplace<nn::ReLU>();
   const int hidden = rng.uniform_int(9, 21);
   const int classes = rng.uniform_int(2, 5);
-  seq->emplace<nn::Dense>(c * h * w, hidden);
+  seq->emplace<nn::Dense>(features, hidden);
+  if (rng.uniform() < 0.5f) seq->emplace<nn::BatchNorm>(hidden);
   seq->emplace<nn::ReLU>();
   seq->emplace<nn::Dense>(hidden, classes, /*bias=*/rng.uniform() < 0.5f);
 
@@ -176,7 +183,7 @@ nn::Model random_cnn_model(std::uint64_t seed) {
 
 TEST(CompiledCnnDifferential, RandomArchitecturesByteIdenticalAtOneAndFourThreads) {
   ThreadGuard guard;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     nn::Model m = random_cnn_model(seed);
     CompiledCnn::CompileResult r = CompiledCnn::compile(m);
     ASSERT_NE(r.plan, nullptr)
@@ -286,6 +293,83 @@ TEST(CompiledCnnDifferential, FusedBnEpilogueMatchesWalkOnScalarPixelTails) {
               0)
         << hw << "x" << hw << ": fused BN epilogue differs from the walk";
   }
+}
+
+TEST(CompiledCnnDifferential, BatchNormAfterFlattenNormalisesFeaturesNotChannels) {
+  // After Flatten a BatchNorm has one channel per flattened feature; a
+  // conv or depthwise stage's fused epilogue indexes its parameters by
+  // conv channel, so it must run as its own flat stage. A pool host never
+  // fuses; it is here so every spatial host kind is covered.
+  ThreadGuard guard;
+  // Every host outputs 2 channels of 4×4: 32 flattened features.
+  struct Host {
+    const char* name;
+    int in_c;
+    void (*add)(nn::Sequential&);
+  };
+  const Host hosts[] = {
+      {"conv", 1,
+       [](nn::Sequential& q) {
+         q.emplace<nn::Conv2D>(1, 2, 3, /*stride=*/1, /*padding=*/1);
+       }},
+      {"depthwise", 2,
+       [](nn::Sequential& q) {
+         q.emplace<nn::DepthwiseConv2D>(2, 3, /*stride=*/1, /*padding=*/1);
+       }},
+      {"pool", 2, [](nn::Sequential& q) { q.emplace<nn::MaxPool2D>(1); }},
+  };
+  for (const Host& host : hosts) {
+    auto seq = std::make_unique<nn::Sequential>();
+    host.add(*seq);
+    seq->emplace<nn::Flatten>();
+    seq->emplace<nn::BatchNorm>(32);
+    seq->emplace<nn::Dense>(32, 3);
+    nn::Model m("FlatBn", std::move(seq), {host.in_c, 4, 4}, 3);
+    Rng rng(0xf1a7);
+    m.init(rng);
+    warm_and_lock(m, 0xf1a8);
+
+    CompiledCnn::CompileResult r = CompiledCnn::compile(m);
+    ASSERT_NE(r.plan, nullptr) << host.name << ": " << r.failure.detail;
+    ASSERT_EQ(r.plan->stages().size(), 3u) << host.name;
+    EXPECT_FALSE(r.plan->stages()[0].bn) << host.name;
+    EXPECT_EQ(r.plan->stages()[1].kind, serve::CnnStage::Kind::kBatchNorm)
+        << host.name;
+    const nn::Tensor batch = random_batch(m, 16, 0xf1a9);
+    const nn::Tensor walk = m.forward(batch, /*training=*/false);
+    for (const int threads : {1, 4}) {
+      util::set_num_threads(threads);
+      const nn::Tensor lg = r.plan->logits(batch);
+      ASSERT_EQ(lg.numel(), walk.numel());
+      EXPECT_EQ(
+          std::memcmp(lg.raw(), walk.raw(), walk.numel() * sizeof(float)), 0)
+          << host.name << " host, " << threads << " thread(s)";
+    }
+  }
+}
+
+TEST(CompiledCnnDifferential, BatchNormAfterFlattenStillFusesIntoAOneByOneConv) {
+  // A 1×1 conv output flattens to exactly its channels, so the BN's
+  // features are the conv's channels and fusing stays exact.
+  auto seq = std::make_unique<nn::Sequential>();
+  seq->emplace<nn::Conv2D>(2, 5, 3);  // 3×3 input → 5×1×1
+  seq->emplace<nn::Flatten>();
+  seq->emplace<nn::BatchNorm>(5);
+  seq->emplace<nn::ReLU>();
+  seq->emplace<nn::Dense>(5, 3);
+  nn::Model m("OneByOneBn", std::move(seq), {2, 3, 3}, 3);
+  Rng rng(0x1b1);
+  m.init(rng);
+  warm_and_lock(m, 0x1b2);
+
+  CompiledCnn::CompileResult r = CompiledCnn::compile(m);
+  ASSERT_NE(r.plan, nullptr) << r.failure.detail;
+  ASSERT_EQ(r.plan->stages().size(), 2u);
+  EXPECT_TRUE(r.plan->stages()[0].bn);
+  EXPECT_TRUE(r.plan->stages()[0].relu);
+  const nn::Tensor batch = random_batch(m, 9, 0x1b3);
+  const nn::Tensor walk = m.forward(batch, /*training=*/false);
+  EXPECT_EQ(tensor_digest(r.plan->logits(batch)), tensor_digest(walk));
 }
 
 // ------------------------------------------------- typed compile errors --
@@ -456,6 +540,66 @@ TEST(Int8Calibrator, HostileActivationDistributionsProduceUsableScales) {
       EXPECT_LT(p, 3) << d.name;
     }
   }
+}
+
+TEST(Int8Calibrator, InputMaxabsMatchesAPerSampleWalkReference) {
+  // A conv body with a Dense/BatchNorm head: the head runs stage-major
+  // over all rows, the body one sample at a time. Each GEMM stage's entry
+  // must be the max |input| of its layer over the rows, computed here by
+  // walking the layers one sample at a time; other stages read 0.
+  auto seq = std::make_unique<nn::Sequential>();
+  seq->emplace<nn::Conv2D>(1, 4, 3, /*stride=*/1, /*padding=*/1);
+  seq->emplace<nn::BatchNorm>(4);
+  seq->emplace<nn::ReLU>();
+  seq->emplace<nn::MaxPool2D>(2);
+  seq->emplace<nn::Flatten>();
+  seq->emplace<nn::Dense>(4 * 4 * 4, 9);
+  seq->emplace<nn::BatchNorm>(9);
+  seq->emplace<nn::ReLU>();
+  seq->emplace<nn::Dense>(9, 3);
+  nn::Model m("CalibCnn", std::move(seq), {1, 8, 8}, 3);
+  Rng rng(0xca1);
+  m.init(rng);
+  warm_and_lock(m, 0xca2);
+  CompiledCnn::CompileResult r = CompiledCnn::compile(m);
+  ASSERT_NE(r.plan, nullptr) << r.failure.detail;
+
+  const int rows = 11, feats = 64;
+  const nn::Tensor batch = random_batch(m, rows, 0xca3, -2.0f, 2.0f);
+  auto* root = dynamic_cast<nn::Sequential*>(&m.root());
+  ASSERT_NE(root, nullptr);
+  std::vector<float> want_gemm;  // one entry per GEMM layer, in order
+  for (int i = 0; i < rows; ++i) {
+    nn::Tensor x({1, 1, 8, 8},
+                 std::vector<float>(batch.raw() + i * feats,
+                                    batch.raw() + (i + 1) * feats));
+    std::size_t g = 0;
+    for (std::size_t li = 0; li < root->size(); ++li) {
+      nn::Layer& l = root->layer(li);
+      if (dynamic_cast<nn::Conv2D*>(&l) != nullptr ||
+          dynamic_cast<nn::Dense*>(&l) != nullptr) {
+        if (want_gemm.size() <= g) want_gemm.push_back(0.0f);
+        for (std::size_t e = 0; e < x.numel(); ++e)
+          want_gemm[g] = std::max(want_gemm[g], std::fabs(x[e]));
+        ++g;
+      }
+      x = l.forward(x, /*training=*/false);
+    }
+  }
+
+  const std::vector<float> got =
+      r.plan->calibrate_input_maxabs(batch.raw(), rows);
+  ASSERT_EQ(got.size(), r.plan->stages().size());
+  std::size_t g = 0;
+  for (std::size_t si = 0; si < got.size(); ++si) {
+    if (!r.plan->stages()[si].is_gemm()) {
+      EXPECT_EQ(got[si], 0.0f) << "stage " << si;
+      continue;
+    }
+    ASSERT_LT(g, want_gemm.size());
+    EXPECT_EQ(got[si], want_gemm[g++]) << "stage " << si;
+  }
+  EXPECT_EQ(g, want_gemm.size());
 }
 
 TEST(Int8Calibrator, NonFiniteCalibrationOrWeightsAreTypedRefusals) {

@@ -508,48 +508,100 @@ nn::Model odd_mlp() {
   return m;
 }
 
+/// Compiles a locked model through compile_plan and checks, at 1 and 4
+/// threads and every row count, that the plan's logits are byte-identical
+/// to the layer walk and its predictions equal nn::Model::predict.
+void expect_plan_matches_walk(nn::Model& m, std::uint64_t seed) {
+  ThreadGuard guard;
+  std::unique_ptr<serve::CompiledPlan> plan = serve::compile_plan(m);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_STREQ(plan->kind(), "cnn");
+  auto* cnn = dynamic_cast<serve::CompiledCnn*>(plan.get());
+  ASSERT_NE(cnn, nullptr);
+  const int f = m.input_shape()[0];
+  EXPECT_EQ(plan->input_features(), f);
+  EXPECT_EQ(plan->num_classes(), m.num_classes());
+  Rng rng(seed);
+  for (const int threads : {1, 4}) {
+    util::set_num_threads(threads);
+    for (const int rows : {1, 3, 32, 129}) {
+      nn::Tensor batch({rows, f});
+      for (std::size_t i = 0; i < batch.numel(); ++i)
+        batch[i] = rng.uniform(-2.0f, 2.0f);
+      const nn::Tensor walk = m.forward(batch, /*training=*/false);
+      const nn::Tensor lg = cnn->logits(batch);
+      ASSERT_EQ(lg.numel(), walk.numel());
+      EXPECT_EQ(std::memcmp(lg.raw(), walk.raw(),
+                            walk.numel() * sizeof(float)),
+                0)
+          << "threads=" << threads << " rows=" << rows;
+      EXPECT_EQ(plan->predict(batch), m.predict(batch))
+          << "threads=" << threads << " rows=" << rows;
+    }
+  }
+}
+
 TEST(CompiledPlan, PredictionsMatchLayerWalkOnOddWidths) {
   nn::Model m = odd_mlp();
-  auto plan = serve::CompiledMlp::compile(m);
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->input_features(), 7);
-  EXPECT_EQ(plan->num_classes(), 5);
-  Rng rng(0x7e57);
-  nn::Tensor batch({129, 7});  // odd row count too
-  for (std::size_t i = 0; i < batch.numel(); ++i) batch[i] = rng.normal();
-  EXPECT_EQ(plan->predict(batch), m.predict(batch));
+  m.set_inference_only(true);
+  expect_plan_matches_walk(m, 0x7e57);
 }
 
 TEST(CompiledPlan, KpmDnnMatchesLayerWalkAtServingBatchSizes) {
   nn::Model m = kpm_model();
-  auto plan = serve::CompiledMlp::compile(m);
-  ASSERT_TRUE(plan.has_value());
-  Rng rng(0x5eed);
-  for (const int rows : {1, 3, 32}) {
-    nn::Tensor batch({rows, 4});
-    for (std::size_t i = 0; i < batch.numel(); ++i)
-      batch[i] = rng.uniform(-2.0f, 2.0f);
-    EXPECT_EQ(plan->predict(batch), m.predict(batch)) << "rows=" << rows;
-  }
+  m.set_inference_only(true);
+  expect_plan_matches_walk(m, 0x5eed);
+}
+
+TEST(CompiledPlan, UnlockedMlpIsRefusedAsNotInferenceMode) {
+  nn::Model m = odd_mlp();
+  ASSERT_FALSE(m.inference_only());
+  serve::CompileFailure why;
+  EXPECT_EQ(serve::compile_plan(m, &why), nullptr);
+  EXPECT_EQ(why.code, serve::CompileError::kNotInferenceMode)
+      << serve::compile_error_name(why.code);
 }
 
 TEST(CompiledPlan, RefusesNonMlpModelsSoTheEngineFallsBackToTheLayerWalk) {
-  nn::Model m = bn_dropout_model();
-  EXPECT_FALSE(serve::CompiledMlp::compile(m).has_value());
+  // A residual block is outside the compiler's supported set.
+  auto s = std::make_unique<nn::Sequential>();
+  s->emplace<nn::Dense>(4, 8);
+  s->emplace<nn::ReLU>();
+  s->emplace<nn::Residual>(std::make_unique<nn::Dense>(8, 8));
+  s->emplace<nn::Dense>(8, 3);
+  nn::Model m("ResidualNet", std::move(s), {4}, 3);
+  Rng rng(5);
+  m.init(rng);
+  nn::Model locked = m.clone();
+  locked.set_inference_only(true);
+  serve::CompileFailure why;
+  EXPECT_EQ(serve::compile_plan(locked, &why), nullptr);
+  EXPECT_EQ(why.code, serve::CompileError::kUnsupportedLayer)
+      << serve::compile_error_name(why.code) << " — " << why.detail;
 
   // The engine must still serve such a model, byte-identical to its own
-  // unbatched reference path, through the generic layer walk.
-  ServeConfig cfg;
-  cfg.batch_max = 8;
-  ServeEngine eng(m.clone(), cfg);
+  // unbatched reference path, through the generic layer walk — on one
+  // replica and on a sharded pool.
+  ThreadGuard guard;
+  util::set_num_threads(4);
   const std::vector<nn::Tensor> inputs = kpm_inputs(24, 0x5117);
-  std::vector<int> reference;
-  reference.reserve(inputs.size());
-  for (const nn::Tensor& in : inputs) reference.push_back(eng.predict_sync(in));
-  const std::vector<ServeResult> served = run_workload(eng, inputs);
-  ASSERT_EQ(served.size(), reference.size());
-  for (std::size_t i = 0; i < served.size(); ++i)
-    EXPECT_EQ(served[i].prediction, reference[i]) << "request " << i;
+  for (const int replicas : {1, 4}) {
+    ServeConfig cfg;
+    cfg.batch_max = 8;
+    cfg.replicas = replicas;
+    ServeEngine eng(m.clone(), cfg);
+    std::vector<int> reference;
+    reference.reserve(inputs.size());
+    for (const nn::Tensor& in : inputs)
+      reference.push_back(eng.predict_sync(in));
+    const std::vector<ServeResult> served = run_workload(eng, inputs);
+    ASSERT_EQ(served.size(), reference.size());
+    for (std::size_t i = 0; i < served.size(); ++i) {
+      EXPECT_EQ(served[i].status, ServeStatus::kOk) << "request " << i;
+      EXPECT_EQ(served[i].prediction, reference[i])
+          << "replicas=" << replicas << " request " << i;
+    }
+  }
 }
 
 TEST(ServeEngine, CompletionsMustNotReenterTheEngine) {
