@@ -1,5 +1,6 @@
 #include "apps/ic_xapp.hpp"
 
+#include <charconv>
 #include <utility>
 
 #include "ran/datasets.hpp"
@@ -22,6 +23,29 @@ void IcXApp::set_serve_engine(serve::ServeEngine* engine) {
   serve_ = engine;
 }
 
+IcXApp::Node& IcXApp::node_for(std::string_view node_id,
+                               oran::NearRtRic& ric) {
+  auto it = nodes_.find(node_id);
+  if (it == nodes_.end())
+    it = nodes_.emplace(std::string(node_id), Node{}).first;
+  Node& node = it->second;
+  if (node.ric != &ric) {
+    const std::string ns = kind_ == oran::IndicationKind::kSpectrogram
+                               ? oran::kNsSpectrogram
+                               : oran::kNsKpm;
+    oran::Sdl& sdl = ric.sdl();
+    node.ric = &ric;
+    node.id = it->first;
+    node.flow_key = ns + "/" + node.id + "/current";
+    node.telemetry = sdl.resolve(app_id(), ns, node.id + "/current");
+    node.decision = sdl.resolve(app_id(), oran::kNsDecisions, "ic/" + node.id);
+    node.alert =
+        sdl.resolve(app_id(), oran::kNsDefenseAlerts, app_id() + "/" + node.id);
+    node.flow_engine = nullptr;
+  }
+  return node;
+}
+
 void IcXApp::enable_release_channel(oran::NearRtRic& ric) {
   OREV_CHECK(serve_ != nullptr,
              "enable_release_channel needs an attached serve engine");
@@ -33,32 +57,36 @@ void IcXApp::enable_release_channel(oran::NearRtRic& ric) {
                                   const serve::ReviewOutcome& o) {
     ++serve_released_;
     released_ctr.inc();
-    // The flow key is "<ns>/<node>/current" (see classify_and_control);
-    // recover the node so the corrected decision reaches the right cell.
-    std::string node;
+    // The flow key is "<ns>/<node>/current" (see Node::flow_key); recover
+    // the node so the corrected decision reaches the right cell.
+    std::string_view node_id;
     const std::size_t last = o.flow_key.rfind('/');
     if (last != std::string::npos && last > 0) {
       const std::size_t prev = o.flow_key.rfind('/', last - 1);
       if (prev != std::string::npos)
-        node = o.flow_key.substr(prev + 1, last - prev - 1);
+        node_id = std::string_view(o.flow_key).substr(prev + 1,
+                                                      last - prev - 1);
     }
+    Node& node = node_for(node_id, *ric_ptr);
     // Correcting attestation: supersedes the quarantine alert for this
     // request, naming the review evidence (epoch asymmetry included).
-    ric_ptr->sdl().write_text(
-        app_id(), oran::kNsDefenseAlerts, app_id() + "/" + node,
-        "released key=" + o.flow_key + " request=" +
-            std::to_string(o.request_id) + " epoch=" +
-            std::to_string(o.model_epoch) + " score=" +
-            std::to_string(o.review_score));
-    if (node.empty() || o.corrected_pred < 0) return;
+    text_.assign("released key=");
+    text_.append(o.flow_key);
+    text_.append(" request=");
+    text_.append(std::to_string(o.request_id));
+    text_.append(" epoch=");
+    text_.append(std::to_string(o.model_epoch));
+    text_.append(" score=");
+    text_.append(std::to_string(o.review_score));
+    ric_ptr->sdl().write_text(node.alert, text_);
+    if (node_id.empty() || o.corrected_pred < 0) return;
     // Replay through the normal decision path: the prediction publishes
     // and the control issues exactly as an unflagged completion would.
-    finish_classification(o.corrected_pred, node, *ric_ptr);
+    finish_classification(o.corrected_pred, node);
   });
 }
 
-void IcXApp::finish_classification(int pred, const std::string& ran_node_id,
-                                   oran::NearRtRic& ric,
+void IcXApp::finish_classification(int pred, Node& node,
                                    obs::TraceContext ctx) {
   ++predictions_;
   last_prediction_ = pred;
@@ -66,8 +94,10 @@ void IcXApp::finish_classification(int pred, const std::string& ran_node_id,
 
   // Publish the prediction (legitimately observable by other apps with
   // read access to the decisions namespace — the cloning side channel).
-  ric.sdl().write_text(app_id(), oran::kNsDecisions, "ic/" + ran_node_id,
-                       std::to_string(pred));
+  char buf[16];
+  const char* end = std::to_chars(buf, buf + sizeof buf, pred).ptr;
+  node.ric->sdl().write_text(
+      node.decision, std::string_view(buf, static_cast<std::size_t>(end - buf)));
 
   oran::E2Control control;
   if (pred == ran::kLabelInterference) {
@@ -76,82 +106,83 @@ void IcXApp::finish_classification(int pred, const std::string& ran_node_id,
     control.action = oran::ControlAction::kSetFixedMcs;
     control.fixed_mcs_index = fixed_mcs_index_;
   }
-  ric.send_control(app_id(), control);
+  node.ric->send_control(app_id(), control);
   // Tail of the request chain: the control decision, parented under the
   // serve completion (served path) or the classify span (sync path).
   obs::causal_child(ctx, "e2.control", obs::lanes::kControl, ctx.ts_us);
 }
 
-void IcXApp::issue_failsafe(const std::string& ran_node_id,
-                            oran::NearRtRic& ric, obs::TraceContext ctx) {
-  ric.sdl().write_text(app_id(), oran::kNsDecisions, "ic/" + ran_node_id,
-                       "failsafe");
+void IcXApp::issue_failsafe(Node& node, obs::TraceContext ctx) {
+  node.ric->sdl().write_text(node.decision, "failsafe");
   oran::E2Control control;
   control.action = oran::ControlAction::kSetAdaptiveMcs;
-  ric.send_control(app_id(), control);
+  node.ric->send_control(app_id(), control);
   obs::causal_child(ctx, "e2.failsafe", obs::lanes::kControl, ctx.ts_us);
 }
 
-void IcXApp::classify_and_control(nn::Tensor input,
-                                  const std::string& ran_node_id,
-                                  oran::NearRtRic& ric, obs::TraceContext ctx,
-                                  const std::string& telemetry_ns,
-                                  const std::string& telemetry_key,
-                                  std::uint64_t version) {
-  if (serve_ == nullptr) {
-    finish_classification(model_.predict_one(input), ran_node_id, ric, ctx);
-    return;
-  }
-  // Serving path: the input moves into the request (no copy) and the
-  // decision publishes on completion — typically when a later indication
-  // fills the micro-batch or expires its window. The RIC outlives the
-  // engine's pump cycle, so capturing it by pointer is safe. The causal
-  // context rides the request; the completion's own span comes back in
-  // r.trace, so the control issued below parents under the completion.
+void IcXApp::on_served(const serve::ServeResult& r, Node& node) {
   static obs::Counter& shed_ctr = obs::counter(
       "apps.ic.serve_shed",
       "IC xApp classifications shed by the serving engine");
   static obs::Counter& quarantine_ctr = obs::counter(
       "apps.ic.serve_quarantined",
       "IC xApp classifications quarantined by the defense plane");
-  oran::NearRtRic* ric_ptr = &ric;
+  if (r.status == serve::ServeStatus::kQuarantined) {
+    // The defense plane withheld the prediction. Publish an alert naming
+    // the suspect telemetry entry and the SDL identity that last wrote it
+    // (behavioural-attestation evidence; the write is RBAC-gated like any
+    // other), then degrade exactly as a shed.
+    ++serve_quarantined_;
+    quarantine_ctr.inc();
+    oran::Sdl& sdl = node.ric->sdl();
+    if (!sdl.last_writer(node.telemetry, writer_)) writer_.assign("<unknown>");
+    text_.assign("quarantined key=");
+    text_.append(node.flow_key);
+    text_.append(" writer=");
+    text_.append(writer_);
+    sdl.write_text(node.alert, text_);
+    issue_failsafe(node, r.trace);
+    return;
+  }
+  if (r.prediction < 0) {
+    // Shed without a prediction: steer to the fail-safe adaptive MCS
+    // rather than leaving the node on a stale configuration.
+    ++serve_shed_;
+    shed_ctr.inc();
+    issue_failsafe(node, r.trace);
+    return;
+  }
+  finish_classification(r.prediction, node, r.trace);
+}
+
+void IcXApp::classify_and_control(const nn::Tensor& input, Node& node,
+                                  obs::TraceContext ctx,
+                                  std::uint64_t version) {
+  if (serve_ == nullptr) {
+    finish_classification(model_.predict_one(input), node, ctx);
+    return;
+  }
+  // Serving path: the input is copied into a recycled request slot and
+  // the decision publishes on completion — typically when a later
+  // indication fills the micro-batch or expires its window. The node
+  // context (RIC included) outlives the engine's pump cycle, so the
+  // completion captures just it and the app. The causal context rides
+  // the request; the completion's own span comes back in r.trace, so the
+  // control issued there parents under the completion.
+  //
   // Flow tag: the telemetry entry this input was read from, at the SDL
   // version of that read — the defense plane's norm screen compares the
   // input against the flow's last-known-good indication and applies the
   // same staleness bound the degraded-read path uses.
-  serve::FlowTag flow{telemetry_ns + "/" + telemetry_key, version};
-  serve_->submit(
-      std::move(input), std::move(flow), ctx,
-      [this, ran_node_id, ric_ptr, telemetry_ns,
-       telemetry_key](const serve::ServeResult& r) {
-        if (r.status == serve::ServeStatus::kQuarantined) {
-          // The defense plane withheld the prediction. Publish an alert
-          // naming the suspect telemetry entry and the SDL identity that
-          // last wrote it (behavioural-attestation evidence; the write is
-          // RBAC-gated like any other), then degrade exactly as a shed.
-          ++serve_quarantined_;
-          quarantine_ctr.inc();
-          const std::string writer =
-              ric_ptr->sdl()
-                  .last_writer(telemetry_ns, telemetry_key)
-                  .value_or("<unknown>");
-          ric_ptr->sdl().write_text(
-              app_id(), oran::kNsDefenseAlerts, app_id() + "/" + ran_node_id,
-              "quarantined key=" + telemetry_ns + "/" + telemetry_key +
-                  " writer=" + writer);
-          issue_failsafe(ran_node_id, *ric_ptr, r.trace);
-          return;
-        }
-        if (r.prediction < 0) {
-          // Shed without a prediction: steer to the fail-safe adaptive
-          // MCS rather than leaving the node on a stale configuration.
-          ++serve_shed_;
-          shed_ctr.inc();
-          issue_failsafe(ran_node_id, *ric_ptr, r.trace);
-          return;
-        }
-        finish_classification(r.prediction, ran_node_id, *ric_ptr, r.trace);
-      });
+  if (node.flow_engine != serve_) {
+    node.flow = serve_->flow_id(node.flow_key);
+    node.flow_engine = serve_;
+  }
+  Node* n = &node;
+  serve_->submit_row(input, node.flow, version, ctx,
+                     [this, n](const serve::ServeResult& r) {
+                       on_served(r, *n);
+                     });
 }
 
 void IcXApp::on_indication(const oran::E2Indication& ind,
@@ -166,28 +197,20 @@ void IcXApp::on_indication(const oran::E2Indication& ind,
       "IC xApp fail-safe adaptive-MCS controls (no usable telemetry)");
   if (ind.kind != kind_) return;
 
-  const char* ns = kind_ == oran::IndicationKind::kSpectrogram
-                       ? oran::kNsSpectrogram
-                       : oran::kNsKpm;
-  const std::string key = ind.ran_node_id + "/current";
+  Node& node = node_for(ind.ran_node_id, ric);
 
   // One app-lane span per handled indication; everything this handler
   // does (serve admission, control, fail-safe) parents under it.
   const obs::TraceContext app_ctx = obs::causal_child(
       ind.trace, "ic.classify", obs::lanes::kApp, ind.trace.ts_us);
 
-  nn::Tensor input;
-  const oran::SdlStatus st = ric.read_telemetry(app_id(), ns, key, input);
+  const oran::SdlStatus st = ric.read_telemetry(node.telemetry, row_);
   if (st == oran::SdlStatus::kOk) {
     consecutive_failures_ = 0;
-    last_good_ = input;
+    last_good_ = row_;
     have_last_good_ = true;
-    last_good_version_ = ric.sdl().version(ns, key).value_or(0);
-    // The cache above is the only copy on this path: the freshly read
-    // tensor itself moves through classify_and_control into the serve
-    // request (or is read in place by the synchronous path).
-    classify_and_control(std::move(input), ind.ran_node_id, ric, app_ctx, ns,
-                         key, last_good_version_);
+    last_good_version_ = ric.sdl().version(node.telemetry).value_or(0);
+    classify_and_control(row_, node, app_ctx, last_good_version_);
     return;
   }
 
@@ -204,19 +227,17 @@ void IcXApp::on_indication(const oran::E2Indication& ind,
   ++consecutive_failures_;
   std::uint64_t staleness = consecutive_failures_;
   if (have_last_good_) {
-    if (const auto v = ric.sdl().version(ns, key)) {
+    if (const auto v = ric.sdl().version(node.telemetry)) {
       staleness = *v >= last_good_version_ ? *v - last_good_version_
                                            : consecutive_failures_;
     }
     if (staleness <= degraded_.max_stale) {
       ++fallbacks_;
       fallback_ctr.inc();
-      // The cached tensor must survive for later fallbacks, so this
-      // (cold, failure-only) path pays one copy. The flow version is the
-      // cached read's version — the defense plane sees the same staleness
-      // the degraded-read bound was computed from.
-      classify_and_control(nn::Tensor(last_good_), ind.ran_node_id, ric,
-                           app_ctx, ns, key, last_good_version_);
+      // The flow version is the cached read's version — the defense
+      // plane sees the same staleness the degraded-read bound was
+      // computed from.
+      classify_and_control(last_good_, node, app_ctx, last_good_version_);
       return;
     }
   }
@@ -225,7 +246,7 @@ void IcXApp::on_indication(const oran::E2Indication& ind,
   // configuration that stays safe if interference is actually present.
   ++failsafes_;
   failsafe_ctr.inc();
-  issue_failsafe(ind.ran_node_id, ric, app_ctx);
+  issue_failsafe(node, app_ctx);
 }
 
 }  // namespace orev::apps

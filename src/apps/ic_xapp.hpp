@@ -28,14 +28,28 @@
 // classifies that instead. Beyond the staleness bound it takes the
 // fail-safe action: adaptive MCS, the conservative link configuration that
 // is safe under interference, rather than steering blind.
+//
+// Steady state (DESIGN.md §16): everything keyed by the RAN node — the
+// telemetry, decision and alert SDL handles, the flow key and the serve
+// engine's flow id — is resolved on the node's first indication and kept
+// in a per-node context. Telemetry is read into one pooled row tensor
+// that submit_row() copies into a recycled queue slot, the completion
+// captures only the app and its node context (so std::function keeps it
+// inline), and alert/decision text is composed in reused scratch: a
+// served indication allocates nothing.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "nn/model.hpp"
 #include "oran/near_rt_ric.hpp"
 #include "serve/engine.hpp"
+#include "util/string_hash.hpp"
 
 namespace orev::apps {
 
@@ -97,22 +111,41 @@ class IcXApp : public oran::XApp {
   std::uint64_t serve_released() const { return serve_released_; }
 
  private:
-  /// Takes the input by value: the synchronous path reads it in place and
-  /// the serving path moves it into the request — no per-request copy on
-  /// the indication hot path either way. `ctx` is the causal context the
+  /// Everything keyed by one RAN node, resolved on its first indication
+  /// against the dispatching RIC (and again if another RIC dispatches).
+  struct Node {
+    oran::NearRtRic* ric = nullptr;
+    std::string id;
+    /// "<ns>/<node>/current": the defense plane's flow key.
+    std::string flow_key;
+    oran::SdlHandle telemetry;  // <ns>, "<node>/current"
+    oran::SdlHandle decision;   // decisions, "ic/<node>"
+    oran::SdlHandle alert;      // defense-alerts, "<app>/<node>"
+    /// The serve engine's flow id for flow_key, valid for flow_engine.
+    const serve::ServeEngine* flow_engine = nullptr;
+    std::uint32_t flow = 0;
+  };
+  Node& node_for(std::string_view node_id, oran::NearRtRic& ric);
+
+  /// The synchronous path reads `input` in place; the serving path copies
+  /// it into a recycled request slot. `ctx` is the causal context the
   /// downstream spans (serve admission, the control message) parent
-  /// under; invalid when tracing is off. `telemetry_key` / `version` tag
-  /// the serve request's flow for the defense plane's norm screen.
-  void classify_and_control(nn::Tensor input, const std::string& ran_node_id,
-                            oran::NearRtRic& ric, obs::TraceContext ctx,
-                            const std::string& telemetry_ns,
-                            const std::string& telemetry_key,
-                            std::uint64_t version);
-  void finish_classification(int pred, const std::string& ran_node_id,
-                             oran::NearRtRic& ric,
+  /// under; invalid when tracing is off. `version` tags the serve
+  /// request's flow for the defense plane's norm screen.
+  void classify_and_control(const nn::Tensor& input, Node& node,
+                            obs::TraceContext ctx, std::uint64_t version);
+  /// Completion of a served classification.
+  void on_served(const serve::ServeResult& r, Node& node);
+  void finish_classification(int pred, Node& node,
                              obs::TraceContext ctx = {});
-  void issue_failsafe(const std::string& ran_node_id, oran::NearRtRic& ric,
-                      obs::TraceContext ctx = {});
+  void issue_failsafe(Node& node, obs::TraceContext ctx = {});
+
+  std::unordered_map<std::string, Node, util::StringHash, std::equal_to<>>
+      nodes_;
+  /// Pooled telemetry row and text scratch (decision values, alerts).
+  nn::Tensor row_;
+  std::string text_;
+  std::string writer_;
 
   nn::Model model_;
   oran::IndicationKind kind_;

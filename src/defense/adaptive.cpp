@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/check.hpp"
+
 namespace orev::defense {
 
 namespace {
@@ -28,18 +30,27 @@ void AdaptiveThresholds::observe_accepted(const std::string& flow_key,
                                           double dist_score, double step_score,
                                           double ens_score) {
   if (!cfg_.enable) return;
+  observe_accepted(flow_id(flow_key), dist_score, step_score, ens_score);
+}
+
+void AdaptiveThresholds::observe_accepted(std::uint32_t flow,
+                                          double dist_score, double step_score,
+                                          double ens_score) {
+  if (!cfg_.enable) return;
   dist_.sketch.observe(dist_score);
   step_.sketch.observe(step_score);
   ens_.sketch.observe(ens_score);
-  auto it = flows_.find(flow_key);
-  if (it == flows_.end()) {
-    Track t;
+  OREV_CHECK(flow < index_.size(), "adaptive flow id was never issued");
+  if (flow >= flows_.size()) flows_.resize(index_.size());
+  Track& t = flows_[flow];
+  if (!t.live) {
     t.base = step_.base;
     t.value = step_.value;
     t.sketch = make_sketch(cfg_);
-    it = flows_.emplace(flow_key, std::move(t)).first;
+    t.live = true;
+    ++live_;
   }
-  it->second.sketch.observe(step_score);
+  t.sketch.observe(step_score);
 }
 
 void AdaptiveThresholds::on_row() {
@@ -50,15 +61,22 @@ void AdaptiveThresholds::on_row() {
   moved |= adapt(dist_);
   moved |= adapt(step_);
   moved |= adapt(ens_);
-  for (auto& [key, track] : flows_) moved |= adapt(track);
+  // Tracks adapt independently, so id order gives the key-order result.
+  for (Track& track : flows_)
+    if (track.live) moved |= adapt(track);
   if (moved) ++updates_;
 }
 
 double AdaptiveThresholds::step_threshold(const std::string& flow_key) const {
   if (!cfg_.enable) return step_.value;
-  auto it = flows_.find(flow_key);
-  if (it != flows_.end() && it->second.sketch.count() >= cfg_.warmup)
-    return it->second.value;
+  return step_threshold(index_.find(flow_key));
+}
+
+double AdaptiveThresholds::step_threshold(std::uint32_t flow) const {
+  if (!cfg_.enable) return step_.value;
+  if (flow < flows_.size() && flows_[flow].live &&
+      flows_[flow].sketch.count() >= cfg_.warmup)
+    return flows_[flow].value;
   return step_.value;
 }
 
@@ -122,10 +140,11 @@ void AdaptiveThresholds::save(persist::ByteWriter& w) const {
   dist_.save(w);
   step_.save(w);
   ens_.save(w);
-  w.u64(flows_.size());
-  for (const auto& [key, track] : flows_) {
-    w.str(key);
-    track.save(w);
+  w.u64(live_);
+  for (const std::uint32_t flow : index_.sorted()) {
+    if (flow >= flows_.size() || !flows_[flow].live) continue;
+    w.str(index_.key(flow));
+    flows_[flow].save(w);
   }
 }
 
@@ -149,12 +168,19 @@ bool AdaptiveThresholds::load(persist::ByteReader& r) {
   // Each flow entry is at least a 4-byte key length + two f64 + sketch
   // header; reject counts the payload cannot hold.
   if (nflows > r.remaining() / 20) return false;
-  std::map<std::string, Track> flows;
+  FlowIndex index;
+  std::vector<Track> flows;
+  std::size_t live = 0;
   for (std::uint64_t i = 0; i < nflows; ++i) {
     std::string key;
     Track t;
     if (!r.str(key) || !t.load(r)) return false;
-    flows.emplace(std::move(key), std::move(t));
+    // A repeated key keeps its first record (map emplace semantics).
+    const std::uint32_t flow = index.intern(key);
+    if (flow < flows.size()) continue;
+    t.live = true;
+    flows.push_back(std::move(t));
+    ++live;
   }
   cfg_ = cfg;
   rows_ = rows;
@@ -164,7 +190,9 @@ bool AdaptiveThresholds::load(persist::ByteReader& r) {
   dist_ = std::move(dist);
   step_ = std::move(step);
   ens_ = std::move(ens);
+  index_ = std::move(index);
   flows_ = std::move(flows);
+  live_ = live;
   return true;
 }
 

@@ -34,9 +34,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "defense/flow_index.hpp"
 #include "util/obs/sketch.hpp"
 #include "util/persist/bytes.hpp"
 
@@ -81,6 +83,13 @@ class AdaptiveThresholds {
   /// rows must never reach this — that is the anti-walking contract.
   void observe_accepted(const std::string& flow_key, double dist_score,
                         double step_score, double ens_score);
+  /// The same for a flow id from flow_id().
+  void observe_accepted(std::uint32_t flow, double dist_score,
+                        double step_score, double ens_score);
+
+  /// Dense id of a flow key (interned on first sight; no track is created
+  /// until the flow's first accepted row).
+  std::uint32_t flow_id(std::string_view key) { return index_.intern(key); }
 
   /// Row heartbeat (every screened row, accepted or not): recomputes the
   /// thresholds every `update_every` rows. Driving thread, row order.
@@ -91,6 +100,7 @@ class AdaptiveThresholds {
   /// Per-flow step threshold; flows without enough local history use the
   /// global step estimate.
   double step_threshold(const std::string& flow_key) const;
+  double step_threshold(std::uint32_t flow) const;
 
   /// Threshold recomputation passes that moved at least one value.
   std::uint64_t updates() const { return updates_; }
@@ -98,7 +108,9 @@ class AdaptiveThresholds {
   std::uint64_t held_by_hysteresis() const { return held_; }
   /// Candidate values clipped by the floor/ceiling envelope.
   std::uint64_t clamped() const { return clamped_; }
-  std::size_t flow_count() const { return flows_.size(); }
+  std::size_t flow_count() const { return live_; }
+  /// Accepted rows observed so far (what the global sketches hold).
+  std::uint64_t accepted() const { return dist_.sketch.count(); }
 
   void save(persist::ByteWriter& w) const;
   bool load(persist::ByteReader& r);
@@ -117,6 +129,9 @@ class AdaptiveThresholds {
     /// tracks start at kNoTarget, so checkpoints stay byte-identical.
     double target = 0.0;
     std::uint64_t target_count = kNoTarget;
+    /// Per-flow slots exist for every interned id; only flows that have
+    /// accepted a row hold a live track (and are saved).
+    bool live = false;
 
     void save(persist::ByteWriter& w) const;
     bool load(persist::ByteReader& r);
@@ -130,8 +145,9 @@ class AdaptiveThresholds {
   Track dist_;
   Track step_;  // global fallback for flows with thin local history
   Track ens_;
-  // std::map: deterministic iteration order for save().
-  std::map<std::string, Track> flows_;
+  FlowIndex index_;
+  std::vector<Track> flows_;  // by flow id
+  std::size_t live_ = 0;
   std::uint64_t rows_ = 0;
   std::uint64_t updates_ = 0;
   std::uint64_t held_ = 0;

@@ -115,9 +115,10 @@ bool NormScreen::step_norms(const Lkg& lkg, std::uint64_t version,
 void NormScreen::calibrate(const std::string& key, std::uint64_t version,
                            const float* row, std::size_t n) {
   OREV_CHECK(!key.empty(), "norm screen flows need a non-empty key");
-  const auto it = lkg_.find(key);
+  const std::uint32_t flow = flow_id(key);
+  const Lkg* lkg = lkg_of(flow);
   StepNorms s;
-  if (it != lkg_.end() && step_norms(it->second, version, row, n, s)) {
+  if (lkg != nullptr && step_norms(*lkg, version, row, n, s)) {
     ++steps_;
     const double dl2 = s.l2 - l2_mean_;
     l2_mean_ += dl2 / static_cast<double>(steps_);
@@ -126,26 +127,25 @@ void NormScreen::calibrate(const std::string& key, std::uint64_t version,
     linf_mean_ += dli / static_cast<double>(steps_);
     linf_m2_ += dli * (s.linf - linf_mean_);
   }
-  accept(key, version, row, n);
+  accept(flow, version, row, n);
 }
 
-bool NormScreen::has_reference(const std::string& key, std::uint64_t version,
+bool NormScreen::has_reference(std::uint32_t flow, std::uint64_t version,
                                std::size_t n) const {
-  const auto it = lkg_.find(key);
-  if (it == lkg_.end()) return false;
-  const Lkg& lkg = it->second;
-  if (lkg.row.size() != n || n == 0) return false;
-  if (version < lkg.version) return false;  // out-of-order submit
-  return cfg_.stale_decay || version - lkg.version <= cfg_.max_stale;
+  const Lkg* lkg = lkg_of(flow);
+  if (lkg == nullptr) return false;
+  if (lkg->row.size() != n || n == 0) return false;
+  if (version < lkg->version) return false;  // out-of-order submit
+  return cfg_.stale_decay || version - lkg->version <= cfg_.max_stale;
 }
 
-double NormScreen::score(const std::string& key, std::uint64_t version,
+double NormScreen::score(std::uint32_t flow, std::uint64_t version,
                          const float* row, std::size_t n) const {
-  if (!ready() || key.empty()) return 0.0;
-  const auto it = lkg_.find(key);
-  if (it == lkg_.end()) return 0.0;
+  if (!ready()) return 0.0;
+  const Lkg* lkg = lkg_of(flow);
+  if (lkg == nullptr) return 0.0;
   StepNorms s;
-  if (!step_norms(it->second, version, row, n, s)) return 0.0;
+  if (!step_norms(*lkg, version, row, n, s)) return 0.0;
   const double z_l2 =
       (s.l2 - l2_mean_) / std::sqrt(welford_var(l2_m2_, steps_));
   const double z_linf =
@@ -156,22 +156,60 @@ double NormScreen::score(const std::string& key, std::uint64_t version,
   return std::max(0.0, std::max(z_l2, z_linf)) * s.discount;
 }
 
-double NormScreen::review_score(const std::string& key, const float* row,
+double NormScreen::review_score(std::uint32_t flow, const float* row,
                                 std::size_t n) const {
-  if (!ready() || key.empty()) return 0.0;
-  const auto it = lkg_.find(key);
-  if (it == lkg_.end()) return 0.0;
+  const Lkg* lkg = lkg_of(flow);
+  if (!ready() || lkg == nullptr) return 0.0;
   // Score at the LKG's own version: the version/staleness guards exist
   // for in-order stream events, not for a retrospective distance query.
-  return score(key, it->second.version, row, n);
+  return score(flow, lkg->version, row, n);
+}
+
+void NormScreen::accept(std::uint32_t flow, std::uint64_t version,
+                        const float* row, std::size_t n) {
+  if (n == 0) return;
+  OREV_CHECK(flow < index_.size(), "norm screen flow id was never issued");
+  if (flow >= lkg_.size()) lkg_.resize(index_.size());
+  Lkg& lkg = lkg_[flow];
+  if (!lkg.present) {
+    lkg.present = true;
+    ++present_;
+  }
+  lkg.version = version;
+  lkg.row.assign(row, row + n);
+}
+
+// String-keyed calls: the empty key and unseen keys have no state.
+
+bool NormScreen::has_reference(const std::string& key, std::uint64_t version,
+                               std::size_t n) const {
+  const std::uint32_t flow = index_.find(key);
+  return flow != FlowIndex::kNone && has_reference(flow, version, n);
+}
+
+double NormScreen::score(const std::string& key, std::uint64_t version,
+                         const float* row, std::size_t n) const {
+  const std::uint32_t flow = index_.find(key);
+  return flow == FlowIndex::kNone ? 0.0 : score(flow, version, row, n);
+}
+
+double NormScreen::review_score(const std::string& key, const float* row,
+                                std::size_t n) const {
+  const std::uint32_t flow = index_.find(key);
+  return flow == FlowIndex::kNone ? 0.0 : review_score(flow, row, n);
 }
 
 void NormScreen::accept(const std::string& key, std::uint64_t version,
                         const float* row, std::size_t n) {
   if (key.empty() || n == 0) return;
-  Lkg& lkg = lkg_[key];
-  lkg.version = version;
-  lkg.row.assign(row, row + n);
+  accept(flow_id(key), version, row, n);
+}
+
+void NormScreen::reset_flow(const std::string& key) {
+  const std::uint32_t flow = index_.find(key);
+  if (flow == FlowIndex::kNone || lkg_of(flow) == nullptr) return;
+  lkg_[flow] = Lkg{};
+  --present_;
 }
 
 void NormScreen::save(persist::ByteWriter& w) const {
@@ -182,12 +220,14 @@ void NormScreen::save(persist::ByteWriter& w) const {
   w.f64(l2_m2_);
   w.f64(linf_mean_);
   w.f64(linf_m2_);
-  w.u64(lkg_.size());
-  for (const auto& [key, lkg] : lkg_) {
-    w.str(key);
-    w.u64(lkg.version);
-    w.u64(lkg.row.size());
-    w.f32s(lkg.row);
+  w.u64(present_);
+  for (const std::uint32_t flow : index_.sorted()) {
+    const Lkg* lkg = lkg_of(flow);
+    if (lkg == nullptr) continue;
+    w.str(index_.key(flow));
+    w.u64(lkg->version);
+    w.u64(lkg->row.size());
+    w.f32s(lkg->row);
   }
 }
 
@@ -201,24 +241,27 @@ bool NormScreen::load(persist::ByteReader& r) {
       !r.f64(linf_m2) || !r.u64(flows))
     return false;
   cfg.stale_decay = decay != 0;
-  std::map<std::string, Lkg> lkg;
+  NormScreen loaded(cfg);
   for (std::uint64_t i = 0; i < flows; ++i) {
     std::string key;
-    Lkg entry;
-    std::uint64_t len = 0;
-    if (!r.str(key) || !r.u64(entry.version) || !r.u64(len)) return false;
+    std::uint64_t version = 0, len = 0;
+    if (!r.str(key) || !r.u64(version) || !r.u64(len)) return false;
     if (len > r.remaining() / sizeof(float)) return false;
-    entry.row.resize(static_cast<std::size_t>(len));
-    if (!r.f32s(entry.row)) return false;
-    lkg.emplace(std::move(key), std::move(entry));
+    std::vector<float> row(static_cast<std::size_t>(len));
+    if (!r.f32s(row)) return false;
+    // A repeated key keeps its first record (map emplace semantics).
+    const std::uint32_t flow = loaded.flow_id(key);
+    if (loaded.lkg_of(flow) != nullptr) continue;
+    if (flow >= loaded.lkg_.size()) loaded.lkg_.resize(loaded.index_.size());
+    loaded.lkg_[flow] = Lkg{true, version, std::move(row)};
+    ++loaded.present_;
   }
-  cfg_ = cfg;
-  steps_ = steps;
-  l2_mean_ = l2_mean;
-  l2_m2_ = l2_m2;
-  linf_mean_ = linf_mean;
-  linf_m2_ = linf_m2;
-  lkg_ = std::move(lkg);
+  loaded.steps_ = steps;
+  loaded.l2_mean_ = l2_mean;
+  loaded.l2_m2_ = l2_m2;
+  loaded.linf_mean_ = linf_mean;
+  loaded.linf_m2_ = linf_m2;
+  *this = std::move(loaded);
   return true;
 }
 

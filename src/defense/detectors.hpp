@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "defense/flow_index.hpp"
 #include "nn/model.hpp"
 #include "nn/tensor.hpp"
 #include "nn/trainer.hpp"
@@ -139,20 +140,37 @@ class NormScreen {
                      std::size_t n) const;
 
   /// Drop a flow's LKG (e.g. after its source recovered from a fault).
-  void reset_flow(const std::string& key) { lkg_.erase(key); }
+  void reset_flow(const std::string& key);
+
+  // Flow-id twins of the calls above: `flow_id` interns a non-empty key
+  // once, and the id then indexes the flow's state directly.
+  std::uint32_t flow_id(std::string_view key) { return index_.intern(key); }
+  double score(std::uint32_t flow, std::uint64_t version, const float* row,
+               std::size_t n) const;
+  double review_score(std::uint32_t flow, const float* row,
+                      std::size_t n) const;
+  void accept(std::uint32_t flow, std::uint64_t version, const float* row,
+              std::size_t n);
+  bool has_reference(std::uint32_t flow, std::uint64_t version,
+                     std::size_t n) const;
 
   std::uint64_t calibration_steps() const { return steps_; }
   bool ready() const { return steps_ >= 2; }
-  std::size_t flows() const { return lkg_.size(); }
+  std::size_t flows() const { return present_; }
 
   void save(persist::ByteWriter& w) const;
   bool load(persist::ByteReader& r);
 
  private:
   struct Lkg {
+    bool present = false;
     std::uint64_t version = 0;
     std::vector<float> row;
   };
+  /// The flow's LKG, or null when it has none.
+  const Lkg* lkg_of(std::uint32_t flow) const {
+    return flow < lkg_.size() && lkg_[flow].present ? &lkg_[flow] : nullptr;
+  }
   struct StepNorms {
     double l2 = 0.0;
     double linf = 0.0;
@@ -165,8 +183,9 @@ class NormScreen {
                   std::size_t n, StepNorms& out) const;
 
   NormScreenConfig cfg_;
-  // std::map: deterministic iteration order for save().
-  std::map<std::string, Lkg> lkg_;
+  FlowIndex index_;
+  std::vector<Lkg> lkg_;  // by flow id
+  std::size_t present_ = 0;
   std::uint64_t steps_ = 0;
   double l2_mean_ = 0.0, l2_m2_ = 0.0;
   double linf_mean_ = 0.0, linf_m2_ = 0.0;

@@ -37,13 +37,16 @@ bool NearRtRic::register_xapp(std::shared_ptr<XApp> app,
     return false;
   }
   app->app_id_ = app_id;
-  xapps_.push_back(Registration{std::move(app), priority});
+  XAppDispatchStats* stats = &stats_.emplace(app_id, XAppDispatchStats{})
+                                  .first->second;
+  fault::CircuitBreaker* breaker =
+      &breakers_.emplace(app_id, fault::CircuitBreaker(breaker_cfg_))
+           .first->second;
+  xapps_.push_back(Registration{std::move(app), priority, stats, breaker});
   std::stable_sort(xapps_.begin(), xapps_.end(),
                    [](const Registration& a, const Registration& b) {
                      return a.priority < b.priority;
                    });
-  stats_.emplace(app_id, XAppDispatchStats{});
-  breakers_.emplace(app_id, fault::CircuitBreaker(breaker_cfg_));
   return true;
 }
 
@@ -222,30 +225,36 @@ bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
   view.copy_features(kpm_features_);
   kpm_scratch_.tti = view.tti;
   kpm_scratch_.kind = view.kind;
-  // The node id and SDL key only depend on the cell; a stream of frames
-  // from one cell (the steady state per E2 association) reformats neither.
-  if (view.cell_id != kpm_cell_id_ || kpm_scratch_.ran_node_id.empty()) {
-    kpm_cell_id_ = view.cell_id;
+  // The node id and SDL key only depend on the cell: each is formatted
+  // and resolved on the cell's first frame, and a frame from the cell the
+  // scratch already names copies nothing.
+  const std::uint64_t cell_key =
+      static_cast<std::uint64_t>(view.kind) << 32 | view.cell_id;
+  auto [it, fresh] = kpm_cells_.try_emplace(cell_key);
+  KpmCell& cell = it->second;
+  if (fresh) {
     char idbuf[16];
     char* id_end = std::to_chars(idbuf, idbuf + sizeof idbuf,
                                  view.cell_id).ptr;
-    kpm_scratch_.ran_node_id.assign("cell-");
-    kpm_scratch_.ran_node_id.append(idbuf,
-                                    static_cast<std::size_t>(id_end - idbuf));
-    kpm_key_.assign(kpm_scratch_.ran_node_id);
-    kpm_key_.append("/current");
+    cell.node_id.assign("cell-");
+    cell.node_id.append(idbuf, static_cast<std::size_t>(id_end - idbuf));
+    cell.telemetry = sdl_.resolve(kRicPlatformId, telemetry_ns(view.kind),
+                                  cell.node_id + "/current");
+  }
+  if (kpm_cell_ != &cell) {
+    kpm_cell_ = &cell;
+    kpm_scratch_.ran_node_id.assign(cell.node_id);
   }
   kpm_scratch_.trace = obs::TraceContext{};
   if (kpm_shape_.size() != 1 ||
       kpm_shape_[0] != static_cast<int>(view.feature_count))
     kpm_shape_ = nn::Shape{static_cast<int>(view.feature_count)};
 
-  const char* ns = telemetry_ns(kpm_scratch_.kind);
   return deliver_core(
       kpm_scratch_, std::span<float>(kpm_features_), frame.size(), &frames,
       [&](bool) {
         return sdl_.write_tensor_inplace(
-            kRicPlatformId, ns, kpm_key_, kpm_shape_,
+            cell.telemetry, kpm_shape_,
             std::span<const float>(kpm_features_));
       });
 }
@@ -270,8 +279,8 @@ void NearRtRic::dispatch_all(const E2Indication& ind,
   if (root.valid()) traced = ind;
   for (const Registration& reg : xapps_) {
     const std::string& app_id = reg.app->app_id();
-    XAppDispatchStats& s = stats_[app_id];
-    fault::CircuitBreaker& breaker = breakers_[app_id];
+    XAppDispatchStats& s = *reg.stats;
+    fault::CircuitBreaker& breaker = *reg.breaker;
     if (!breaker.allow()) {
       ++s.quarantined_skips;
       quarantined.inc();
@@ -357,8 +366,15 @@ void NearRtRic::send_control(const std::string& app_id,
       "oran.e2.controls_failed", "E2 controls that failed after retries");
   OREV_CHECK(e2_node_ != nullptr, "no E2 node connected");
   // Control access is itself policy-gated: an app must hold write
-  // permission on the control namespace to steer the RAN.
-  if (!rbac_->allowed(app_id, "e2/control", Op::kWrite)) {
+  // permission on the control namespace to steer the RAN. The decision
+  // is re-taken whenever the app or the policy generation changes.
+  if (control_gen_ != rbac_->generation() || control_app_ != app_id) {
+    static const std::string kControlNs = "e2/control";
+    control_ok_ = rbac_->allowed(app_id, kControlNs, Op::kWrite);
+    control_app_.assign(app_id);
+    control_gen_ = rbac_->generation();
+  }
+  if (!control_ok_) {
     denied.inc();
     log_warn("E2 control denied for ", app_id);
     return;
@@ -391,13 +407,16 @@ void NearRtRic::send_control(const std::string& app_id,
   e2_node_->handle_control(control);
 }
 
-SdlStatus NearRtRic::read_telemetry(const std::string& app_id,
-                                    const std::string& ns,
-                                    const std::string& key,
-                                    nn::Tensor& out) {
+namespace {
+
+/// One mediated telemetry read under the retry policy: kUnavailable is
+/// retried; kDenied / kNotFound are final.
+template <class Read>
+SdlStatus retried_read(const fault::RetryPolicy& policy, std::uint64_t op,
+                       Read&& read) {
   SdlStatus last = SdlStatus::kUnavailable;
-  fault::retry_call(retry_, retry_ops_++, [&] {
-    last = sdl_.read_tensor(app_id, ns, key, out);
+  fault::retry_call(policy, op, [&] {
+    last = read();
     switch (last) {
       case SdlStatus::kOk: return fault::TryResult::kOk;
       case SdlStatus::kUnavailable: return fault::TryResult::kTransient;
@@ -405,6 +424,22 @@ SdlStatus NearRtRic::read_telemetry(const std::string& app_id,
     }
   });
   return last;
+}
+
+}  // namespace
+
+SdlStatus NearRtRic::read_telemetry(const std::string& app_id,
+                                    const std::string& ns,
+                                    const std::string& key,
+                                    nn::Tensor& out) {
+  return retried_read(retry_, retry_ops_++, [&] {
+    return sdl_.read_tensor(app_id, ns, key, out);
+  });
+}
+
+SdlStatus NearRtRic::read_telemetry(SdlHandle& h, nn::Tensor& out) {
+  return retried_read(retry_, retry_ops_++,
+                      [&] { return sdl_.read_tensor(h, out); });
 }
 
 void NearRtRic::accept_policy(const A1Policy& policy) {

@@ -27,6 +27,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "oran/a1.hpp"
@@ -134,6 +135,9 @@ class NearRtRic {
   /// kUnavailable under the retry policy, then returns the final status.
   SdlStatus read_telemetry(const std::string& app_id, const std::string& ns,
                            const std::string& key, nn::Tensor& out);
+  /// The same through a resolved SDL handle (see Sdl::resolve): no string
+  /// lookups, and `out` keeps its buffer when the shape is unchanged.
+  SdlStatus read_telemetry(SdlHandle& h, nn::Tensor& out);
 
   /// A1 policies pushed down from the Non-RT RIC.
   void accept_policy(const A1Policy& policy);
@@ -178,6 +182,17 @@ class NearRtRic {
   struct Registration {
     std::shared_ptr<XApp> app;
     int priority = 0;
+    // The app id's entries in stats_ / breakers_ (map nodes are stable),
+    // resolved at registration so a dispatch looks nothing up.
+    XAppDispatchStats* stats = nullptr;
+    fault::CircuitBreaker* breaker = nullptr;
+  };
+
+  /// Per-cell state of the binary KPM path: the node id and the platform's
+  /// SDL handle on "<node>/current", resolved on the cell's first frame.
+  struct KpmCell {
+    std::string node_id;
+    SdlHandle telemetry;
   };
 
   /// The one delivery core behind the three public entry points: the
@@ -222,8 +237,14 @@ class NearRtRic {
   E2Indication kpm_scratch_;
   std::vector<float> kpm_features_;
   nn::Shape kpm_shape_;
-  std::string kpm_key_;
-  std::uint32_t kpm_cell_id_ = 0;  // last formatted cell (scratch validity)
+  // Keyed by (indication kind << 32 | cell id).
+  std::unordered_map<std::uint64_t, KpmCell> kpm_cells_;
+  const KpmCell* kpm_cell_ = nullptr;  // cell of the scratch's node id
+  // send_control's RBAC decision for the last app that sent one, valid
+  // while the policy generation is unchanged.
+  std::string control_app_;
+  std::uint64_t control_gen_ = ~std::uint64_t{0};
+  bool control_ok_ = false;
   std::uint64_t indications_dropped_ = 0;
   std::uint64_t sdl_write_failures_ = 0;
   std::uint64_t controls_dropped_ = 0;

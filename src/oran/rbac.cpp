@@ -4,27 +4,27 @@
 
 namespace orev::oran {
 
-bool Permission::matches(const std::string& ns) const {
-  if (ns_pattern == "*") return true;
-  if (!ns_pattern.empty() && ns_pattern.back() == '*') {
-    const std::string prefix = ns_pattern.substr(0, ns_pattern.size() - 1);
-    return ns.rfind(prefix, 0) == 0;
-  }
-  return ns == ns_pattern;
-}
-
 namespace {
-bool pattern_matches(const std::string& pattern, const std::string& ns) {
-  Permission p;
-  p.ns_pattern = pattern;
-  return p.matches(ns);
+/// Exact match, or prefix match for a pattern ending in '*' ("*" alone
+/// matches everything). Compares in place: no prefix copy per check.
+bool pattern_matches(std::string_view pattern, std::string_view ns) {
+  if (!pattern.empty() && pattern.back() == '*') {
+    pattern.remove_suffix(1);
+    return ns.substr(0, pattern.size()) == pattern;
+  }
+  return ns == pattern;
 }
 }  // namespace
+
+bool Permission::matches(std::string_view ns) const {
+  return pattern_matches(ns_pattern, ns);
+}
 
 void Rbac::define_role(const std::string& role,
                        std::vector<Permission> perms) {
   OREV_CHECK(!role.empty(), "role name must be non-empty");
   roles_[role] = std::move(perms);
+  ++generation_;
 }
 
 bool Rbac::has_role(const std::string& role) const {
@@ -35,15 +35,25 @@ void Rbac::assign_role(const std::string& app_id, const std::string& role) {
   OREV_CHECK(roles_.count(role) > 0, "assigning undefined role: " + role);
   OREV_CHECK(!app_id.empty(), "app id must be non-empty");
   assignments_[app_id].insert(role);
+  ++generation_;
+}
+
+void Rbac::revoke_role(const std::string& app_id, const std::string& role) {
+  const auto it = assignments_.find(app_id);
+  if (it == assignments_.end()) return;
+  it->second.erase(role);
+  ++generation_;
 }
 
 void Rbac::set_attribute(const std::string& app_id, const std::string& key,
                          const std::string& value) {
   attributes_[app_id][key] = value;
+  ++generation_;
 }
 
 void Rbac::add_abac_rule(AbacRule rule) {
   abac_rules_.push_back(std::move(rule));
+  ++generation_;
 }
 
 bool Rbac::allowed(const std::string& app_id, const std::string& ns,

@@ -11,11 +11,13 @@
 // expressible so tests can demonstrate the difference.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace orev::oran {
@@ -29,7 +31,7 @@ struct Permission {
   bool read = false;
   bool write = false;
 
-  bool matches(const std::string& ns) const;
+  bool matches(std::string_view ns) const;
   bool grants(Op op) const { return op == Op::kRead ? read : write; }
 };
 
@@ -55,6 +57,9 @@ class Rbac {
   /// Assign a defined role to an app; throws CheckError if undefined.
   void assign_role(const std::string& app_id, const std::string& role);
 
+  /// Withdraw a role from an app (no-op when it was not assigned).
+  void revoke_role(const std::string& app_id, const std::string& role);
+
   /// Set an ABAC attribute on an app.
   void set_attribute(const std::string& app_id, const std::string& key,
                      const std::string& value);
@@ -70,7 +75,15 @@ class Rbac {
   /// Roles currently assigned to an app.
   std::set<std::string> roles_of(const std::string& app_id) const;
 
+  /// Policy generation: bumped by every mutation above (role definition,
+  /// assignment, revocation, attribute, ABAC rule). A cached decision
+  /// taken at generation g is still the engine's answer while
+  /// generation() == g — oran::SdlHandle re-decides when it moves.
+  /// Mutations must not race with decisions (as for the maps themselves).
+  std::uint64_t generation() const { return generation_; }
+
  private:
+  std::uint64_t generation_ = 0;
   std::map<std::string, std::vector<Permission>> roles_;
   std::map<std::string, std::set<std::string>> assignments_;
   std::map<std::string, std::map<std::string, std::string>> attributes_;

@@ -99,8 +99,40 @@ std::unique_lock<std::mutex> Sdl::lock_stripe(std::size_t i) const {
   return lk;
 }
 
-bool Sdl::check(const std::string& app_id, const std::string& ns,
-                const std::string& key, Op op) const {
+const std::string* Sdl::intern(std::string_view s) const {
+  auto it = pool_.find(s);
+  if (it == pool_.end()) it = pool_.emplace(s).first;
+  return &*it;
+}
+
+SdlHandle Sdl::resolve(const std::string& app_id, const std::string& ns,
+                       const std::string& key) const {
+  SdlHandle h;
+  h.sdl_ = this;
+  {
+    std::lock_guard<std::mutex> lock(audit_mu_);
+    h.app_ = intern(app_id);
+    h.ns_ = intern(ns);
+    h.key_ = intern(key);
+  }
+  h.pooled_ = true;
+  h.stripe_ = stripe_of(ns, key);
+  return h;
+}
+
+SdlHandle Sdl::transient(const std::string& app_id, const std::string& ns,
+                         const std::string& key) const {
+  SdlHandle h;
+  h.sdl_ = this;
+  h.app_ = &app_id;
+  h.ns_ = &ns;
+  h.key_ = &key;
+  h.stripe_ = stripe_of(ns, key);
+  return h;
+}
+
+bool Sdl::check(SdlHandle& h, Op op) const {
+  OREV_CHECK(h.sdl_ == this, "SDL handle used with another store");
   // Observability: SDL traffic is the paper's attack surface (a malicious
   // app perturbing telemetry in place), so read/write/denial volumes are
   // first-class metrics.
@@ -113,26 +145,50 @@ bool Sdl::check(const std::string& app_id, const std::string& ns,
   static obs::Counter& audit_evicted = obs::counter(
       "oran.sdl.audit_dropped", "audit records evicted from the ring");
   (op == Op::kRead ? reads : writes).inc();
-  const bool ok = rbac_->allowed(app_id, ns, op);
+  const std::uint64_t gen = rbac_->generation();
+  std::uint64_t& decided_at = op == Op::kRead ? h.read_gen_ : h.write_gen_;
+  bool& ok = op == Op::kRead ? h.read_ok_ : h.write_ok_;
+  if (decided_at != gen) {
+    ok = rbac_->allowed(*h.app_, *h.ns_, op);
+    decided_at = gen;
+  }
   if (!ok) denied.inc();
   std::lock_guard<std::mutex> lock(audit_mu_);
-  audit_.push_back(AuditRecord{app_id, ns, key, op, ok});
-  while (audit_.size() > audit_capacity_) {
-    audit_.pop_front();
+  const AuditLog::Slot rec =
+      h.pooled_ ? AuditLog::Slot{h.app_, h.ns_, h.key_, op, ok}
+                : AuditLog::Slot{intern(*h.app_), intern(*h.ns_),
+                                 intern(*h.key_), op, ok};
+  util::Ring<AuditLog::Slot>& ring = audit_.ring_;
+  if (ring.full()) {
+    ring.pop_front();
     ++audit_dropped_;
     audit_evicted.inc();
   }
+  ring.push_slot() = rec;
   return ok;
 }
 
 void Sdl::set_audit_capacity(std::size_t capacity) {
   OREV_CHECK(capacity > 0, "audit capacity must be positive");
   std::lock_guard<std::mutex> lock(audit_mu_);
-  audit_capacity_ = capacity;
-  while (audit_.size() > audit_capacity_) {
-    audit_.pop_front();
-    ++audit_dropped_;
+  audit_dropped_ += audit_.ring_.set_capacity(capacity);
+}
+
+Sdl::Entry* Sdl::find_entry(SdlHandle& h) const {
+  if (h.entry_ == nullptr) {
+    auto& store = stripes_[h.stripe_]->store;
+    const auto it = store.find(
+        std::pair<std::string_view, std::string_view>(*h.ns_, *h.key_));
+    if (it != store.end()) h.entry_ = &it->second;
   }
+  return h.entry_;
+}
+
+Sdl::Entry& Sdl::entry_for_write(SdlHandle& h) {
+  if (find_entry(h) == nullptr)
+    h.entry_ = &stripes_[h.stripe_]->store.try_emplace(Key(*h.ns_, *h.key_))
+                    .first->second;
+  return *h.entry_;
 }
 
 SdlStatus Sdl::storage_fault(Op op, nn::Tensor* payload) const {
@@ -204,6 +260,110 @@ SdlStatus Sdl::shard_fault(Op op) const {
   }
 }
 
+template <class Store>
+SdlStatus Sdl::write_entry(SdlHandle& h, nn::Tensor* payload,
+                           const std::size_t* tensor_numel, Store&& store) {
+  if (!check(h, Op::kWrite)) return SdlStatus::kDenied;
+  const SdlStatus fault_st = storage_fault(Op::kWrite, payload);
+  if (fault_st == SdlStatus::kUnavailable) return SdlStatus::kUnavailable;
+  if (fault_st == SdlStatus::kNotFound) return SdlStatus::kOk;  // lost write
+  if (shard_fault(Op::kWrite) == SdlStatus::kUnavailable)
+    return SdlStatus::kUnavailable;
+  if (payload != nullptr || tensor_numel != nullptr) {
+    // Payload-size distribution: a sketch, because write sizes are
+    // exactly the kind of long-tailed series fixed buckets misrepresent.
+    static obs::SketchMetric& write_values = obs::sketch(
+        "oran.sdl.write_values", 0.01,
+        "tensor elements per committed SDL write");
+    write_values.observe(static_cast<double>(
+        payload != nullptr ? payload->numel() : *tensor_numel));
+  }
+  std::unique_lock<std::mutex> lk = lock_stripe(h.stripe_);
+  Entry& e = entry_for_write(h);
+  store(e);
+  e.writer.assign(*h.app_);
+  ++e.version;
+  journal_write(*h.ns_, *h.key_, e);
+  return SdlStatus::kOk;
+}
+
+SdlStatus Sdl::write_tensor(SdlHandle& h, nn::Tensor&& value) {
+  return write_entry(h, &value, nullptr, [&value](Entry& e) {
+    e.tensor = std::move(value);
+    e.is_tensor = true;
+  });
+}
+
+SdlStatus Sdl::write_tensor_inplace(SdlHandle& h, const nn::Shape& shape,
+                                    std::span<const float> data) {
+  OREV_CHECK(nn::shape_numel(shape) == data.size(),
+             "write_tensor_inplace payload does not match its shape");
+  // The fault surface is identical to write_tensor; corruption is applied
+  // to the stored entry after the copy so the caller's span stays const.
+  const std::size_t numel = data.size();
+  return write_entry(h, nullptr, &numel, [&](Entry& e) {
+    if (e.is_tensor && e.tensor.shape() == shape) {
+      std::memcpy(e.tensor.raw(), data.data(), data.size() * sizeof(float));
+    } else {
+      e.tensor =
+          nn::Tensor(shape, std::vector<float>(data.begin(), data.end()));
+    }
+    e.is_tensor = true;
+  });
+}
+
+SdlStatus Sdl::write_text(SdlHandle& h, std::string_view value) {
+  return write_entry(h, nullptr, nullptr, [value](Entry& e) {
+    e.text.assign(value);
+    e.is_tensor = false;
+  });
+}
+
+SdlStatus Sdl::read_tensor(SdlHandle& h, nn::Tensor& out) const {
+  if (!check(h, Op::kRead)) return SdlStatus::kDenied;
+  if (storage_fault(Op::kRead, nullptr) == SdlStatus::kUnavailable)
+    return SdlStatus::kUnavailable;
+  if (shard_fault(Op::kRead) == SdlStatus::kUnavailable)
+    return SdlStatus::kUnavailable;
+  std::unique_lock<std::mutex> lk = lock_stripe(h.stripe_);
+  const Entry* e = find_entry(h);
+  if (e == nullptr || !e->is_tensor) return SdlStatus::kNotFound;
+  out = e->tensor;
+  return SdlStatus::kOk;
+}
+
+SdlStatus Sdl::read_text(SdlHandle& h, std::string& out) const {
+  if (!check(h, Op::kRead)) return SdlStatus::kDenied;
+  if (storage_fault(Op::kRead, nullptr) == SdlStatus::kUnavailable)
+    return SdlStatus::kUnavailable;
+  if (shard_fault(Op::kRead) == SdlStatus::kUnavailable)
+    return SdlStatus::kUnavailable;
+  std::unique_lock<std::mutex> lk = lock_stripe(h.stripe_);
+  const Entry* e = find_entry(h);
+  if (e == nullptr || e->is_tensor) return SdlStatus::kNotFound;
+  out = e->text;
+  return SdlStatus::kOk;
+}
+
+std::optional<std::uint64_t> Sdl::version(SdlHandle& h) const {
+  OREV_CHECK(h.sdl_ == this, "SDL handle used with another store");
+  std::unique_lock<std::mutex> lk = lock_stripe(h.stripe_);
+  const Entry* e = find_entry(h);
+  if (e == nullptr) return std::nullopt;
+  return e->version;
+}
+
+bool Sdl::last_writer(SdlHandle& h, std::string& out) const {
+  OREV_CHECK(h.sdl_ == this, "SDL handle used with another store");
+  std::unique_lock<std::mutex> lk = lock_stripe(h.stripe_);
+  const Entry* e = find_entry(h);
+  if (e == nullptr) return false;
+  out.assign(e->writer);
+  return true;
+}
+
+// String-keyed API: each call runs its handle twin on a one-shot handle.
+
 SdlStatus Sdl::write_tensor(const std::string& app_id, const std::string& ns,
                             const std::string& key, const nn::Tensor& value) {
   // Copying-then-delegating preserves the historical by-value semantics
@@ -214,26 +374,8 @@ SdlStatus Sdl::write_tensor(const std::string& app_id, const std::string& ns,
 
 SdlStatus Sdl::write_tensor(const std::string& app_id, const std::string& ns,
                             const std::string& key, nn::Tensor&& value) {
-  if (!check(app_id, ns, key, Op::kWrite)) return SdlStatus::kDenied;
-  const SdlStatus fault_st = storage_fault(Op::kWrite, &value);
-  if (fault_st == SdlStatus::kUnavailable) return SdlStatus::kUnavailable;
-  if (fault_st == SdlStatus::kNotFound) return SdlStatus::kOk;  // lost write
-  if (shard_fault(Op::kWrite) == SdlStatus::kUnavailable)
-    return SdlStatus::kUnavailable;
-  // Payload-size distribution: a sketch, because write sizes are exactly
-  // the kind of long-tailed series fixed buckets misrepresent.
-  static obs::SketchMetric& write_values = obs::sketch(
-      "oran.sdl.write_values", 0.01, "tensor elements per committed SDL write");
-  write_values.observe(static_cast<double>(value.numel()));
-  const std::size_t si = stripe_of(ns, key);
-  std::unique_lock<std::mutex> lk = lock_stripe(si);
-  Entry& e = stripes_[si]->store[{ns, key}];
-  e.tensor = std::move(value);
-  e.is_tensor = true;
-  e.writer = app_id;
-  ++e.version;
-  journal_write(ns, key, e);
-  return SdlStatus::kOk;
+  SdlHandle h = transient(app_id, ns, key);
+  return write_tensor(h, std::move(value));
 }
 
 SdlStatus Sdl::write_tensor_inplace(const std::string& app_id,
@@ -241,104 +383,42 @@ SdlStatus Sdl::write_tensor_inplace(const std::string& app_id,
                                     const std::string& key,
                                     const nn::Shape& shape,
                                     std::span<const float> data) {
-  OREV_CHECK(nn::shape_numel(shape) == data.size(),
-             "write_tensor_inplace payload does not match its shape");
-  if (!check(app_id, ns, key, Op::kWrite)) return SdlStatus::kDenied;
-  // The fault surface is identical to write_tensor; corruption is applied
-  // to the stored entry after the copy so the caller's span stays const.
-  const SdlStatus fault_st = storage_fault(Op::kWrite, nullptr);
-  if (fault_st == SdlStatus::kUnavailable) return SdlStatus::kUnavailable;
-  if (fault_st == SdlStatus::kNotFound) return SdlStatus::kOk;  // lost write
-  if (shard_fault(Op::kWrite) == SdlStatus::kUnavailable)
-    return SdlStatus::kUnavailable;
-  static obs::SketchMetric& write_values = obs::sketch(
-      "oran.sdl.write_values", 0.01, "tensor elements per committed SDL write");
-  write_values.observe(static_cast<double>(data.size()));
-  const std::size_t si = stripe_of(ns, key);
-  std::unique_lock<std::mutex> lk = lock_stripe(si);
-  Entry& e = stripes_[si]->store[{ns, key}];
-  if (e.is_tensor && e.tensor.shape() == shape) {
-    std::memcpy(e.tensor.raw(), data.data(), data.size() * sizeof(float));
-  } else {
-    e.tensor = nn::Tensor(shape,
-                          std::vector<float>(data.begin(), data.end()));
-  }
-  e.is_tensor = true;
-  e.writer = app_id;
-  ++e.version;
-  journal_write(ns, key, e);
-  return SdlStatus::kOk;
+  SdlHandle h = transient(app_id, ns, key);
+  return write_tensor_inplace(h, shape, data);
 }
 
 SdlStatus Sdl::write_text(const std::string& app_id, const std::string& ns,
                           const std::string& key, std::string value) {
-  if (!check(app_id, ns, key, Op::kWrite)) return SdlStatus::kDenied;
-  const SdlStatus fault_st = storage_fault(Op::kWrite, nullptr);
-  if (fault_st == SdlStatus::kUnavailable) return SdlStatus::kUnavailable;
-  if (fault_st == SdlStatus::kNotFound) return SdlStatus::kOk;  // lost write
-  if (shard_fault(Op::kWrite) == SdlStatus::kUnavailable)
-    return SdlStatus::kUnavailable;
-  const std::size_t si = stripe_of(ns, key);
-  std::unique_lock<std::mutex> lk = lock_stripe(si);
-  Entry& e = stripes_[si]->store[{ns, key}];
-  e.text = std::move(value);
-  e.is_tensor = false;
-  e.writer = app_id;
-  ++e.version;
-  journal_write(ns, key, e);
-  return SdlStatus::kOk;
+  SdlHandle h = transient(app_id, ns, key);
+  return write_text(h, value);
 }
 
 SdlStatus Sdl::read_tensor(const std::string& app_id, const std::string& ns,
                            const std::string& key, nn::Tensor& out) const {
-  if (!check(app_id, ns, key, Op::kRead)) return SdlStatus::kDenied;
-  if (storage_fault(Op::kRead, nullptr) == SdlStatus::kUnavailable)
-    return SdlStatus::kUnavailable;
-  if (shard_fault(Op::kRead) == SdlStatus::kUnavailable)
-    return SdlStatus::kUnavailable;
-  const std::size_t si = stripe_of(ns, key);
-  std::unique_lock<std::mutex> lk = lock_stripe(si);
-  const auto& store = stripes_[si]->store;
-  const auto it = store.find({ns, key});
-  if (it == store.end() || !it->second.is_tensor) return SdlStatus::kNotFound;
-  out = it->second.tensor;
-  return SdlStatus::kOk;
+  SdlHandle h = transient(app_id, ns, key);
+  return read_tensor(h, out);
 }
 
 SdlStatus Sdl::read_text(const std::string& app_id, const std::string& ns,
                          const std::string& key, std::string& out) const {
-  if (!check(app_id, ns, key, Op::kRead)) return SdlStatus::kDenied;
-  if (storage_fault(Op::kRead, nullptr) == SdlStatus::kUnavailable)
-    return SdlStatus::kUnavailable;
-  if (shard_fault(Op::kRead) == SdlStatus::kUnavailable)
-    return SdlStatus::kUnavailable;
-  const std::size_t si = stripe_of(ns, key);
-  std::unique_lock<std::mutex> lk = lock_stripe(si);
-  const auto& store = stripes_[si]->store;
-  const auto it = store.find({ns, key});
-  if (it == store.end() || it->second.is_tensor) return SdlStatus::kNotFound;
-  out = it->second.text;
-  return SdlStatus::kOk;
+  SdlHandle h = transient(app_id, ns, key);
+  return read_text(h, out);
 }
 
 std::optional<std::uint64_t> Sdl::version(const std::string& ns,
                                           const std::string& key) const {
-  const std::size_t si = stripe_of(ns, key);
-  std::unique_lock<std::mutex> lk = lock_stripe(si);
-  const auto& store = stripes_[si]->store;
-  const auto it = store.find({ns, key});
-  if (it == store.end()) return std::nullopt;
-  return it->second.version;
+  static const std::string kNoApp;
+  SdlHandle h = transient(kNoApp, ns, key);
+  return version(h);
 }
 
 std::optional<std::string> Sdl::last_writer(const std::string& ns,
                                             const std::string& key) const {
-  const std::size_t si = stripe_of(ns, key);
-  std::unique_lock<std::mutex> lk = lock_stripe(si);
-  const auto& store = stripes_[si]->store;
-  const auto it = store.find({ns, key});
-  if (it == store.end()) return std::nullopt;
-  return it->second.writer;
+  static const std::string kNoApp;
+  SdlHandle h = transient(kNoApp, ns, key);
+  std::string out;
+  if (!last_writer(h, out)) return std::nullopt;
+  return out;
 }
 
 std::vector<std::string> Sdl::keys(const std::string& ns) const {
@@ -400,7 +480,8 @@ persist::Status Sdl::apply_entry(persist::ByteReader& r) {
       return Status::Fail(StatusCode::kTruncated, "SDL text payload missing");
   }
   const std::size_t si = stripe_of(ns, key);
-  stripes_[si]->store[{std::move(ns), std::move(key)}] = std::move(e);
+  stripes_[si]->store.insert_or_assign(Key(std::move(ns), std::move(key)),
+                                       std::move(e));
   return Status::Ok();
 }
 
@@ -484,8 +565,7 @@ persist::Status Sdl::snapshot() {
   // Serialise in global (ns, key) order so the snapshot bytes never
   // depend on the stripe count. Each stripe map is already sorted;
   // gather pointers and merge-sort across stripes.
-  std::vector<std::pair<const std::pair<std::string, std::string>*,
-                        const Entry*>> all;
+  std::vector<std::pair<const Key*, const Entry*>> all;
   std::size_t total = 0;
   for (const auto& s : stripes_) total += s->store.size();
   all.reserve(total);

@@ -27,17 +27,26 @@
 // deterministically. With no injector the store is perfectly reliable, as
 // before. The audit log is a bounded ring so long chaos soaks cannot grow
 // it without bound.
+//
+// Handles (DESIGN.md §16): resolve(app, ns, key) turns the three strings
+// into an SdlHandle once — interned strings, the stripe, the entry once it
+// exists, and the app's RBAC decision per operation, cached against
+// Rbac::generation() so any policy change is honoured on the next access.
+// Every string-keyed call is a thin wrapper that runs the same handle
+// operation on a one-shot handle, so both paths draw the same fault
+// decisions and leave the same audit records, store bytes and journal.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "nn/tensor.hpp"
@@ -46,17 +55,86 @@
 #include "util/persist/bytes.hpp"
 #include "util/persist/journal.hpp"
 #include "util/persist/persist.hpp"
+#include "util/ring.hpp"
+#include "util/string_hash.hpp"
 
 namespace orev::oran {
 
 enum class SdlStatus { kOk, kDenied, kNotFound, kUnavailable };
 
+class Sdl;
+
+/// One audited access, as read back from the ring: the strings are the
+/// SDL's interned copies, valid for the SDL's lifetime.
 struct AuditRecord {
-  std::string app_id;
-  std::string ns;
-  std::string key;
+  const std::string& app_id;
+  const std::string& ns;
+  const std::string& key;
   Op op = Op::kRead;
   bool allowed = false;
+};
+
+/// Bounded audit ring, oldest record first. Records hold pointers to
+/// interned strings (32 bytes each, no heap per record); a full ring
+/// overwrites its oldest slot in place.
+class AuditLog {
+ public:
+  std::size_t size() const { return ring_.size(); }
+  bool empty() const { return ring_.empty(); }
+  /// Record `i` counted from the oldest.
+  AuditRecord operator[](std::size_t i) const {
+    const Slot& s = ring_[i];
+    return AuditRecord{*s.app, *s.ns, *s.key, s.op, s.allowed};
+  }
+  AuditRecord front() const { return (*this)[0]; }
+  AuditRecord back() const { return (*this)[size() - 1]; }
+
+ private:
+  friend class Sdl;
+  struct Slot {
+    const std::string* app = nullptr;
+    const std::string* ns = nullptr;
+    const std::string* key = nullptr;
+    Op op = Op::kRead;
+    bool allowed = false;
+  };
+  explicit AuditLog(std::size_t capacity) : ring_(capacity) {}
+
+  util::Ring<Slot> ring_;
+};
+
+/// One stored value. Entries are never erased, so a handle may cache a
+/// pointer to one for the SDL's lifetime.
+struct SdlEntry {
+  nn::Tensor tensor;
+  std::string text;
+  bool is_tensor = false;
+  std::string writer;
+  std::uint64_t version = 0;
+};
+
+/// (app, ns, key) resolved once by Sdl::resolve(). A handle is owned by
+/// one caller and used from one thread at a time (its caches are plain
+/// fields); it must not outlive the SDL that issued it.
+class SdlHandle {
+ private:
+  friend class Sdl;
+  static constexpr std::uint64_t kUndecided = ~std::uint64_t{0};
+
+  const Sdl* sdl_ = nullptr;
+  const std::string* app_ = nullptr;
+  const std::string* ns_ = nullptr;
+  const std::string* key_ = nullptr;
+  /// Strings interned in the SDL's pool (resolve()); else they are the
+  /// caller's, valid for one call (string-keyed wrappers).
+  bool pooled_ = false;
+  std::size_t stripe_ = 0;
+  SdlEntry* entry_ = nullptr;  // set once the entry exists
+  // RBAC decision per op, valid while Rbac::generation() is unchanged.
+  std::uint64_t read_gen_ = kUndecided;
+  std::uint64_t write_gen_ = kUndecided;
+  bool read_ok_ = false;
+  bool write_ok_ = false;
 };
 
 class Sdl {
@@ -67,6 +145,26 @@ class Sdl {
 
   /// The RBAC engine must outlive the SDL.
   explicit Sdl(const Rbac* rbac, std::size_t stripes = kDefaultStripes);
+
+  /// Resolve (app, ns, key) once for repeated access: interns the three
+  /// strings and computes the stripe. No RBAC check and no audit record
+  /// happen here — every operation through the handle is checked and
+  /// audited exactly like its string-keyed twin.
+  SdlHandle resolve(const std::string& app_id, const std::string& ns,
+                    const std::string& key) const;
+
+  // Handle operations: the same semantics as the string-keyed calls below.
+  SdlStatus write_tensor(SdlHandle& h, nn::Tensor&& value);
+  SdlStatus write_tensor_inplace(SdlHandle& h, const nn::Shape& shape,
+                                 std::span<const float> data);
+  /// Assigns into the entry's existing text buffer.
+  SdlStatus write_text(SdlHandle& h, std::string_view value);
+  SdlStatus read_tensor(SdlHandle& h, nn::Tensor& out) const;
+  SdlStatus read_text(SdlHandle& h, std::string& out) const;
+  std::optional<std::uint64_t> version(SdlHandle& h) const;
+  /// Copies the entry's last writer into `out` (reusing its buffer);
+  /// false, `out` untouched, when the entry does not exist.
+  bool last_writer(SdlHandle& h, std::string& out) const;
 
   SdlStatus write_tensor(const std::string& app_id, const std::string& ns,
                          const std::string& key, const nn::Tensor& value);
@@ -113,15 +211,15 @@ class Sdl {
   /// Bounded audit ring: the most recent `audit_capacity()` records.
   /// The ring is shared across stripes; read it only while no concurrent
   /// SDL traffic is in flight (tests and log consumers are serial).
-  const std::deque<AuditRecord>& audit_log() const { return audit_; }
+  const AuditLog& audit_log() const { return audit_; }
   void clear_audit_log() {
     std::lock_guard<std::mutex> lock(audit_mu_);
-    audit_.clear();
+    audit_.ring_.clear();
   }
 
   /// Ring capacity (default 65536); shrinking drops the oldest records.
   void set_audit_capacity(std::size_t capacity);
-  std::size_t audit_capacity() const { return audit_capacity_; }
+  std::size_t audit_capacity() const { return audit_.ring_.capacity(); }
 
   /// Records evicted from the ring so far. The sequence number of
   /// audit_log().front() is exactly this value, which lets log consumers
@@ -181,24 +279,49 @@ class Sdl {
   bool journal_tail_torn() const { return journal_tail_torn_; }
 
  private:
-  struct Entry {
-    nn::Tensor tensor;
-    std::string text;
-    bool is_tensor = false;
-    std::string writer;
-    std::uint64_t version = 0;
+  using Entry = SdlEntry;
+  using Key = std::pair<std::string, std::string>;
+
+  /// (ns, key) order for any pair of string-likes, so lookups compare
+  /// views instead of building a std::pair<std::string, std::string>.
+  struct KeyLess {
+    using is_transparent = void;
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+      const int c = std::string_view(a.first).compare(b.first);
+      return c != 0 ? c < 0 : std::string_view(a.second) < b.second;
+    }
   };
 
   /// One partition: its own mutex, its own sorted map. unique_ptr keeps
   /// the stripe array constructible (std::mutex is not movable).
   struct Stripe {
     mutable std::mutex mu;
-    std::map<std::pair<std::string, std::string>, Entry> store;
+    std::map<Key, Entry, KeyLess> store;
     std::atomic<std::uint64_t> contentions{0};
   };
 
-  bool check(const std::string& app_id, const std::string& ns,
-             const std::string& key, Op op) const;
+  /// One-shot handle over caller-owned strings (string-keyed wrappers).
+  SdlHandle transient(const std::string& app_id, const std::string& ns,
+                      const std::string& key) const;
+  /// Pooled copy of `s`; call with audit_mu_ held.
+  const std::string* intern(std::string_view s) const;
+
+  /// RBAC decision (cached in the handle per generation) plus one audit
+  /// record.
+  bool check(SdlHandle& h, Op op) const;
+  /// The handle's entry, looked up (and cached) on first use; null when
+  /// it does not exist. Call with the stripe lock held.
+  Entry* find_entry(SdlHandle& h) const;
+  /// The handle's entry, created on first write. Stripe lock held.
+  Entry& entry_for_write(SdlHandle& h);
+  /// Shared write path: check, fault draws (a corrupt fault perturbs
+  /// `payload`), then `store(entry)` under the stripe lock, versioning
+  /// and journaling. Tensor writes observe their element count — the
+  /// payload's, else `*tensor_numel`; text writes pass neither.
+  template <class Store>
+  SdlStatus write_entry(SdlHandle& h, nn::Tensor* payload,
+                        const std::size_t* tensor_numel, Store&& store);
 
   /// Fault decision for one storage op; returns the injected status to
   /// surface (kOk = proceed normally). May corrupt `payload` in place.
@@ -220,9 +343,13 @@ class Sdl {
 
   const Rbac* rbac_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
+  // The audit ring and the string pool its records point into. The pool
+  // keeps every distinct app id, namespace and key ever accessed:
+  // bounded by the key space, as the store itself is.
   mutable std::mutex audit_mu_;
-  mutable std::deque<AuditRecord> audit_;
-  std::size_t audit_capacity_ = 65536;
+  mutable AuditLog audit_{65536};
+  mutable std::unordered_set<std::string, util::StringHash, std::equal_to<>>
+      pool_;
   mutable std::uint64_t audit_dropped_ = 0;
   fault::FaultInjector* fault_ = nullptr;
   mutable std::atomic<std::uint64_t> unavailable_reads_{0};

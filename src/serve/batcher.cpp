@@ -1,5 +1,6 @@
 #include "serve/batcher.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -37,14 +38,13 @@ FlushTrigger MicroBatcher::flush_trigger(const BoundedQueue& q,
   return FlushTrigger::kNone;
 }
 
-std::vector<ServeRequest> MicroBatcher::take_batch(BoundedQueue& q) const {
-  std::vector<ServeRequest> batch;
-  batch.reserve(static_cast<std::size_t>(cfg_.batch_max));
-  while (!q.empty() &&
-         batch.size() < static_cast<std::size_t>(cfg_.batch_max)) {
-    batch.push_back(q.pop());
-  }
-  return batch;
+std::size_t MicroBatcher::take_batch(BoundedQueue& q,
+                                     std::vector<ServeRequest>& slots) const {
+  const std::size_t k =
+      std::min(q.size(), static_cast<std::size_t>(cfg_.batch_max));
+  if (slots.size() < k) slots.resize(k);
+  for (std::size_t i = 0; i < k; ++i) q.pop_swap(slots[i]);
+  return k;
 }
 
 }  // namespace orev::serve

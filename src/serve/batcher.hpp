@@ -55,8 +55,11 @@ class MicroBatcher {
                              bool engine_idle) const;
 
   /// Remove up to `batch_max` requests from the queue front, preserving
-  /// arrival order.
-  std::vector<ServeRequest> take_batch(BoundedQueue& q) const;
+  /// arrival order, into slots [0, k) of a reused buffer (grown, never
+  /// shrunk): requests are swapped in, so buffers cycle between the queue
+  /// and `slots` without allocating. Returns k.
+  std::size_t take_batch(BoundedQueue& q,
+                         std::vector<ServeRequest>& slots) const;
 
  private:
   BatcherConfig cfg_;

@@ -1,7 +1,9 @@
 #include "serve/defense_plane.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "nn/serialize.hpp"
@@ -14,8 +16,22 @@ namespace orev::serve {
 
 namespace {
 
-/// Frame app tag for defense-plane checkpoints (ISSUE 8 contract).
+/// Frame app tag for defense-plane checkpoints.
 constexpr const char* kDefenseTag = "orev.defense";
+
+bool all_finite(const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    if (!std::isfinite(x[i])) return false;
+  return true;
+}
+
+/// max of the threshold-normalized detector scores, or +inf when the row
+/// is non-finite or any part is NaN (std::max would drop a NaN).
+double combined_score(bool finite, double a, double b, double c) {
+  if (!finite || std::isnan(a) || std::isnan(b) || std::isnan(c))
+    return std::numeric_limits<double>::infinity();
+  return std::max(std::max(a, b), c);
+}
 
 }  // namespace
 
@@ -26,6 +42,8 @@ DefensePlane::DefensePlane(const DefenseConfig& cfg, std::string engine_name)
       finetune_(cfg.finetune_capacity),
       adaptive_(cfg.adaptive, cfg.dist_threshold, cfg.step_threshold,
                 cfg.ens_threshold),
+      quarantine_(static_cast<std::size_t>(
+          std::max(cfg.quarantine_capacity, 1))),
       recent_(static_cast<std::size_t>(std::max(cfg.burst_window, 1)), 0),
       m_screened_(obs::counter("serve." + name_ + ".defense.screened",
                                "requests screened by the defense plane")),
@@ -81,6 +99,28 @@ double DefensePlane::ensemble_score(const nn::Tensor& input, int pred) {
   return defense::sibling_disbelief(sibling_logits_.data(), classes, pred);
 }
 
+void DefensePlane::sibling_scores(const float* rows, int m, const int* preds,
+                                  double* out) {
+  const int classes = sibling_plan_->num_classes();
+  batch_logits_.resize(static_cast<std::size_t>(m) * classes);
+  sibling_plan_->logits_rows(rows, m, batch_logits_.data());
+  for (int i = 0; i < m; ++i)
+    out[i] = defense::sibling_disbelief(
+        batch_logits_.data() + static_cast<std::size_t>(i) * classes, classes,
+        preds[i]);
+}
+
+const double* DefensePlane::batch_ensemble_scores(const float* rows, int m,
+                                                  int features,
+                                                  const int* preds) {
+  if (!cfg_.use_ensemble || ensemble_ == nullptr || sibling_plan_ == nullptr ||
+      features != sibling_plan_->input_features() || m <= 0)
+    return nullptr;
+  batch_ens_.resize(static_cast<std::size_t>(m));
+  sibling_scores(rows, m, preds, batch_ens_.data());
+  return batch_ens_.data();
+}
+
 void DefensePlane::calibrate(const nn::Tensor& rows) {
   profile_.observe_rows(rows);
 }
@@ -109,48 +149,84 @@ void DefensePlane::record_burst(bool flagged) {
   recent_pos_ = recent_pos_ + 1 == recent_.size() ? 0 : recent_pos_ + 1;
 }
 
+void DefensePlane::bind_flow(std::uint32_t id) {
+  const std::string& key = flow_index_.key(id);
+  Flow& f = flows_[id];
+  // The empty key has no norm-screen state (norm stays kNone) but does
+  // have an adaptive track, as it always had under the string maps.
+  f.norm = key.empty() ? defense::FlowIndex::kNone : norms_.flow_id(key);
+  f.adaptive = adaptive_.flow_id(key);
+}
+
+std::uint32_t DefensePlane::flow_id(std::string_view key) {
+  const std::uint32_t id = flow_index_.intern(key);
+  if (id == flows_.size()) {
+    flows_.emplace_back();
+    bind_flow(id);
+  }
+  return id;
+}
+
 DefenseVerdict DefensePlane::screen(std::uint64_t request_id,
                                     const std::string& flow_key,
                                     std::uint64_t flow_version,
                                     const nn::Tensor& input,
                                     int primary_pred) {
+  return screen_flow(request_id, flow_id(flow_key), flow_version, input,
+                     primary_pred);
+}
+
+DefenseVerdict DefensePlane::screen_flow(std::uint64_t request_id,
+                                         std::uint32_t flow,
+                                         std::uint64_t flow_version,
+                                         const nn::Tensor& input,
+                                         int primary_pred,
+                                         const double* ens_score) {
   DefenseVerdict v;
   ++screened_;
   ++rows_since_review_;
   m_screened_.inc();
+  OREV_CHECK(flow < flows_.size(), "defense flow id was never issued");
+  Flow& f = flows_[flow];
+  const bool keyed = f.norm != defense::FlowIndex::kNone;
+  const float* x = input.raw();
+  const std::size_t n = input.numel();
 
-  if (cfg_.use_distribution)
-    v.dist_score = profile_.score(input.raw(), input.numel());
-  if (cfg_.use_norm_screen)
-    v.step_score =
-        norms_.score(flow_key, flow_version, input.raw(), input.numel());
+  if (cfg_.use_distribution) v.dist_score = profile_.score(x, n);
+  if (cfg_.use_norm_screen && keyed)
+    v.step_score = norms_.score(f.norm, flow_version, x, n);
   if (cfg_.use_ensemble && ensemble_ != nullptr)
-    v.ens_score = ensemble_score(input, primary_pred);
+    v.ens_score =
+        ens_score != nullptr ? *ens_score : ensemble_score(input, primary_pred);
 
   // With adaptive thresholds disabled the accessors return the configured
-  // statics verbatim, so this is the exact pre-adaptive comparison.
-  v.score = std::max({v.dist_score / adaptive_.dist_threshold(),
-                      v.step_score / adaptive_.step_threshold(flow_key),
-                      v.ens_score / adaptive_.ens_threshold()});
-  v.flagged = v.score >= 1.0;
+  // statics verbatim, so this is the exact pre-adaptive comparison. A
+  // non-finite row scores +inf: whatever the detectors made of it, it is
+  // flagged and never touches the reference state below.
+  const bool finite = all_finite(x, n);
+  v.score = combined_score(finite, v.dist_score / adaptive_.dist_threshold(),
+                           v.step_score / adaptive_.step_threshold(f.adaptive),
+                           v.ens_score / adaptive_.ens_threshold());
+  v.flagged = !(v.score < 1.0);
 
   if (v.flagged) {
     ++flagged_;
     m_flagged_.inc();
     // Bounded ring: evict the oldest record, never grow unbounded. An
     // evicted record was never reviewed — counted so floods are visible.
-    if (static_cast<int>(quarantine_.size()) >= cfg_.quarantine_capacity) {
+    if (quarantine_.full()) {
       quarantine_.pop_front();
       ++evicted_;
     }
     // Temporal-consistency label: the flow's last accepted prediction
     // when one exists, else the primary's own.
-    int ref_label = primary_pred;
-    const auto it = last_pred_.find(flow_key);
-    if (it != last_pred_.end()) ref_label = it->second;
-    QuarantineRecord rec;
+    const int ref_label = f.has_pred ? f.last_pred : primary_pred;
+    // The ring recycles its slots: the key and sample are assigned into
+    // buffers an evicted or reviewed record left behind.
+    QuarantineRecord& rec = quarantine_.push_slot();
     rec.request_id = request_id;
-    rec.flow_key = flow_key;
+    rec.flow_key.assign(flow_index_.key(flow));
+    rec.flow = flow;
     rec.flow_version = flow_version;
     rec.score = v.score;
     rec.primary_pred = primary_pred;
@@ -159,11 +235,10 @@ DefenseVerdict DefensePlane::screen(std::uint64_t request_id,
     rec.profile_samples = profile_.samples();
     rec.epoch = model_epoch_;
     rec.sample = input;
-    quarantine_.push_back(std::move(rec));
     // With review enabled the review pass decides whether the record is
     // a false positive or fine-tune material; without it, preserve the
     // original flag-time push.
-    if (cfg_.review_every == 0 && ref_label >= 0)
+    if (cfg_.review_every == 0 && ref_label >= 0 && finite)
       finetune_.push(input, ref_label);
   } else {
     // Only unflagged rows may advance the flow's reference state; a
@@ -175,14 +250,15 @@ DefenseVerdict DefensePlane::screen(std::uint64_t request_id,
     // after a flag run, when the candidate rows are the least
     // trustworthy, so only a comfortably clean row may found the new
     // reference (see DefenseConfig::reseed_margin).
-    const bool reseeding =
-        cfg_.use_norm_screen && !flow_key.empty() &&
-        !norms_.has_reference(flow_key, flow_version, input.numel());
-    if (!reseeding || v.score < cfg_.reseed_margin)
-      norms_.accept(flow_key, flow_version, input.raw(), input.numel());
-    if (!flow_key.empty() && primary_pred >= 0)
-      last_pred_[flow_key] = primary_pred;
-    adaptive_.observe_accepted(flow_key, v.dist_score, v.step_score,
+    const bool reseeding = cfg_.use_norm_screen && keyed &&
+                           !norms_.has_reference(f.norm, flow_version, n);
+    if (keyed && (!reseeding || v.score < cfg_.reseed_margin))
+      norms_.accept(f.norm, flow_version, x, n);
+    if (keyed && primary_pred >= 0) {
+      f.has_pred = true;
+      f.last_pred = primary_pred;
+    }
+    adaptive_.observe_accepted(f.adaptive, v.dist_score, v.step_score,
                                v.ens_score);
   }
   adaptive_.on_row();
@@ -206,21 +282,67 @@ DefenseVerdict DefensePlane::screen(std::uint64_t request_id,
   return v;
 }
 
+bool DefensePlane::stage_review_rows() {
+  const std::size_t n = quarantine_.size();
+  if (n == 0) return false;
+  const std::size_t f = quarantine_.front().sample.numel();
+  for (const QuarantineRecord& rec : quarantine_)
+    if (rec.sample.numel() != f) return false;
+  review_rows_.resize(n * f);
+  for (std::size_t i = 0; i < n; ++i)
+    std::copy_n(quarantine_[i].sample.raw(), f, review_rows_.data() + i * f);
+  return true;
+}
+
 std::vector<ReviewOutcome> DefensePlane::review(
     const std::function<int(const nn::Tensor&)>& repredict) {
-  std::vector<ReviewOutcome> out;
-  out.reserve(quarantine_.size());
+  review_preds_.resize(quarantine_.size());
+  for (std::size_t i = 0; i < quarantine_.size(); ++i)
+    review_preds_[i] = repredict ? repredict(quarantine_[i].sample)
+                                 : quarantine_[i].primary_pred;
+  run_review(stage_review_rows());
+  return std::vector<ReviewOutcome>(
+      review_out_.begin(),
+      review_out_.begin() + static_cast<std::ptrdiff_t>(review_n_));
+}
+
+std::span<const ReviewOutcome> DefensePlane::review_rows(
+    const RowsPredictor& predict_rows) {
+  const std::size_t n = quarantine_.size();
+  review_preds_.resize(n);
+  if (n > 0) {
+    OREV_CHECK(stage_review_rows(),
+               "review_rows needs pending samples of one width");
+    predict_rows(review_rows_.data(), static_cast<int>(n),
+                 review_preds_.data());
+  }
+  run_review(n > 0);
+  return std::span<const ReviewOutcome>(review_out_.data(), review_n_);
+}
+
+void DefensePlane::run_review(bool staged) {
+  const std::size_t n = quarantine_.size();
   ++review_passes_;
   rows_since_review_ = 0;
+  // The sibling scores every record in one call when the samples staged
+  // and the compiled sibling takes their width.
+  const bool use_ens = cfg_.use_ensemble && ensemble_ != nullptr;
+  const bool batch_ens =
+      use_ens && staged && sibling_plan_ != nullptr &&
+      review_rows_.size() ==
+          n * static_cast<std::size_t>(sibling_plan_->input_features());
+  if (batch_ens) {
+    review_ens_.resize(n);
+    sibling_scores(review_rows_.data(), static_cast<int>(n),
+                   review_preds_.data(), review_ens_.data());
+  }
+  if (review_out_.size() < n) review_out_.resize(n);
   // Oldest first: review order is the flag order, a total order stable
   // across thread counts (records are created on the driving thread).
-  while (!quarantine_.empty()) {
-    QuarantineRecord rec = std::move(quarantine_.front());
-    quarantine_.pop_front();
+  for (std::size_t i = 0; i < n; ++i) {
+    QuarantineRecord& rec = quarantine_[i];
     ++reviewed_;
-
-    const int re_pred =
-        repredict ? repredict(rec.sample) : rec.primary_pred;
+    const int re_pred = review_preds_[i];
     // Re-score against the *current* state: the profile has seen every
     // accepted row since the flag, the sibling may have been hardened,
     // and the thresholds may have adapted. The step score is re-taken
@@ -228,41 +350,43 @@ std::vector<ReviewOutcome> DefensePlane::review(
     // clean walk has moved on since the flag, so a natural outlier has
     // been overtaken by its own flow while an adversarial point is still
     // far from everywhere the walk actually went.
+    const Flow& f = flows_[rec.flow];
+    const float* x = rec.sample.raw();
+    const std::size_t nx = rec.sample.numel();
     double dist = 0.0, step = 0.0, ens = 0.0;
-    if (cfg_.use_distribution)
-      dist = profile_.score(rec.sample.raw(), rec.sample.numel());
-    if (cfg_.use_norm_screen)
-      step = norms_.review_score(rec.flow_key, rec.sample.raw(),
-                                 rec.sample.numel());
-    if (cfg_.use_ensemble && ensemble_ != nullptr)
-      ens = ensemble_score(rec.sample, re_pred);
+    if (cfg_.use_distribution) dist = profile_.score(x, nx);
+    if (cfg_.use_norm_screen && f.norm != defense::FlowIndex::kNone)
+      step = norms_.review_score(f.norm, x, nx);
+    if (use_ens) ens = batch_ens ? review_ens_[i] : ensemble_score(rec.sample, re_pred);
+    // A non-finite sample re-scores +inf: it is never released.
+    const bool finite = all_finite(x, nx);
     const double review_score =
-        std::max(std::max(dist / adaptive_.dist_threshold(),
-                          step / adaptive_.step_threshold(rec.flow_key)),
-                 ens / adaptive_.ens_threshold());
+        combined_score(finite, dist / adaptive_.dist_threshold(),
+                       step / adaptive_.step_threshold(f.adaptive),
+                       ens / adaptive_.ens_threshold());
 
-    ReviewOutcome o;
+    ReviewOutcome& o = review_out_[i];
     o.request_id = rec.request_id;
-    o.flow_key = std::move(rec.flow_key);
+    o.flow_key.assign(rec.flow_key);
     o.flow_version = rec.flow_version;
     o.original_score = rec.score;
     o.review_score = review_score;
     o.quarantined_at_profile_samples = rec.profile_samples;
     o.model_epoch = rec.epoch;
     o.released = review_score < cfg_.release_margin;
+    o.corrected_pred = o.released ? re_pred : -1;
     if (o.released) {
-      o.corrected_pred = re_pred;
       ++released_;
       m_released_.inc();
     } else {
       ++confirmed_;
       m_confirmed_.inc();
-      if (rec.ref_label >= 0)
+      if (rec.ref_label >= 0 && finite)
         finetune_.push(std::move(rec.sample), rec.ref_label);
     }
-    out.push_back(std::move(o));
   }
-  return out;
+  quarantine_.clear();
+  review_n_ = n;
 }
 
 std::string DefensePlane::fingerprint() const {
@@ -325,10 +449,13 @@ persist::Status DefensePlane::save_status(const std::string& path) const {
   fw.section("norms", norms.take());
 
   persist::ByteWriter labels;
-  labels.u64(last_pred_.size());
-  for (const auto& [key, pred] : last_pred_) {
-    labels.str(key);
-    labels.i32(pred);
+  std::uint64_t nlabels = 0;
+  for (const Flow& f : flows_) nlabels += f.has_pred ? 1 : 0;
+  labels.u64(nlabels);
+  for (const std::uint32_t id : flow_index_.sorted()) {
+    if (!flows_[id].has_pred) continue;
+    labels.str(flow_index_.key(id));
+    labels.i32(flows_[id].last_pred);
   }
   fw.section("labels", labels.take());
 
@@ -414,7 +541,7 @@ persist::Status DefensePlane::load_status(const std::string& path) {
     if (!st.ok()) return st;
   }
 
-  std::map<std::string, int> labels;
+  std::vector<std::pair<std::string, int>> labels;
   st = fr.section("labels", sec);
   if (!st.ok()) return st;
   {
@@ -429,7 +556,7 @@ persist::Status DefensePlane::load_status(const std::string& path) {
       if (!r.str(key) || !r.i32(pred))
         return Status::Fail(StatusCode::kTruncated,
                             "defense labels section truncated");
-      labels.emplace(std::move(key), pred);
+      labels.emplace_back(std::move(key), pred);
     }
     st = r.finish("defense labels");
     if (!st.ok()) return st;
@@ -459,7 +586,7 @@ persist::Status DefensePlane::load_status(const std::string& path) {
     if (!st.ok()) return st;
   }
 
-  std::deque<QuarantineRecord> quarantine;
+  std::vector<QuarantineRecord> quarantine;
   st = fr.section("quarantine", sec);
   if (!st.ok()) return st;
   {
@@ -470,7 +597,8 @@ persist::Status DefensePlane::load_status(const std::string& path) {
                           "defense quarantine section truncated");
     // Each record costs at least its fixed-width fields; reject counts
     // the payload cannot hold.
-    if (n > r.remaining() / 48)
+    if (n > r.remaining() / 48 ||
+        n > static_cast<std::uint64_t>(quarantine_.capacity()))
       return Status::Fail(StatusCode::kBadValue,
                           "defense quarantine count implausible");
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -511,10 +639,25 @@ persist::Status DefensePlane::load_status(const std::string& path) {
 
   profile_ = std::move(profile);
   norms_ = std::move(norms);
-  last_pred_ = std::move(labels);
   finetune_ = std::move(finetune);
   adaptive_ = std::move(adaptive);
-  quarantine_ = std::move(quarantine);
+  // Flow ids stay stable across the load; their detector ids point into
+  // the loaded detectors now, and the labels are the loaded ones.
+  for (std::uint32_t id = 0; id < flows_.size(); ++id) {
+    bind_flow(id);
+    flows_[id].has_pred = false;
+  }
+  for (const auto& [key, pred] : labels) {
+    Flow& f = flows_[flow_id(key)];
+    if (f.has_pred) continue;  // a repeated key keeps its first label
+    f.has_pred = true;
+    f.last_pred = pred;
+  }
+  quarantine_.clear();
+  for (QuarantineRecord& rec : quarantine) {
+    rec.flow = flow_id(rec.flow_key);
+    quarantine_.push_slot() = std::move(rec);
+  }
   screened_ = screened;
   flagged_ = flagged;
   bursts_ = bursts;

@@ -38,14 +38,23 @@
 // each record against the current calibration profile and (hardened)
 // sibling, releases false positives back to the apps through the normal
 // decision path, and feeds confirmed records to the fine-tuning queue.
+//
+// Per-flow state is indexed by a dense flow id (DESIGN.md §15): flow_id()
+// interns a key once, screen_flow() takes the id, and the string-keyed
+// screen() is a wrapper. The quarantine ring and the review outcomes
+// recycle their buffers, so a steady stream allocates nothing here.
+//
+// Non-finite rows: a row holding NaN or ±inf is always flagged (score
+// +inf), whatever the detectors say, and so never becomes a reference,
+// feeds a sketch or a label, or is released by review.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "defense/adaptive.hpp"
@@ -55,6 +64,7 @@
 #include "serve/compiled_cnn.hpp"
 #include "util/obs/metrics.hpp"
 #include "util/persist/persist.hpp"
+#include "util/ring.hpp"
 
 namespace orev::serve {
 
@@ -127,7 +137,8 @@ struct DefenseConfig {
 /// Outcome of screening one request.
 struct DefenseVerdict {
   bool flagged = false;
-  /// Combined threshold-normalized score (≥ 1 ⇔ flagged).
+  /// Combined threshold-normalized score (≥ 1 ⇔ flagged; +inf for a
+  /// non-finite row; NaN in any detector score also flags).
   double score = 0.0;
   /// Raw per-detector scores (0 when a detector is off / not ready).
   double dist_score = 0.0;
@@ -140,6 +151,8 @@ struct DefenseVerdict {
 struct QuarantineRecord {
   std::uint64_t request_id = 0;
   std::string flow_key;
+  /// The plane's id for flow_key (DefensePlane::flow_id).
+  std::uint32_t flow = 0;
   std::uint64_t flow_version = 0;
   double score = 0.0;
   /// Primary model's prediction on the flagged input (never served).
@@ -214,6 +227,23 @@ class DefensePlane {
                         std::uint64_t flow_version, const nn::Tensor& input,
                         int primary_pred);
 
+  /// Dense id of a flow key, assigned on first sight and stable for the
+  /// plane's lifetime (checkpoint loads included). The empty key is a
+  /// flow too — it just opts out of the norm screen.
+  std::uint32_t flow_id(std::string_view key);
+  /// screen() by flow id. `ens_score`, when given, is the row's ensemble
+  /// score precomputed by batch_ensemble_scores().
+  DefenseVerdict screen_flow(std::uint64_t request_id, std::uint32_t flow,
+                             std::uint64_t flow_version,
+                             const nn::Tensor& input, int primary_pred,
+                             const double* ens_score = nullptr);
+  /// Ensemble scores of `m` contiguous rows of `features` floats against
+  /// their primary predictions, from one compiled-sibling call —
+  /// bit-identical to scoring each row alone. Null when the ensemble is
+  /// off or the sibling cannot take the rows (callers then score per row).
+  const double* batch_ensemble_scores(const float* rows, int m, int features,
+                                      const int* preds);
+
   /// Virtual µs the inline screen adds to a batch of n rows.
   std::uint64_t screen_cost_us(int n) const {
     return cfg_.screen_overhead_us +
@@ -243,6 +273,16 @@ class DefensePlane {
   std::vector<ReviewOutcome> review(
       const std::function<int(const nn::Tensor&)>& repredict);
 
+  /// review() with the re-predictions of every pending record made by
+  /// one call, `predict_rows(rows, m, preds)`, over their samples staged
+  /// contiguously (all pending samples must have one width), and the
+  /// sibling scored in one call as well. Outcomes are bit-identical to
+  /// review(); the returned buffer is reused by the next pass.
+  using RowsPredictor =
+      std::function<void(const float* rows, int m, int* preds)>;
+  std::span<const ReviewOutcome> review_rows(
+      const RowsPredictor& predict_rows);
+
   /// Serving-model swap epoch stamped onto new quarantine records.
   void set_model_epoch(std::uint64_t epoch) { model_epoch_ = epoch; }
   std::uint64_t model_epoch() const { return model_epoch_; }
@@ -266,7 +306,7 @@ class DefensePlane {
                : static_cast<double>(recent_hits_) /
                      static_cast<double>(recent_.size());
   }
-  const std::deque<QuarantineRecord>& quarantine() const {
+  const util::Ring<QuarantineRecord>& quarantine() const {
     return quarantine_;
   }
   const defense::FineTuneQueue& finetune() const { return finetune_; }
@@ -291,6 +331,29 @@ class DefensePlane {
   double ensemble_score(const nn::Tensor& input, int pred);
   /// Append one flag outcome to the burst window ring.
   void record_burst(bool flagged);
+  /// Stage every pending sample contiguously into review_rows_; false
+  /// (nothing staged) when their widths differ.
+  bool stage_review_rows();
+  /// The review pass over the ring, given each record's re-prediction in
+  /// review_preds_ (and the samples in review_rows_ when `staged`).
+  /// Fills review_out_[0, size) and empties the ring.
+  void run_review(bool staged);
+  /// Sibling disbelief of m contiguous rows against `preds` into `out`
+  /// (compiled sibling, one call).
+  void sibling_scores(const float* rows, int m, const int* preds,
+                      double* out);
+
+  /// Plane-level per-flow state, indexed by flow id.
+  struct Flow {
+    std::uint32_t norm = defense::FlowIndex::kNone;  // norms_ id
+    std::uint32_t adaptive = 0;                      // adaptive_ id
+    /// Last accepted (unflagged) prediction: the reference label
+    /// quarantined samples are fine-tuned toward (temporal consistency).
+    bool has_pred = false;
+    int last_pred = -1;
+  };
+  /// (Re)derive a flow's detector ids after norms_/adaptive_ changed.
+  void bind_flow(std::uint32_t id);
 
   DefenseConfig cfg_;
   std::string name_;
@@ -303,10 +366,18 @@ class DefensePlane {
   std::vector<float> sibling_logits_;
   defense::FineTuneQueue finetune_;
   defense::AdaptiveThresholds adaptive_;
-  /// Last accepted (unflagged) prediction per flow: the reference label
-  /// quarantined samples are fine-tuned toward (temporal consistency).
-  std::map<std::string, int> last_pred_;
-  std::deque<QuarantineRecord> quarantine_;
+  defense::FlowIndex flow_index_;
+  std::vector<Flow> flows_;  // by flow id
+  util::Ring<QuarantineRecord> quarantine_;
+  // Review scratch, reused pass to pass.
+  std::vector<int> review_preds_;
+  std::vector<float> review_rows_;
+  std::vector<double> review_ens_;
+  std::vector<ReviewOutcome> review_out_;
+  std::size_t review_n_ = 0;  // outcomes of the last pass in review_out_
+  // Batch ensemble scratch: sibling logits and scores of one flush.
+  std::vector<float> batch_logits_;
+  std::vector<double> batch_ens_;
   /// Trailing flag/pass outcomes for the burst window: a fixed ring of
   /// burst_window slots with a write cursor, fill count and running hit
   /// count, so the rate costs O(1) per row.

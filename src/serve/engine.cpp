@@ -87,10 +87,11 @@ void ServeEngine::attach_defense_sibling(nn::Model sibling) {
 }
 
 void ServeEngine::screen_request(ServeRequest& r, int& prediction,
-                                 ServeStatus& status) {
+                                 ServeStatus& status,
+                                 const double* ens_score) {
   if (defense_ == nullptr) return;
-  const DefenseVerdict v = defense_->screen(r.id, r.flow.key, r.flow.version,
-                                            r.input, prediction);
+  const DefenseVerdict v = defense_->screen_flow(
+      r.id, r.flow_id, r.flow.version, r.input, prediction, ens_score);
   r.defense_score = v.score;
   if (v.flagged) {
     prediction = -1;
@@ -142,6 +143,8 @@ void ServeEngine::finish(ServeRequest& r, int prediction, ServeStatus status,
     in_completion_ = true;
     r.done(res);
     in_completion_ = false;
+    // The request's slot is recycled; its completion is spent.
+    r.done = nullptr;
   }
 }
 
@@ -157,6 +160,28 @@ ServeStatus ServeEngine::submit(nn::Tensor input, obs::TraceContext ctx,
 
 ServeStatus ServeEngine::submit(nn::Tensor input, FlowTag flow,
                                 obs::TraceContext ctx, Completion done) {
+  const std::uint32_t id = flow_id(flow.key);
+  return admit(id, ctx, [&](ServeRequest& r) {
+    r.flow = std::move(flow);
+    r.input = std::move(input);
+    r.done = std::move(done);
+  });
+}
+
+ServeStatus ServeEngine::submit_row(const nn::Tensor& input, std::uint32_t flow,
+                                    std::uint64_t flow_version,
+                                    obs::TraceContext ctx, Completion done) {
+  return admit(flow, ctx, [&](ServeRequest& r) {
+    r.flow.key.clear();
+    r.flow.version = flow_version;
+    r.input = input;  // same shape as the slot's last input: no allocation
+    r.done = std::move(done);
+  });
+}
+
+template <class Fill>
+ServeStatus ServeEngine::admit(std::uint32_t flow_id, obs::TraceContext ctx,
+                               Fill&& fill) {
   OREV_CHECK(!in_completion_,
              "serve completions must not call back into the engine");
   now_us_ += cfg_.tick_us;
@@ -171,18 +196,23 @@ ServeStatus ServeEngine::submit(nn::Tensor input, FlowTag flow,
            d.kind == fault::FaultKind::kTransient;
   }
 
-  ServeRequest r;
+  // An admitted request is built in its recycled queue slot; a shed one
+  // in a local request that serves or rejects it right here.
+  const bool queued = !shed && !queue_.full();
+  ServeRequest local;
+  ServeRequest& r = queued ? queue_.push_slot() : local;
   r.id = next_request_id_++;
   r.arrival_us = now_us_;
   r.deadline_us = now_us_ + cfg_.deadline_us;
-  r.flow = std::move(flow);
-  r.input = std::move(input);
-  r.done = std::move(done);
+  r.flow_id = flow_id;
+  r.defense_score = 0.0;
+  fill(r);
   // Admit span: child of the caller's context when it carries one, else
   // the root of a serve-minted trace derived from the request id — so an
   // untraced submitter still yields a complete admit→batch→replica→
   // complete chain. causal_child is a no-op returning a zero context when
   // causal tracing is disabled.
+  r.trace = obs::TraceContext{};
   if (obs::causal_enabled()) {
     if (!ctx.valid())
       ctx = obs::TraceContext{
@@ -192,13 +222,10 @@ ServeStatus ServeEngine::submit(nn::Tensor input, FlowTag flow,
         obs::causal_child(ctx, "serve.admit", obs::lanes::kAdmit, now_us_);
   }
 
-  if (shed || !queue_.push(std::move(r))) {
+  if (!queued) {
     if (!cfg_.sync_fallback) {
       slo_.on_reject(now_us_);
-      // Shed with no prediction; r still owns the request on queue-full,
-      // but on injected shed it was moved into the (failed) push only when
-      // the queue was consulted — either way r is valid here because
-      // BoundedQueue::push leaves its argument untouched on failure.
+      // Shed with no prediction.
       finish(r, -1, ServeStatus::kRejected, now_us_, 0, 0, 0, 0);
       pump();
       return ServeStatus::kRejected;
@@ -233,7 +260,7 @@ void ServeEngine::pump() {
     const FlushTrigger trigger =
         batcher_.flush_trigger(queue_, now_us_, now_us_ >= busy_until_us_);
     if (trigger == FlushTrigger::kNone) break;
-    execute_batch(batcher_.take_batch(queue_), trigger);
+    execute_batch(batcher_.take_batch(queue_, batch_), trigger);
   }
   // Quarantine review rides the same driving-thread cadence as screening:
   // due-ness is a pure function of the screened-row count, so the pass
@@ -274,15 +301,34 @@ void ServeEngine::run_review(std::uint64_t extra_us) {
   busy_until_us_ = start + defense_->review_cost_us(pending) + extra_us;
   // Re-predict on replica 0's compiled float plan (byte-identical to its
   // layer walk, which stays the fallback) — never on the int8 tier, so
-  // review verdicts stay float-exact whichever tier is serving.
+  // review verdicts stay float-exact whichever tier is serving. When the
+  // plan takes every pending sample, the whole pass is one plan call.
   CompiledPlan* plan = compiled_.front().get();
-  const std::vector<ReviewOutcome> outcomes =
-      defense_->review([this, plan](const nn::Tensor& sample) {
-        if (plan != nullptr &&
-            static_cast<int>(sample.numel()) == plan->input_features())
-          return plan->predict_rows(sample.raw(), 1).front();
-        return predict_on_replica(0, sample);
-      });
+  const auto& pending_q = defense_->quarantine();
+  const bool batched =
+      plan != nullptr &&
+      std::all_of(pending_q.begin(), pending_q.end(),
+                  [plan](const QuarantineRecord& rec) {
+                    return static_cast<int>(rec.sample.numel()) ==
+                           plan->input_features();
+                  });
+  std::vector<ReviewOutcome> walked;
+  std::span<const ReviewOutcome> outcomes;
+  if (batched) {
+    outcomes = defense_->review_rows(
+        [plan](const float* rows, int m, int* preds) {
+          const std::vector<int> p = plan->predict_rows(rows, m);
+          std::copy(p.begin(), p.end(), preds);
+        });
+  } else {
+    walked = defense_->review([this, plan](const nn::Tensor& sample) {
+      if (plan != nullptr &&
+          static_cast<int>(sample.numel()) == plan->input_features())
+        return plan->predict_rows(sample.raw(), 1).front();
+      return predict_on_replica(0, sample);
+    });
+    outcomes = walked;
+  }
   if (!release_handler_) return;
   // Released rows replay to the apps under the completion no-reentry rule.
   in_completion_ = true;
@@ -303,12 +349,12 @@ void ServeEngine::drain() {
              "serve completions must not call back into the engine");
   while (!queue_.empty()) {
     now_us_ = std::max(now_us_, busy_until_us_);
-    execute_batch(batcher_.take_batch(queue_), FlushTrigger::kDrain);
+    execute_batch(batcher_.take_batch(queue_, batch_), FlushTrigger::kDrain);
   }
   slo_.set_queue_depth(0);
 }
 
-void ServeEngine::execute_sync_fallback(std::vector<ServeRequest>& batch,
+void ServeEngine::execute_sync_fallback(std::span<ServeRequest> batch,
                                         std::uint64_t start_us) {
   std::uint64_t t = start_us;
   for (ServeRequest& r : batch) {
@@ -321,9 +367,9 @@ void ServeEngine::execute_sync_fallback(std::vector<ServeRequest>& batch,
   busy_until_us_ = t;
 }
 
-void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
-                                FlushTrigger trigger) {
-  const int n = static_cast<int>(batch.size());
+void ServeEngine::execute_batch(std::size_t count, FlushTrigger trigger) {
+  const std::span<ServeRequest> batch(batch_.data(), count);
+  const int n = static_cast<int>(count);
   if (n == 0) return;
   const std::uint64_t start = std::max(now_us_, busy_until_us_);
   std::uint64_t cost =
@@ -389,13 +435,18 @@ void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
   // Shard boundaries depend only on (n, replicas); each shard is computed
   // by its own replica and writes a disjoint prediction range, so the
   // stream is bit-identical at every thread count.
-  const nn::Shape& sample_shape = replicas_.front().input_shape();
-  nn::Shape batch_shape;
-  batch_shape.push_back(n);
-  batch_shape.insert(batch_shape.end(), sample_shape.begin(),
-                     sample_shape.end());
+  const auto batch_shape = [this](int rows) {
+    const nn::Shape& sample_shape = replicas_.front().input_shape();
+    nn::Shape shape;
+    shape.push_back(rows);
+    shape.insert(shape.end(), sample_shape.begin(), sample_shape.end());
+    return shape;
+  };
 
   std::vector<int> preds;
+  // Ensemble scores of the whole flush from one sibling call, when the
+  // rows are staged (null: the screen scores each row itself).
+  const double* ens_scores = nullptr;
   const int nshards = std::min<int>(static_cast<int>(replicas_.size()), n);
 
   // Row → replica shard assignment is a pure function of (n, replicas,
@@ -409,7 +460,8 @@ void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
   // request's admit span; replica spans are its children, recorded here on
   // the driving thread in shard order so the causal log stays
   // deterministic — the parallel_for workers below never touch it.
-  std::vector<obs::TraceContext> shard_ctx(static_cast<std::size_t>(nshards));
+  std::vector<obs::TraceContext>& shard_ctx = shard_ctx_;
+  shard_ctx.assign(static_cast<std::size_t>(nshards), obs::TraceContext{});
   if (obs::causal_enabled() && batch.front().trace.valid()) {
     const std::string batch_name =
         std::string("batch.") + flush_trigger_name(trigger);
@@ -444,10 +496,13 @@ void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
                 staging_.data() + static_cast<std::size_t>(i) * f);
     }
     preds = staged_plan->predict_rows(staging_.data(), n);
+    if (defense_ != nullptr)
+      ens_scores =
+          defense_->batch_ensemble_scores(staging_.data(), n, f, preds.data());
   } else if (nshards == 1) {
     // Single shard without a compiled plan: run the layer walk on the
     // calling thread without waking the pool.
-    nn::Tensor whole(batch_shape);
+    nn::Tensor whole(batch_shape(n));
     for (int i = 0; i < n; ++i)
       whole.set_batch(i, batch[static_cast<std::size_t>(i)].input);
     preds = replicas_.front().predict(whole);
@@ -458,9 +513,7 @@ void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
       const int lo = static_cast<int>(s) * per_shard;
       const int hi = std::min(n, lo + per_shard);
       if (lo >= hi) return;
-      nn::Shape shard_shape = batch_shape;
-      shard_shape[0] = hi - lo;
-      nn::Tensor shard(shard_shape);
+      nn::Tensor shard(batch_shape(hi - lo));
       for (int i = lo; i < hi; ++i)
         shard.set_batch(i - lo, batch[static_cast<std::size_t>(i)].input);
       auto& plan = compiled_[static_cast<std::size_t>(s)];
@@ -480,7 +533,8 @@ void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
     // stateful detectors see an identical sequence at every thread count.
     int pred = preds[static_cast<std::size_t>(i)];
     ServeStatus status = ServeStatus::kOk;
-    screen_request(batch[static_cast<std::size_t>(i)], pred, status);
+    screen_request(batch[static_cast<std::size_t>(i)], pred, status,
+                   ens_scores != nullptr ? ens_scores + i : nullptr);
     finish(batch[static_cast<std::size_t>(i)], pred, status, completion,
            batch_id, n, shard,
            shard_ctx[static_cast<std::size_t>(shard)].span_id);

@@ -39,7 +39,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nn/model.hpp"
@@ -136,6 +138,19 @@ class ServeEngine {
   /// empty flow key (per-flow screen skipped, other detectors still run).
   ServeStatus submit(nn::Tensor input, FlowTag flow, obs::TraceContext ctx,
                      Completion done);
+
+  /// submit() for a caller that keeps its input buffer: the row is copied
+  /// into a recycled queue slot (no allocation once the queue has cycled)
+  /// and the flow is named by the defense plane's id (flow_id()). The
+  /// request is otherwise served exactly as submit() would serve it.
+  ServeStatus submit_row(const nn::Tensor& input, std::uint32_t flow,
+                         std::uint64_t flow_version, obs::TraceContext ctx,
+                         Completion done);
+
+  /// The defense plane's id for a flow key (0 without a plane).
+  std::uint32_t flow_id(std::string_view key) {
+    return defense_ != nullptr ? defense_->flow_id(key) : 0;
+  }
 
   /// Advance the virtual clock without submitting (heartbeat), then pump.
   /// Wire this to the platform's post-dispatch hook so partial batches
@@ -268,12 +283,20 @@ class ServeEngine {
               int batch_size, int replica, std::uint64_t flow_from);
   /// Run the defense screen over one served row (driving thread, row
   /// order); may replace the prediction with −1 / kQuarantined.
-  void screen_request(ServeRequest& r, int& prediction, ServeStatus& status);
+  /// `ens_score` is the row's precomputed ensemble score, if any.
+  void screen_request(ServeRequest& r, int& prediction, ServeStatus& status,
+                      const double* ens_score = nullptr);
   /// Virtual cost of one degraded synchronous inference (defense screen
   /// included when the plane is enabled).
   std::uint64_t sync_cost_us() const;
-  void execute_batch(std::vector<ServeRequest> batch, FlushTrigger trigger);
-  void execute_sync_fallback(std::vector<ServeRequest>& batch,
+  /// Admission shared by submit() and submit_row(): `fill(r)` sets the
+  /// request's input, flow tag and completion.
+  template <class Fill>
+  ServeStatus admit(std::uint32_t flow_id, obs::TraceContext ctx,
+                    Fill&& fill);
+  /// Flush the first `count` requests of batch_.
+  void execute_batch(std::size_t count, FlushTrigger trigger);
+  void execute_sync_fallback(std::span<ServeRequest> batch,
                              std::uint64_t start_us);
   int predict_on_replica(int replica, const nn::Tensor& input);
   /// Cadence-gated review driver, called from pump(): consults the
@@ -322,6 +345,10 @@ class ServeEngine {
   obs::Counter& m_swap_rejected_;
   /// Reusable flat row buffer for the single-shard compiled hot path.
   std::vector<float> staging_;
+  // Reused per flush: the batch's requests (swapped out of the queue)
+  // and its replica-shard trace contexts.
+  std::vector<ServeRequest> batch_;
+  std::vector<obs::TraceContext> shard_ctx_;
   std::vector<Rng> replica_rngs_;
   BoundedQueue queue_;
   MicroBatcher batcher_;

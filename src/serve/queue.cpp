@@ -6,15 +6,21 @@
 
 namespace orev::serve {
 
-BoundedQueue::BoundedQueue(std::size_t capacity) : capacity_(capacity) {
+BoundedQueue::BoundedQueue(std::size_t capacity)
+    : capacity_(capacity), q_(capacity) {
   OREV_CHECK(capacity >= 1, "serve queue capacity must be >= 1");
 }
 
 bool BoundedQueue::push(ServeRequest&& r) {
-  if (q_.size() >= capacity_) return false;
-  q_.push_back(std::move(r));
-  if (q_.size() > max_depth_) max_depth_ = q_.size();
+  if (q_.full()) return false;
+  push_slot() = std::move(r);
   return true;
+}
+
+ServeRequest& BoundedQueue::push_slot() {
+  ServeRequest& slot = q_.push_slot();
+  if (q_.size() > max_depth_) max_depth_ = q_.size();
+  return slot;
 }
 
 const ServeRequest& BoundedQueue::front() const {
@@ -27,6 +33,12 @@ ServeRequest BoundedQueue::pop() {
   ServeRequest r = std::move(q_.front());
   q_.pop_front();
   return r;
+}
+
+void BoundedQueue::pop_swap(ServeRequest& out) {
+  OREV_CHECK(!q_.empty(), "pop_swap() on an empty serve queue");
+  std::swap(out, q_.front());
+  q_.pop_front();
 }
 
 }  // namespace orev::serve

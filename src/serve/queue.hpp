@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 
 #include "serve/request.hpp"
+#include "util/ring.hpp"
 
 namespace orev::serve {
 
@@ -23,13 +23,24 @@ class BoundedQueue {
   /// left untouched so the caller can still serve or shed it).
   bool push(ServeRequest&& r);
 
+  /// Admit into a recycled slot: the caller assigns every field of the
+  /// returned request (its buffers are those of an earlier request, so
+  /// assigning a same-shaped input allocates nothing). Queue must not be
+  /// full.
+  ServeRequest& push_slot();
+
   /// Oldest admitted request. Queue must be non-empty.
   const ServeRequest& front() const;
 
   /// Remove and return the oldest admitted request.
   ServeRequest pop();
 
+  /// Swap the oldest request into `out` and remove it: `out`'s previous
+  /// buffers go back into the queue for reuse.
+  void pop_swap(ServeRequest& out);
+
   bool empty() const { return q_.empty(); }
+  bool full() const { return q_.full(); }
   std::size_t size() const { return q_.size(); }
   std::size_t capacity() const { return capacity_; }
 
@@ -39,7 +50,7 @@ class BoundedQueue {
  private:
   std::size_t capacity_;
   std::size_t max_depth_ = 0;
-  std::deque<ServeRequest> q_;
+  util::Ring<ServeRequest> q_;
 };
 
 }  // namespace orev::serve

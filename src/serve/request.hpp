@@ -94,6 +94,9 @@ struct ServeRequest {
   /// Flow identity for the defense plane's per-flow screen (empty key
   /// when the submitter did not tag the request).
   FlowTag flow;
+  /// The defense plane's id for the flow (DefensePlane::flow_id),
+  /// resolved at admission; unused without a plane.
+  std::uint32_t flow_id = 0;
   /// Combined defense score, filled by the screen before completion.
   double defense_score = 0.0;
   nn::Tensor input;

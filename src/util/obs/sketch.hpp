@@ -6,14 +6,23 @@
 // value to a logarithmic bucket index i = ceil(ln v / ln gamma) with
 // gamma = (1 + alpha) / (1 - alpha), which guarantees every reported
 // quantile q satisfies |q - q_true| <= alpha * q_true (relative error,
-// uniform across the whole range), using a sparse map of non-empty
-// buckets.
+// uniform across the whole range), using a sparse sorted array of
+// non-empty (index, count) buckets: a hot path that revisits a handful of
+// buckets costs a binary search, never an allocation.
 //
 // The property the serving stack leans on: merging is *exact integer
 // bucket addition*, so it is associative and commutative. Per-replica
 // shards merged in any order — 1 thread or 16 — produce the identical
 // sketch, hence byte-identical quantiles in every export. That is what
 // lets latency percentiles live inside the determinism contract.
+//
+// Non-finite observations have a defined meaning: NaN has no rank, so it
+// is ignored entirely (no count, sum, envelope or bucket change); -inf
+// lands in the zero bucket like any other value below the trackable
+// floor; +inf is counted in the top bucket index, kMaxIndex, with
+// max() = +inf. Any log-index beyond the int32 range (a tiny alpha over a
+// huge value) is clamped to that range as well: a defined bucket whose
+// estimate stays inside [min, max] but loses the relative-error bound.
 #pragma once
 
 #include <algorithm>
@@ -21,7 +30,8 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "util/persist/bytes.hpp"
 
@@ -35,6 +45,7 @@ class QuantileSketch {
         inv_log_gamma_(1.0 / std::log((1.0 + alpha) / (1.0 - alpha))) {}
 
   void observe(double v) {
+    if (std::isnan(v)) return;
     ++count_;
     sum_ += v;
     min_ = std::min(min_, v);
@@ -45,7 +56,7 @@ class QuantileSketch {
       ++zero_count_;
       return;
     }
-    ++buckets_[index_of(v)];
+    add(index_of(v), 1);
     ++bucket_total_;
   }
 
@@ -59,7 +70,11 @@ class QuantileSketch {
     max_ = std::max(max_, other.max_);
     zero_count_ += other.zero_count_;
     bucket_total_ += other.bucket_total_;
-    for (const auto& [idx, n] : other.buckets_) buckets_[idx] += n;
+    if (buckets_.empty()) {
+      buckets_ = other.buckets_;
+      return;
+    }
+    for (const auto& [idx, n] : other.buckets_) add(idx, n);
   }
 
   /// Value at quantile q in [0, 1]: the midpoint-estimate of the bucket
@@ -108,7 +123,7 @@ class QuantileSketch {
   }
 
   /// Checkpoint codec: alpha (bucket geometry), envelope, and the sparse
-  /// bucket map. Lets stateful consumers (the defense plane's adaptive
+  /// bucket array. Lets stateful consumers (the defense plane's adaptive
   /// thresholds) resume byte-exactly — bucket counts are integers, so a
   /// save/load round trip reproduces every future quantile exactly.
   void save(persist::ByteWriter& w) const {
@@ -134,13 +149,28 @@ class QuantileSketch {
     if (!(alpha > 0.0 && alpha < 1.0)) return false;
     // Each bucket entry is 12 bytes; reject counts the payload cannot hold.
     if (nb > r.remaining() / 12) return false;
-    std::map<std::int32_t, std::uint64_t> buckets;
+    std::vector<Bucket> buckets;
+    buckets.reserve(static_cast<std::size_t>(nb));
     for (std::uint64_t i = 0; i < nb; ++i) {
       std::int32_t idx = 0;
       std::uint64_t n = 0;
       if (!r.i32(idx) || !r.u64(n)) return false;
-      buckets[idx] = n;
+      buckets.emplace_back(idx, n);
     }
+    // Canonical form: ascending indices, a repeated index keeping the
+    // count recorded last (what assigning into a sorted map would do).
+    std::stable_sort(buckets.begin(), buckets.end(),
+                     [](const Bucket& a, const Bucket& b) {
+                       return a.first < b.first;
+                     });
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+      if (kept > 0 && buckets[kept - 1].first == buckets[i].first)
+        buckets[kept - 1].second = buckets[i].second;
+      else
+        buckets[kept++] = buckets[i];
+    }
+    buckets.resize(kept);
     std::uint64_t total = 0;
     for (const auto& [idx, n] : buckets) total += n;
     alpha_ = alpha;
@@ -158,15 +188,38 @@ class QuantileSketch {
 
  private:
   static constexpr double kMinTrackable = 1e-9;
+  /// Bucket index range: log-indices beyond it (+inf, or a tiny alpha
+  /// over a huge value) are clamped instead of overflowing the cast.
+  static constexpr std::int32_t kMaxIndex =
+      std::numeric_limits<std::int32_t>::max();
+  static constexpr std::int32_t kMinIndex =
+      std::numeric_limits<std::int32_t>::min();
 
+  using Bucket = std::pair<std::int32_t, std::uint64_t>;
+
+  /// Log-bucket of a value >= kMinTrackable (never NaN).
   std::int32_t index_of(double v) const {
-    return static_cast<std::int32_t>(std::ceil(std::log(v) * inv_log_gamma_));
+    const double x = std::ceil(std::log(v) * inv_log_gamma_);
+    if (x >= static_cast<double>(kMaxIndex)) return kMaxIndex;
+    if (x <= static_cast<double>(kMinIndex)) return kMinIndex;
+    return static_cast<std::int32_t>(x);
+  }
+
+  /// Add `n` to bucket `idx`, inserting it in sorted position if new.
+  void add(std::int32_t idx, std::uint64_t n) {
+    const auto it = std::lower_bound(
+        buckets_.begin(), buckets_.end(), idx,
+        [](const Bucket& b, std::int32_t i) { return b.first < i; });
+    if (it != buckets_.end() && it->first == idx)
+      it->second += n;
+    else
+      buckets_.insert(it, Bucket{idx, n});
   }
 
   double alpha_;
   double gamma_;
   double inv_log_gamma_;
-  std::map<std::int32_t, std::uint64_t> buckets_;  // sorted → ordered walks
+  std::vector<Bucket> buckets_;  // ascending index → ordered walks
   std::uint64_t count_ = 0;
   std::uint64_t zero_count_ = 0;
   std::uint64_t bucket_total_ = 0;  // sum of buckets_ (not persisted)

@@ -12,7 +12,9 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <system_error>
 #include <utility>
@@ -1403,7 +1405,8 @@ void expect_sibling_scores_match_walk(nn::Model sibling, bool compiles,
   }
 
   // Review re-scores each quarantined record against the re-prediction.
-  const std::deque<serve::QuarantineRecord> pending = plane.quarantine();
+  const std::vector<serve::QuarantineRecord> pending(
+      plane.quarantine().begin(), plane.quarantine().end());
   ASSERT_FALSE(pending.empty());
   const int re_pred = classes / 2;
   const std::vector<serve::ReviewOutcome> outcomes =
@@ -1732,6 +1735,313 @@ TEST_F(DefenseRicTest, ReviewReleaseReplaysThroughTheDecisionPath) {
             oran::SdlStatus::kOk);
   EXPECT_NE(alert.find("released"), std::string::npos) << alert;
   EXPECT_NE(alert.find("epoch=0"), std::string::npos) << alert;
+}
+
+
+// ------------------------------------------------- non-finite telemetry --
+
+/// Which detectors a non-finite probe runs against.
+enum class Detectors { kDistribution, kNormScreen, kEnsemble, kAll };
+
+/// A calibrated plane with only the chosen detectors on, adaptive
+/// thresholds on, and (for the ensemble) a sibling attached.
+std::unique_ptr<DefensePlane> nonfinite_plane(Detectors which,
+                                              std::uint64_t review_every) {
+  DefenseConfig cfg = tight_defense();
+  cfg.use_distribution =
+      which == Detectors::kDistribution || which == Detectors::kAll;
+  cfg.use_norm_screen =
+      which == Detectors::kNormScreen || which == Detectors::kAll;
+  cfg.use_ensemble = which == Detectors::kEnsemble || which == Detectors::kAll;
+  cfg.adaptive = fast_adaptive();
+  cfg.review_every = review_every;
+  auto plane = std::make_unique<DefensePlane>(cfg, "nonfinite");
+  if (cfg.use_ensemble) plane->attach_sibling(kpm_model(23));
+  plane->calibrate(cluster_rows(64, 0x6a1));
+  plane->calibrate_flow("nf/flow", cluster_rows(16, 0x6a2), 1);
+  return plane;
+}
+
+TEST(DefensePlane, NonFiniteRowsAreFlaggedAndNeverBecomeReferenceState) {
+  const float specials[3] = {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()};
+  const Detectors detectors[4] = {Detectors::kDistribution,
+                                  Detectors::kNormScreen, Detectors::kEnsemble,
+                                  Detectors::kAll};
+  for (const Detectors which : detectors) {
+    for (const float special : specials) {
+      for (std::size_t pos = 0; pos < 4; ++pos) {
+        SCOPED_TRACE(::testing::Message()
+                     << "detectors " << static_cast<int>(which) << " value "
+                     << special << " position " << pos);
+        std::unique_ptr<DefensePlane> plane = nonfinite_plane(which, 0);
+        Rng rng(0x6a3 + pos);
+        std::uint64_t id = 0, version = 17;
+        // Clean rows screened with prediction 1: the flow's label and LKG.
+        int accepted_clean = 0;
+        for (int i = 0; i < 24; ++i)
+          accepted_clean += plane->screen(++id, "nf/flow", version++,
+                                          cluster_row(rng), 1)
+                                    .flagged
+                                ? 0
+                                : 1;
+        const nn::Tensor probe = cluster_row(rng);
+        const double lkg_before =
+            plane->norm_screen().review_score("nf/flow", probe.raw(), 4);
+        const std::uint64_t accepted = plane->adaptive().accepted();
+        const std::size_t finetune = plane->finetune().size();
+
+        nn::Tensor bad = cluster_row(rng);
+        bad[pos] = special;
+        const DefenseVerdict v = plane->screen(++id, "nf/flow", version++, bad, 2);
+        EXPECT_TRUE(v.flagged);
+        EXPECT_EQ(v.score, std::numeric_limits<double>::infinity());
+        EXPECT_EQ(plane->norm_screen().review_score("nf/flow", probe.raw(), 4),
+                  lkg_before);
+        EXPECT_EQ(plane->adaptive().accepted(), accepted);
+        EXPECT_EQ(plane->finetune().size(), finetune);
+        ASSERT_EQ(plane->quarantine().back().request_id, id);
+
+        // The next flagged row's reference label is the last clean
+        // prediction (1), never the non-finite row's (2).
+        const DefenseVerdict far =
+            plane->screen(++id, "nf/flow", version++, far_row(rng), 3);
+        if (far.flagged && accepted_clean > 0) {
+          EXPECT_EQ(plane->quarantine().back().ref_label, 1);
+        }
+      }
+    }
+  }
+}
+
+TEST(DefensePlane, ReviewNeverReleasesANonFiniteRow) {
+  for (const float special : {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()}) {
+    std::unique_ptr<DefensePlane> plane =
+        nonfinite_plane(Detectors::kAll, 1000);
+    Rng rng(0x6a4);
+    nn::Tensor bad = cluster_row(rng);
+    bad[1] = special;
+    ASSERT_TRUE(plane->screen(1, "nf/flow", 17, bad, 0).flagged);
+    // The most lenient review: every record re-predicted as the sibling's
+    // favourite class and the profile widened.
+    plane->calibrate(wide_rows(384, 0x6a5));
+    const std::vector<serve::ReviewOutcome> out =
+        plane->review([](const nn::Tensor&) { return 0; });
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_FALSE(out[0].released);
+    EXPECT_EQ(out[0].review_score, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(plane->finetune().size(), 0u);  // never fine-tune material
+    EXPECT_EQ(plane->released(), 0u);
+  }
+}
+
+// ----------------------------------------------------- batched scoring --
+
+TEST(DefensePlane, BatchedEnsembleScoresMatchPerRowScoringBitForBit) {
+  for (const bool compiles : {true, false}) {
+    SCOPED_TRACE(compiles ? "compiled sibling" : "walk sibling");
+    nn::Model sibling = kpm_model(41);
+    if (!compiles) {
+      auto seq = std::make_unique<nn::Sequential>();
+      seq->emplace<nn::Dense>(4, 8);
+      seq->emplace<nn::Sigmoid>();
+      seq->emplace<nn::Dense>(8, 4);
+      sibling = nn::Model("SigmoidSibling", std::move(seq), {4}, 4);
+      Rng init(0x6b0);
+      sibling.init(init);
+    }
+    DefenseConfig cfg = tight_defense();
+    cfg.adaptive = fast_adaptive();
+    DefensePlane batched(cfg, "batched"), per_row(cfg, "perrow");
+    batched.attach_sibling(sibling.clone());
+    per_row.attach_sibling(sibling.clone());
+    ASSERT_EQ(batched.sibling_compiled(), compiles);
+    for (DefensePlane* p : {&batched, &per_row})
+      p->calibrate(cluster_rows(64, 0x6b1));
+
+    const std::vector<nn::Tensor> rows = mixed_inputs(96, 0x6b2);
+    const int m = 32;
+    std::vector<float> staged(static_cast<std::size_t>(m) * 4);
+    std::vector<int> preds(static_cast<std::size_t>(m));
+    for (int b = 0; b < 3; ++b) {
+      for (int i = 0; i < m; ++i) {
+        const nn::Tensor& x = rows[static_cast<std::size_t>(b * m + i)];
+        std::copy(x.raw(), x.raw() + 4, staged.data() + i * 4);
+        preds[static_cast<std::size_t>(i)] = (b * m + i) % 5 - 1;  // -1..3
+      }
+      const double* ens =
+          batched.batch_ensemble_scores(staged.data(), m, 4, preds.data());
+      EXPECT_EQ(ens != nullptr, compiles);
+      for (int i = 0; i < m; ++i) {
+        const std::uint64_t id = static_cast<std::uint64_t>(b * m + i + 1);
+        const std::string key = "flow/" + std::to_string(i % 4);
+        const nn::Tensor& x = rows[id - 1];
+        const int pred = preds[static_cast<std::size_t>(i)];
+        const DefenseVerdict a = batched.screen_flow(
+            id, batched.flow_id(key), id / 4, x, pred,
+            ens != nullptr ? ens + i : nullptr);
+        const DefenseVerdict r = per_row.screen(id, key, id / 4, x, pred);
+        ASSERT_EQ(a.ens_score, r.ens_score) << id;
+        ASSERT_EQ(a.score, r.score) << id;
+        ASSERT_EQ(a.flagged, r.flagged) << id;
+      }
+    }
+    EXPECT_GT(per_row.flagged(), 0u);
+  }
+}
+
+TEST(DefensePlane, BatchedReviewMatchesPerRecordReviewBitForBit) {
+  DefenseConfig cfg = tight_defense();
+  cfg.adaptive = fast_adaptive();
+  cfg.review_every = 1000;
+  DefensePlane batched(cfg, "rbatched"), per_record(cfg, "rperrec");
+  for (DefensePlane* p : {&batched, &per_record}) {
+    p->attach_sibling(kpm_model(43));
+    p->calibrate(cluster_rows(64, 0x6c1));
+  }
+  nn::Model victim = kpm_model(44);
+  victim.set_inference_only(true);
+  const std::vector<nn::Tensor> rows = mixed_inputs(60, 0x6c2);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::string key = "flow/" + std::to_string(i % 3);
+    const int pred = victim.predict_one(rows[i]);
+    batched.screen(i + 1, key, i / 3, rows[i], pred);
+    per_record.screen(i + 1, key, i / 3, rows[i], pred);
+  }
+  ASSERT_GT(batched.quarantine().size(), 1u);
+  for (DefensePlane* p : {&batched, &per_record})
+    p->calibrate(wide_rows(384, 0x6c3));
+
+  const std::vector<serve::ReviewOutcome> expected = per_record.review(
+      [&victim](const nn::Tensor& x) { return victim.predict_one(x); });
+  int calls = 0;
+  const std::span<const serve::ReviewOutcome> got = batched.review_rows(
+      [&victim, &calls](const float* x, int m, int* preds) {
+        ++calls;
+        for (int i = 0; i < m; ++i)
+          preds[i] = victim.predict_one(
+              nn::Tensor({4}, std::vector<float>(x + i * 4, x + i * 4 + 4)));
+      });
+  EXPECT_EQ(calls, 1);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].request_id, expected[k].request_id) << k;
+    EXPECT_EQ(got[k].flow_key, expected[k].flow_key) << k;
+    EXPECT_EQ(got[k].review_score, expected[k].review_score) << k;
+    EXPECT_EQ(got[k].released, expected[k].released) << k;
+    EXPECT_EQ(got[k].corrected_pred, expected[k].corrected_pred) << k;
+  }
+  EXPECT_EQ(batched.finetune().size(), per_record.finetune().size());
+  EXPECT_GT(per_record.released() + per_record.confirmed(), 0u);
+}
+
+TEST(ServeDefense, BatchedScreenMatchesPerRowPlaneUnderInt8) {
+  // A defended engine flushing 8-row batches on the gated int8 tier
+  // scores its sibling once per flush; each row's defense score must equal
+  // a per-row plane screening the same rows with the served predictions.
+  ServeConfig cfg = defended_engine_config("int8batch");
+  cfg.replicas = 1;
+  cfg.quant.enable = true;
+  cfg.quant.tol_clean = 1.0;
+  cfg.defense.adaptive = fast_adaptive();
+  const nn::Tensor clean = cluster_rows(64, 0x6d1);
+  nn::Model walk = hairline_kpm_model();
+  walk.set_inference_only(true);
+  const std::vector<int> labels = walk.predict(clean);
+  const std::vector<nn::Tensor> inputs = mixed_inputs(96, 0x6d2);
+
+  ServeConfig twin_cfg = cfg;
+  twin_cfg.name = "int8batch_twin";
+  twin_cfg.defense.enable = false;
+  ServeEngine twin(hairline_kpm_model(), twin_cfg);
+  ASSERT_TRUE(twin.activate_int8_tier(clean, labels).activated);
+  std::vector<int> served(inputs.size(), -1);
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    twin.submit(nn::Tensor(inputs[i]), [&served, i](const ServeResult& r) {
+      served[i] = r.prediction;
+    });
+  twin.drain();
+
+  ServeEngine eng(hairline_kpm_model(), cfg);
+  ASSERT_TRUE(eng.activate_int8_tier(clean, labels).activated);
+  eng.attach_defense_sibling(apps::make_one_layer({4}, 4, 31));
+  ASSERT_TRUE(eng.defense()->sibling_compiled());
+  eng.defense()->calibrate(cluster_rows(64, 0x6d3));
+  std::vector<double> scores(inputs.size(), -1.0);
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    eng.submit(nn::Tensor(inputs[i]),
+               serve::FlowTag{"flow/" + std::to_string(i % 4), i / 4},
+               obs::TraceContext{}, [&scores, i](const ServeResult& r) {
+                 scores[i] = r.defense_score;
+               });
+  eng.drain();
+
+  DefensePlane ref(cfg.defense, "int8batch_ref");
+  ref.attach_sibling(apps::make_one_layer({4}, 4, 31));
+  ref.calibrate(cluster_rows(64, 0x6d3));
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const DefenseVerdict v = ref.screen(
+        i + 1, "flow/" + std::to_string(i % 4), i / 4, inputs[i], served[i]);
+    ASSERT_EQ(scores[i], v.score) << i;
+  }
+  EXPECT_GT(ref.flagged(), 0u);
+}
+
+// ----------------------------------------------- flow-id checkpoint bytes --
+
+TEST(DefensePlane, FlowIdScreensWriteTheStringKeyedCheckpointBytes) {
+  DefenseConfig cfg = tight_defense();
+  cfg.adaptive = fast_adaptive();
+  cfg.review_every = 16;
+  DefensePlane by_key(cfg, "ckptbytes"), by_id(cfg, "ckptbytes");
+  for (DefensePlane* p : {&by_key, &by_id}) {
+    p->attach_sibling(kpm_model(47));
+    p->calibrate(cluster_rows(64, 0x6e1));
+    p->calibrate_flow("flow/1", cluster_rows(8, 0x6e2), 1);
+  }
+  const std::vector<nn::Tensor> rows = mixed_inputs(80, 0x6e3);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    // Keys arrive out of order so ids and sorted key order differ.
+    const std::string key = i % 5 == 0 ? "" : "flow/" + std::to_string(7 - i % 5);
+    const int pred = static_cast<int>(i % 4);
+    by_key.screen(i + 1, key, 9 + i / 5, rows[i], pred);
+    by_id.screen_flow(i + 1, by_id.flow_id(key), 9 + i / 5, rows[i], pred);
+    if (by_key.review_due()) {
+      by_key.review([](const nn::Tensor&) { return 1; });
+      by_id.review_rows([](const float*, int m, int* preds) {
+        std::fill(preds, preds + m, 1);
+      });
+    }
+  }
+  // Leave a pending record so the quarantine section is written too.
+  Rng rng(0x6e4);
+  const nn::Tensor far = far_row(rng);
+  by_key.screen(1000, "flow/9", 1, far, 0);
+  by_id.screen_flow(1000, by_id.flow_id("flow/9"), 1, far, 0);
+  ASSERT_GT(by_key.reviewed(), 0u);
+  ASSERT_GT(by_key.quarantine().size(), 0u);
+  const std::string dir = ::testing::TempDir() + "orev_flowid_ckpt";
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(by_key.save_status(dir + "/key.ckpt").ok());
+  ASSERT_TRUE(by_id.save_status(dir + "/id.ckpt").ok());
+  const auto bytes = [](const std::string& path) {
+    std::string out;
+    EXPECT_TRUE(persist::read_file(path, out).ok());
+    return out;
+  };
+  EXPECT_EQ(bytes(dir + "/key.ckpt"), bytes(dir + "/id.ckpt"));
+
+  // A loaded plane keeps its flow ids and writes the same bytes again.
+  const std::uint32_t id7 = by_id.flow_id("flow/7");
+  ASSERT_TRUE(by_id.load_status(dir + "/key.ckpt").ok());
+  EXPECT_EQ(by_id.flow_id("flow/7"), id7);
+  ASSERT_TRUE(by_id.save_status(dir + "/again.ckpt").ok());
+  EXPECT_EQ(bytes(dir + "/key.ckpt"), bytes(dir + "/again.ckpt"));
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

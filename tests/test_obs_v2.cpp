@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <string>
@@ -79,6 +80,85 @@ TEST(QuantileSketch, ZeroAndNegativeLandInZeroBucket) {
   // bucket (clamped into the observed envelope), the max to the tail.
   EXPECT_LE(s.quantile(0.5), 0.0);
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 100.0);
+}
+
+TEST(QuantileSketch, NonFiniteObservationsHaveDefinedEffects) {
+  const double inf = std::numeric_limits<double>::infinity();
+  obs::QuantileSketch s(0.01);
+  s.observe(1.0);
+  s.observe(std::numeric_limits<double>::quiet_NaN());  // no rank: ignored
+  EXPECT_EQ(s.count(), 1u);
+  EXPECT_DOUBLE_EQ(s.sum(), 1.0);
+  EXPECT_EQ(s.bucket_count(), 1u);
+
+  s.observe(inf);   // counted in the top bucket
+  s.observe(-inf);  // counted in the zero bucket
+  EXPECT_EQ(s.count(), 3u);
+  EXPECT_EQ(s.max(), inf);
+  EXPECT_EQ(s.min(), -inf);
+  EXPECT_EQ(s.bucket_count(), 3u);
+  EXPECT_EQ(s.quantile(1.0), inf);
+  EXPECT_LE(s.quantile(0.0), 0.0);
+  EXPECT_NEAR(s.quantile(0.5), 1.0, 0.02);
+
+  // Round trip and merge keep the clamped bucket.
+  persist::ByteWriter w;
+  s.save(w);
+  obs::QuantileSketch loaded;
+  persist::ByteReader r(w.buffer());
+  ASSERT_TRUE(loaded.load(r));
+  EXPECT_EQ(loaded.quantile(1.0), inf);
+  obs::QuantileSketch merged(0.01);
+  merged.merge(s);
+  merged.merge(loaded);
+  EXPECT_EQ(merged.count(), 6u);
+  EXPECT_EQ(merged.bucket_count(), 3u);
+
+  // A log-index beyond int32 (tiny alpha, huge value) is clamped too: a
+  // defined bucket, its estimate kept inside the [min, max] envelope.
+  obs::QuantileSketch fine(1e-12);
+  fine.observe(1e300);
+  fine.observe(1e-8);
+  EXPECT_EQ(fine.count(), 2u);
+  EXPECT_EQ(fine.bucket_count(), 2u);
+  EXPECT_GE(fine.quantile(1.0), fine.min());
+  EXPECT_LE(fine.quantile(1.0), fine.max());
+}
+
+TEST(QuantileSketch, LoadCanonicalisesBucketOrder) {
+  // Buckets written out of order, one index twice: the sketch keeps them
+  // sorted with the later count, as a sorted map would have.
+  obs::QuantileSketch ref(0.01);
+  for (double v : {1.0, 2.0, 2.0, 5.0}) ref.observe(v);
+  persist::ByteWriter w;
+  w.f64(0.01);
+  w.u64(4);
+  w.u64(0);
+  w.f64(ref.sum());
+  w.f64(ref.min());
+  w.f64(ref.max());
+  w.u64(4);
+  persist::ByteWriter canon;
+  ref.save(canon);
+  // Indices of 5.0, 1.0, 2.0 (a stale count), 2.0.
+  const auto index = [](double v) {
+    return static_cast<std::int32_t>(std::ceil(
+        std::log(v) / std::log((1.0 + 0.01) / (1.0 - 0.01))));
+  };
+  w.i32(index(5.0));
+  w.u64(1);
+  w.i32(index(1.0));
+  w.u64(1);
+  w.i32(index(2.0));
+  w.u64(7);
+  w.i32(index(2.0));
+  w.u64(2);
+  obs::QuantileSketch loaded;
+  persist::ByteReader r(w.buffer());
+  ASSERT_TRUE(loaded.load(r));
+  persist::ByteWriter again;
+  loaded.save(again);
+  EXPECT_EQ(again.buffer(), canon.buffer());
 }
 
 TEST(QuantileSketch, MergeAssociativeCommutativeUnderRandomShardOrders) {

@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "oran/near_rt_ric.hpp"
 #include "oran/non_rt_ric.hpp"
 #include "oran/onboarding.hpp"
 #include "oran/rbac.hpp"
 #include "oran/sdl.hpp"
+#include "util/fault/fault.hpp"
+#include "util/persist/persist.hpp"
 
 namespace orev::oran {
 namespace {
@@ -643,6 +648,177 @@ TEST_F(NonRtRicTest, RegistrationRequiresOnboarding) {
   NonRtRic ric(&rbac_, &svc_);
   EXPECT_FALSE(
       ric.register_rapp(std::make_shared<RecordingRApp>(), "ghost", 0));
+}
+
+// ------------------------------------------------------------- handles --
+
+TEST_F(SdlTest, HandleHonoursAPolicyChangeMidRun) {
+  SdlHandle h = sdl_.resolve("writer", "ns/a", "k");
+  EXPECT_EQ(sdl_.write_text(h, "v1"), SdlStatus::kOk);
+  EXPECT_EQ(sdl_.write_text(h, "v2"), SdlStatus::kOk);  // cached decision
+
+  rbac_.revoke_role("writer", "rw");
+  EXPECT_EQ(sdl_.write_text(h, "v3"), SdlStatus::kDenied);
+  {
+    const AuditRecord rec = sdl_.audit_log().back();
+    EXPECT_EQ(rec.app_id, "writer");
+    EXPECT_EQ(rec.ns, "ns/a");
+    EXPECT_EQ(rec.key, "k");
+    EXPECT_EQ(rec.op, Op::kWrite);
+    EXPECT_FALSE(rec.allowed);
+  }
+  std::string out;
+  SdlHandle r = sdl_.resolve("reader", "ns/a", "k");
+  ASSERT_EQ(sdl_.read_text(r, out), SdlStatus::kOk);
+  EXPECT_EQ(out, "v2");
+
+  rbac_.assign_role("writer", "rw");
+  EXPECT_EQ(sdl_.write_text(h, "v4"), SdlStatus::kOk);
+  EXPECT_TRUE(sdl_.audit_log().back().allowed);
+  // An ABAC deny added later overrides the role as well.
+  rbac_.set_attribute("writer", "vendor", "x");
+  rbac_.add_abac_rule(AbacRule{"vendor", "x", "ns/*", Op::kWrite,
+                               Effect::kDeny});
+  EXPECT_EQ(sdl_.write_text(h, "v5"), SdlStatus::kDenied);
+  EXPECT_EQ(sdl_.version(h), 3u);
+}
+
+TEST_F(SdlTest, HandleReadsMissingEntriesThenFindsThem) {
+  SdlHandle r = sdl_.resolve("reader", "ns/b", "later");
+  nn::Tensor out;
+  EXPECT_EQ(sdl_.read_tensor(r, out), SdlStatus::kNotFound);
+  EXPECT_EQ(sdl_.version(r), std::nullopt);
+  std::string writer;
+  EXPECT_FALSE(sdl_.last_writer(r, writer));
+  ASSERT_EQ(sdl_.write_tensor("writer", "ns/b", "later",
+                              nn::Tensor({2}, std::vector<float>{3.0f, 4.0f})),
+            SdlStatus::kOk);
+  ASSERT_EQ(sdl_.read_tensor(r, out), SdlStatus::kOk);
+  EXPECT_EQ(out[1], 4.0f);
+  EXPECT_EQ(sdl_.version(r), 1u);
+  ASSERT_TRUE(sdl_.last_writer(r, writer));
+  EXPECT_EQ(writer, "writer");
+}
+
+/// Drives one store through a fixed op mix, either through resolved
+/// handles or through the string-keyed calls, recording every status.
+std::vector<SdlStatus> drive_sdl(Sdl& sdl, bool handles) {
+  std::vector<SdlStatus> st;
+  const std::string keys[3] = {"k0", "k1", "k2"};
+  std::vector<SdlHandle> w, rd;
+  for (const std::string& k : keys) {
+    w.push_back(sdl.resolve("writer", "ns/t", k));
+    rd.push_back(sdl.resolve("reader", "ns/t", k));
+  }
+  nn::Tensor out;
+  std::string text;
+  for (int i = 0; i < 60; ++i) {
+    const std::size_t k = static_cast<std::size_t>(i % 3);
+    const std::vector<float> payload{float(i), -float(i), 0.5f};
+    switch (i % 5) {
+      case 0:
+        st.push_back(handles
+                         ? sdl.write_tensor(w[k], nn::Tensor({3}, payload))
+                         : sdl.write_tensor("writer", "ns/t", keys[k],
+                                            nn::Tensor({3}, payload)));
+        break;
+      case 1:
+        st.push_back(handles ? sdl.write_tensor_inplace(w[k], {3}, payload)
+                             : sdl.write_tensor_inplace("writer", "ns/t",
+                                                        keys[k], {3}, payload));
+        break;
+      case 2:
+        st.push_back(handles ? sdl.write_text(w[k], "t" + std::to_string(i))
+                             : sdl.write_text("writer", "ns/t", keys[k],
+                                              "t" + std::to_string(i)));
+        break;
+      case 3:
+        st.push_back(handles
+                         ? sdl.read_tensor(rd[k], out)
+                         : sdl.read_tensor("reader", "ns/t", keys[k], out));
+        break;
+      default:
+        st.push_back(handles ? sdl.read_text(rd[k], text)
+                             : sdl.read_text("reader", "ns/t", keys[k], text));
+        // A denied write: audited, no fault draw.
+        st.push_back(handles ? sdl.write_text(rd[k], "x")
+                             : sdl.write_text("reader", "ns/t", keys[k], "x"));
+        break;
+    }
+  }
+  return st;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::string out;
+  EXPECT_TRUE(persist::read_file(path, out).ok()) << path;
+  return out;
+}
+
+TEST_F(SdlTest, HandlesDrawTheStringApisFaultsAuditAndBytes) {
+  const fault::FaultPlan plan = fault::FaultPlan::parse(
+      "seed 1234\n"
+      "site sdl.read transient p=0.2\n"
+      "site sdl.write drop p=0.1\n"
+      "site sdl.write corrupt p=0.2 corrupt_scale=0.5\n"
+      "site sdl.shard transient p=0.1\n");
+  const std::string root = ::testing::TempDir() + "orev_sdl_handles";
+  std::error_code ec;
+  std::filesystem::remove_all(root, ec);
+  std::vector<std::string> dirs;
+  std::vector<std::vector<SdlStatus>> statuses;
+  std::vector<std::vector<std::string>> audits;
+  std::vector<std::string> journals;
+  std::vector<std::uint64_t> counters;
+  for (const bool handles : {false, true}) {
+    const std::string dir = root + (handles ? "/handles" : "/strings");
+    std::filesystem::create_directories(dir, ec);
+    Sdl sdl(&rbac_);
+    ASSERT_TRUE(sdl.attach_storage(dir).ok());
+    fault::FaultInjector inj(plan);
+    sdl.set_fault_injector(&inj);
+    statuses.push_back(drive_sdl(sdl, handles));
+    std::vector<std::string> audit;
+    for (std::size_t i = 0; i < sdl.audit_log().size(); ++i) {
+      const AuditRecord rec = sdl.audit_log()[i];
+      audit.push_back(rec.app_id + "|" + rec.ns + "|" + rec.key + "|" +
+                      std::to_string(static_cast<int>(rec.op)) +
+                      (rec.allowed ? "+" : "-"));
+    }
+    audits.push_back(audit);
+    journals.push_back(file_bytes(dir + "/sdl_journal.log"));
+    counters.push_back(sdl.unavailable_reads() * 1000000 +
+                       sdl.unavailable_writes() * 10000 +
+                       sdl.dropped_writes() * 100 + sdl.corrupted_writes());
+    sdl.set_fault_injector(nullptr);
+    ASSERT_TRUE(sdl.snapshot().ok());
+    dirs.push_back(dir);
+  }
+  EXPECT_EQ(statuses[0], statuses[1]);
+  EXPECT_EQ(audits[0], audits[1]);
+  EXPECT_EQ(counters[0], counters[1]);
+  EXPECT_GT(counters[0], 0u);  // the plan did inject faults
+  EXPECT_FALSE(journals[0].empty());
+  EXPECT_EQ(journals[0], journals[1]);
+  EXPECT_EQ(file_bytes(dirs[0] + "/sdl_snapshot.ckpt"),
+            file_bytes(dirs[1] + "/sdl_snapshot.ckpt"));
+  std::filesystem::remove_all(root, ec);
+}
+
+TEST_F(SdlTest, AuditRingCapacityChangesKeepTheNewestRecords) {
+  SdlHandle h = sdl_.resolve("writer", "ns/a", "k");
+  sdl_.set_audit_capacity(3);
+  for (int i = 0; i < 5; ++i) sdl_.write_text(h, "v");
+  EXPECT_EQ(sdl_.audit_log().size(), 3u);
+  EXPECT_EQ(sdl_.audit_dropped_records(), 2u);
+  // Growing keeps the ring's order; new records append after the newest.
+  sdl_.set_audit_capacity(5);
+  sdl_.write_text("writer", "ns/a", "k9", "v");
+  ASSERT_EQ(sdl_.audit_log().size(), 4u);
+  EXPECT_EQ(sdl_.audit_log().front().key, "k");
+  EXPECT_EQ(sdl_.audit_log().back().key, "k9");
+  sdl_.clear_audit_log();
+  EXPECT_TRUE(sdl_.audit_log().empty());
 }
 
 }  // namespace

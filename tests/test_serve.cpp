@@ -127,8 +127,8 @@ TEST(ServeBatcher, FlushesOnSizeOrDeadlineOnlyWhileIdle) {
   q.push(std::move(r2));
   EXPECT_TRUE(b.should_flush(q, 21, true));  // size trigger
 
-  const std::vector<serve::ServeRequest> batch = b.take_batch(q);
-  ASSERT_EQ(batch.size(), 2u);
+  std::vector<serve::ServeRequest> batch;
+  ASSERT_EQ(b.take_batch(q, batch), 2u);
   EXPECT_EQ(batch[0].arrival_us, 10u);  // arrival order preserved
   EXPECT_EQ(batch[1].arrival_us, 20u);
 }
