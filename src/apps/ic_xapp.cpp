@@ -204,13 +204,16 @@ void IcXApp::on_indication(const oran::E2Indication& ind,
   const obs::TraceContext app_ctx = obs::causal_child(
       ind.trace, "ic.classify", obs::lanes::kApp, ind.trace.ts_us);
 
-  const oran::SdlStatus st = ric.read_telemetry(node.telemetry, row_);
+  // A read lands in the node's last-known-good row only when it succeeds
+  // (a failed read leaves its output untouched), so the fresh row and the
+  // degraded-mode cache are one buffer.
+  const oran::SdlStatus st = ric.read_telemetry(node.telemetry, node.last_good);
   if (st == oran::SdlStatus::kOk) {
-    consecutive_failures_ = 0;
-    last_good_ = row_;
-    have_last_good_ = true;
-    last_good_version_ = ric.sdl().version(node.telemetry).value_or(0);
-    classify_and_control(row_, node, app_ctx, last_good_version_);
+    node.consecutive_failures = 0;
+    node.have_last_good = true;
+    node.last_good_version = ric.sdl().version(node.telemetry).value_or(0);
+    classify_and_control(node.last_good, node, app_ctx,
+                         node.last_good_version);
     return;
   }
 
@@ -221,15 +224,15 @@ void IcXApp::on_indication(const oran::E2Indication& ind,
     return;
   }
 
-  // Degraded mode: fall back to the last-known-good telemetry if it is
-  // fresh enough. Staleness is measured in SDL versions when the store
-  // still answers version queries, else by the run of failed reads.
-  ++consecutive_failures_;
-  std::uint64_t staleness = consecutive_failures_;
-  if (have_last_good_) {
+  // Degraded mode: fall back to this node's last-known-good telemetry if
+  // it is fresh enough. Staleness is measured in SDL versions when the
+  // store still answers version queries, else by the run of failed reads.
+  ++node.consecutive_failures;
+  std::uint64_t staleness = node.consecutive_failures;
+  if (node.have_last_good) {
     if (const auto v = ric.sdl().version(node.telemetry)) {
-      staleness = *v >= last_good_version_ ? *v - last_good_version_
-                                           : consecutive_failures_;
+      staleness = *v >= node.last_good_version ? *v - node.last_good_version
+                                               : node.consecutive_failures;
     }
     if (staleness <= degraded_.max_stale) {
       ++fallbacks_;
@@ -237,7 +240,8 @@ void IcXApp::on_indication(const oran::E2Indication& ind,
       // The flow version is the cached read's version — the defense
       // plane sees the same staleness the degraded-read bound was
       // computed from.
-      classify_and_control(last_good_, node, app_ctx, last_good_version_);
+      classify_and_control(node.last_good, node, app_ctx,
+                           node.last_good_version);
       return;
     }
   }

@@ -124,6 +124,15 @@ class IcXApp : public oran::XApp {
     /// The serve engine's flow id for flow_key, valid for flow_engine.
     const serve::ServeEngine* flow_engine = nullptr;
     std::uint32_t flow = 0;
+    // This node's last-known-good telemetry plus the SDL version it was
+    // read at; the staleness of the cache is (current version − cached
+    // version) when the store answers, else the run of consecutive failed
+    // reads. Per node, so a failed read never falls back to another
+    // cell's row.
+    nn::Tensor last_good;
+    bool have_last_good = false;
+    std::uint64_t last_good_version = 0;
+    std::uint64_t consecutive_failures = 0;
   };
   Node& node_for(std::string_view node_id, oran::NearRtRic& ric);
 
@@ -142,8 +151,7 @@ class IcXApp : public oran::XApp {
 
   std::unordered_map<std::string, Node, util::StringHash, std::equal_to<>>
       nodes_;
-  /// Pooled telemetry row and text scratch (decision values, alerts).
-  nn::Tensor row_;
+  /// Text scratch (decision values, alerts).
   std::string text_;
   std::string writer_;
 
@@ -156,13 +164,6 @@ class IcXApp : public oran::XApp {
   std::optional<int> last_prediction_;
 
   IcDegradedConfig degraded_;
-  // Last-known-good telemetry plus the SDL version it was read at; the
-  // staleness of the cache is (current version − cached version) when the
-  // store answers, else the run of consecutive failed reads.
-  nn::Tensor last_good_;
-  bool have_last_good_ = false;
-  std::uint64_t last_good_version_ = 0;
-  std::uint64_t consecutive_failures_ = 0;
   std::uint64_t telemetry_failures_ = 0;
   std::uint64_t fallbacks_ = 0;
   std::uint64_t failsafes_ = 0;

@@ -1,6 +1,7 @@
 #include "nn/kernels.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -11,17 +12,7 @@ namespace orev::nn::kernels {
 
 namespace {
 
-/// The float epilogue of a conv output element: bias, optional BatchNorm
-/// affine, optional ReLU — the layer walk's exact op sequence.
-struct ConvEpilogue {
-  const float* bias;
-  const float* bn_mean;  // null: no BatchNorm
-  const float* bn_invstd;
-  const float* bn_gamma;
-  const float* bn_beta;
-  bool relu;
-};
-
+/// The float epilogue of one conv output element (ConvEpilogue's order).
 inline float conv_epilogue1(float v, const ConvEpilogue& e, int c) {
   v += e.bias[c];
   if (e.bn_mean != nullptr) {
@@ -34,13 +25,22 @@ inline float conv_epilogue1(float v, const ConvEpilogue& e, int c) {
 
 /// One conv output pixel on the scalar path: the reference op order every
 /// SIMD lane reproduces.
-inline float conv_pixel(const float* colsT, const double* wrow, int m, int k,
-                        int p, const ConvEpilogue& e, int c) {
+inline float conv_pixel(const float* packed, const int* off,
+                        const double* wrow, int k, int p,
+                        const ConvEpilogue& e, int c) {
   double acc = 0.0;
   for (int kk = 0; kk < k; ++kk)
-    acc += static_cast<double>(colsT[static_cast<std::size_t>(kk) * m + p]) *
-           wrow[kk];
+    acc += static_cast<double>(packed[off[kk] + p]) * wrow[kk];
   return conv_epilogue1(static_cast<float>(acc), e, c);
+}
+
+/// One 2×2 pool output from its taps in (ky, kx) order: the scalar
+/// pool's running max from −inf, then the optional ReLU.
+inline float pool4(const float* r0, const float* r1, int ox, bool relu) {
+  float best = -std::numeric_limits<float>::infinity();
+  for (const float v : {r0[2 * ox], r0[2 * ox + 1], r1[2 * ox], r1[2 * ox + 1]})
+    if (v > best) best = v;
+  return relu ? std::max(best, 0.0f) : best;
 }
 
 inline float dense_epilogue1(double acc, const float* bias, bool relu,
@@ -141,17 +141,17 @@ inline void dense_column(const float* xrow, const double* bt,
   yrow[j] = dense_epilogue1(acc, bias, relu, j);
 }
 
-// Conv channels [c, c + NC) over eight pixels starting at p: NC × 2 ymm
-// accumulators, so each widened eight-float patch load feeds 2·NC fmadds.
+// Conv channels [c, c + NC) over the eight pixels at src/y: NC × 2 ymm
+// accumulators, so each widened eight-float tap load feeds 2·NC fmadds.
 template <int NC>
 __attribute__((target("avx2,fma"))) inline void conv_tile8_avx2(
-    const float* colsT, const double* w, const ConvEpilogue& e, float* y,
-    int m, int k, int c, int p) {
+    const float* src, const int* off, const double* w, const ConvEpilogue& e,
+    float* y, int m, int k, int c) {
   __m256d lo[NC], hi[NC];
   for (int j = 0; j < NC; ++j) lo[j] = hi[j] = _mm256_setzero_pd();
   const double* wc = w + static_cast<std::size_t>(c) * k;
   for (int kk = 0; kk < k; ++kk) {
-    const float* xp = colsT + static_cast<std::size_t>(kk) * m + p;
+    const float* xp = src + off[kk];
     const __m256d x0 = _mm256_cvtps_pd(_mm_loadu_ps(xp));
     const __m256d x1 = _mm256_cvtps_pd(_mm_loadu_ps(xp + 4));
     for (int j = 0; j < NC; ++j) {
@@ -164,7 +164,7 @@ __attribute__((target("avx2,fma"))) inline void conv_tile8_avx2(
   for (int j = 0; j < NC; ++j) {
     const __m256 v =
         _mm256_set_m128(_mm256_cvtpd_ps(hi[j]), _mm256_cvtpd_ps(lo[j]));
-    _mm256_storeu_ps(y + static_cast<std::size_t>(c + j) * m + p,
+    _mm256_storeu_ps(y + static_cast<std::size_t>(c + j) * m,
                      conv_epilogue8(v, e, c + j));
   }
 }
@@ -172,13 +172,13 @@ __attribute__((target("avx2,fma"))) inline void conv_tile8_avx2(
 // Conv channels [c, c + NC) over sixteen pixels: NC × 2 zmm accumulators.
 template <int NC>
 __attribute__((target("avx2,fma,avx512f"))) inline void conv_tile16_avx512(
-    const float* colsT, const double* w, const ConvEpilogue& e, float* y,
-    int m, int k, int c, int p) {
+    const float* src, const int* off, const double* w, const ConvEpilogue& e,
+    float* y, int m, int k, int c) {
   __m512d lo[NC], hi[NC];
   for (int j = 0; j < NC; ++j) lo[j] = hi[j] = _mm512_setzero_pd();
   const double* wc = w + static_cast<std::size_t>(c) * k;
   for (int kk = 0; kk < k; ++kk) {
-    const float* xp = colsT + static_cast<std::size_t>(kk) * m + p;
+    const float* xp = src + off[kk];
     const __m512d x0 = _mm512_cvtps_pd(_mm256_loadu_ps(xp));
     const __m512d x1 = _mm512_cvtps_pd(_mm256_loadu_ps(xp + 8));
     for (int j = 0; j < NC; ++j) {
@@ -189,61 +189,54 @@ __attribute__((target("avx2,fma,avx512f"))) inline void conv_tile16_avx512(
     }
   }
   for (int j = 0; j < NC; ++j) {
-    float* out = y + static_cast<std::size_t>(c + j) * m + p;
+    float* out = y + static_cast<std::size_t>(c + j) * m;
     _mm256_storeu_ps(out, conv_epilogue8(_mm512_cvtpd_ps(lo[j]), e, c + j));
     _mm256_storeu_ps(out + 8,
                      conv_epilogue8(_mm512_cvtpd_ps(hi[j]), e, c + j));
   }
 }
 
-// Conv channels [c, c + NC) over eight pixels: NC zmm accumulators.
-template <int NC>
-__attribute__((target("avx2,fma,avx512f"))) inline void conv_tile8_avx512(
-    const float* colsT, const double* w, const ConvEpilogue& e, float* y,
-    int m, int k, int c, int p) {
-  __m512d acc[NC];
-  for (int j = 0; j < NC; ++j) acc[j] = _mm512_setzero_pd();
-  const double* wc = w + static_cast<std::size_t>(c) * k;
-  for (int kk = 0; kk < k; ++kk) {
-    const __m512d x = _mm512_cvtps_pd(
-        _mm256_loadu_ps(colsT + static_cast<std::size_t>(kk) * m + p));
-    for (int j = 0; j < NC; ++j)
-      acc[j] = _mm512_fmadd_pd(
-          x, _mm512_set1_pd(wc[static_cast<std::size_t>(j) * k + kk]),
-          acc[j]);
-  }
-  for (int j = 0; j < NC; ++j)
-    _mm256_storeu_ps(y + static_cast<std::size_t>(c + j) * m + p,
-                     conv_epilogue8(_mm512_cvtpd_ps(acc[j]), e, c + j));
-}
-
-// Channels [c, c + NC) over every pixel: SIMD tiles, then the scalar
-// pixel tail.
+// Channels [c, c + NC) over every pixel; m is whole tiles, so no tail.
 template <int NC>
 __attribute__((target("avx2,fma"))) void conv_channels_avx2(
-    const float* colsT, const double* w, const ConvEpilogue& e, float* y,
-    int m, int k, int c) {
-  int p = 0;
-  for (; p + 8 <= m; p += 8) conv_tile8_avx2<NC>(colsT, w, e, y, m, k, c, p);
-  for (; p < m; ++p)
-    for (int j = 0; j < NC; ++j)
-      y[static_cast<std::size_t>(c + j) * m + p] = conv_pixel(
-          colsT, w + static_cast<std::size_t>(c + j) * k, m, k, p, e, c + j);
+    const float* src, const int* off, const double* w, const ConvEpilogue& e,
+    float* y, int m, int k, int c) {
+  for (int p = 0; p < m; p += 8)
+    conv_tile8_avx2<NC>(src + p, off, w, e, y + p, m, k, c);
 }
 
 template <int NC>
 __attribute__((target("avx2,fma,avx512f"))) void conv_channels_avx512(
-    const float* colsT, const double* w, const ConvEpilogue& e, float* y,
-    int m, int k, int c) {
-  int p = 0;
-  for (; p + 16 <= m; p += 16)
-    conv_tile16_avx512<NC>(colsT, w, e, y, m, k, c, p);
-  for (; p + 8 <= m; p += 8)
-    conv_tile8_avx512<NC>(colsT, w, e, y, m, k, c, p);
-  for (; p < m; ++p)
-    for (int j = 0; j < NC; ++j)
-      y[static_cast<std::size_t>(c + j) * m + p] = conv_pixel(
-          colsT, w + static_cast<std::size_t>(c + j) * k, m, k, p, e, c + j);
+    const float* src, const int* off, const double* w, const ConvEpilogue& e,
+    float* y, int m, int k, int c) {
+  for (int p = 0; p < m; p += 16)
+    conv_tile16_avx512<NC>(src + p, off, w, e, y + p, m, k, c);
+}
+
+// The four taps of 2×2 pool outputs, already split into (ky, kx) order,
+// folded from −inf: max_ps(v, best) is v > best ? v : best, the scalar
+// pool's update, and max_ps(0, best) is std::max(best, 0.0f).
+__attribute__((target("avx2"))) inline __m256 pool4_avx2(
+    __m256 t0, __m256 t1, __m256 t2, __m256 t3, bool relu) {
+  const __m256 neg_inf =
+      _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  __m256 best = _mm256_max_ps(t0, neg_inf);
+  best = _mm256_max_ps(t1, best);
+  best = _mm256_max_ps(t2, best);
+  best = _mm256_max_ps(t3, best);
+  return relu ? relu8(best) : best;
+}
+
+// Even and odd elements of the sixteen floats at p, in order.
+__attribute__((target("avx2"))) inline void deinterleave8_avx2(
+    const float* p, __m256* even, __m256* odd) {
+  const __m256 a = _mm256_loadu_ps(p), b = _mm256_loadu_ps(p + 8);
+  // shuffle_ps works per 128-bit lane: (a0 a2 b0 b2 | a4 a6 b4 b6);
+  // permuting the 64-bit pairs as (0, 2, 1, 3) restores element order.
+  *even = _mm256_castpd_ps(_mm256_permute4x64_pd(
+      _mm256_castps_pd(_mm256_shuffle_ps(a, b, 0x88)), 0xd8));
+  *odd = _mm256_castpd_ps(_mm256_permute4x64_pd(
+      _mm256_castps_pd(_mm256_shuffle_ps(a, b, 0xdd)), 0xd8));
 }
 
 // Row-axpy over one compacted k chunk, columns [j0, j0 + 8·NV) as NV ymm
@@ -424,16 +417,26 @@ void dense_stage_generic(const float* x, const double* bt, const float* bias,
   }
 }
 
-void conv_stage_generic(const float* colsT, const double* w,
-                        const float* bias, const float* bn_mean,
-                        const float* bn_invstd, const float* bn_gamma,
-                        const float* bn_beta, bool relu, float* y, int m,
-                        int k, int n) {
-  const ConvEpilogue e{bias, bn_mean, bn_invstd, bn_gamma, bn_beta, relu};
+void conv_stage_generic(const float* packed, const int* off, const double* w,
+                        const ConvEpilogue& e, float* y, int m, int k, int n) {
   for (int c = 0; c < n; ++c) {
     const double* wrow = w + static_cast<std::size_t>(c) * k;
     float* out = y + static_cast<std::size_t>(c) * m;
-    for (int p = 0; p < m; ++p) out[p] = conv_pixel(colsT, wrow, m, k, p, e, c);
+    for (int p = 0; p < m; ++p)
+      out[p] = conv_pixel(packed, off, wrow, k, p, e, c);
+  }
+}
+
+void max_pool2x2_generic(const float* in, int c, int h, int w, bool relu,
+                         float* out) {
+  const int oh = h / 2, ow = w / 2;
+  for (int ch = 0; ch < c; ++ch) {
+    for (int oy = 0; oy < oh; ++oy) {
+      const float* r0 = in + (static_cast<std::size_t>(ch) * h + 2 * oy) * w;
+      const float* r1 = r0 + w;
+      float* o = out + (static_cast<std::size_t>(ch) * oh + oy) * ow;
+      for (int ox = 0; ox < ow; ++ox) o[ox] = pool4(r0, r1, ox, relu);
+    }
   }
 }
 
@@ -511,34 +514,94 @@ __attribute__((target("avx2,fma,avx512f"))) void dense_stage_avx512(
 // narrower tile for the remaining channels. The float epilogue is
 // lane-wise; nothing reassociates.
 __attribute__((target("avx2,fma"))) void conv_stage_avx2(
-    const float* colsT, const double* w, const float* bias,
-    const float* bn_mean, const float* bn_invstd, const float* bn_gamma,
-    const float* bn_beta, bool relu, float* y, int m, int k, int n) {
-  const ConvEpilogue e{bias, bn_mean, bn_invstd, bn_gamma, bn_beta, relu};
+    const float* packed, const int* off, const double* w,
+    const ConvEpilogue& e, float* y, int m, int k, int n) {
   int c = 0;
-  for (; c + 4 <= n; c += 4) conv_channels_avx2<4>(colsT, w, e, y, m, k, c);
+  for (; c + 4 <= n; c += 4)
+    conv_channels_avx2<4>(packed, off, w, e, y, m, k, c);
   switch (n - c) {
-    case 3: return conv_channels_avx2<3>(colsT, w, e, y, m, k, c);
-    case 2: return conv_channels_avx2<2>(colsT, w, e, y, m, k, c);
-    case 1: return conv_channels_avx2<1>(colsT, w, e, y, m, k, c);
+    case 3: return conv_channels_avx2<3>(packed, off, w, e, y, m, k, c);
+    case 2: return conv_channels_avx2<2>(packed, off, w, e, y, m, k, c);
+    case 1: return conv_channels_avx2<1>(packed, off, w, e, y, m, k, c);
     default: return;
   }
 }
 
-// Sixteen pixels per tile (two zmm per channel), then an eight-pixel
-// tile, then scalar pixels.
+// Sixteen pixels per tile (two zmm per channel).
 __attribute__((target("avx2,fma,avx512f"))) void conv_stage_avx512(
-    const float* colsT, const double* w, const float* bias,
-    const float* bn_mean, const float* bn_invstd, const float* bn_gamma,
-    const float* bn_beta, bool relu, float* y, int m, int k, int n) {
-  const ConvEpilogue e{bias, bn_mean, bn_invstd, bn_gamma, bn_beta, relu};
+    const float* packed, const int* off, const double* w,
+    const ConvEpilogue& e, float* y, int m, int k, int n) {
   int c = 0;
-  for (; c + 4 <= n; c += 4) conv_channels_avx512<4>(colsT, w, e, y, m, k, c);
+  for (; c + 4 <= n; c += 4)
+    conv_channels_avx512<4>(packed, off, w, e, y, m, k, c);
   switch (n - c) {
-    case 3: return conv_channels_avx512<3>(colsT, w, e, y, m, k, c);
-    case 2: return conv_channels_avx512<2>(colsT, w, e, y, m, k, c);
-    case 1: return conv_channels_avx512<1>(colsT, w, e, y, m, k, c);
+    case 3: return conv_channels_avx512<3>(packed, off, w, e, y, m, k, c);
+    case 2: return conv_channels_avx512<2>(packed, off, w, e, y, m, k, c);
+    case 1: return conv_channels_avx512<1>(packed, off, w, e, y, m, k, c);
     default: return;
+  }
+}
+
+// Eight outputs per step from two deinterleaved sixteen-float row spans;
+// the last ow mod 8 outputs of a row take the scalar loop.
+__attribute__((target("avx2"))) void max_pool2x2_avx2(const float* in, int c,
+                                                      int h, int w, bool relu,
+                                                      float* out) {
+  const int oh = h / 2, ow = w / 2;
+  for (int ch = 0; ch < c; ++ch) {
+    for (int oy = 0; oy < oh; ++oy) {
+      const float* r0 = in + (static_cast<std::size_t>(ch) * h + 2 * oy) * w;
+      const float* r1 = r0 + w;
+      float* o = out + (static_cast<std::size_t>(ch) * oh + oy) * ow;
+      int ox = 0;
+      for (; ox + 8 <= ow; ox += 8) {
+        __m256 e0, o0, e1, o1;
+        deinterleave8_avx2(r0 + 2 * ox, &e0, &o0);
+        deinterleave8_avx2(r1 + 2 * ox, &e1, &o1);
+        _mm256_storeu_ps(o + ox, pool4_avx2(e0, o0, e1, o1, relu));
+      }
+      for (; ox < ow; ++ox) o[ox] = pool4(r0, r1, ox, relu);
+    }
+  }
+}
+
+// Sixteen outputs per step; a row's last, partial step loads and stores
+// through lane masks (masked-off lanes read as zero and are never
+// stored), so there is no scalar tail.
+__attribute__((target("avx2,avx512f"))) void max_pool2x2_avx512(
+    const float* in, int c, int h, int w, bool relu, float* out) {
+  const int oh = h / 2, ow = w / 2;
+  const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                         20, 22, 24, 26, 28, 30);
+  const __m512i odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
+  const __m512 neg_inf =
+      _mm512_set1_ps(-std::numeric_limits<float>::infinity());
+  auto mask = [](int lanes) {
+    return static_cast<__mmask16>((1u << std::clamp(lanes, 0, 16)) - 1u);
+  };
+  for (int ch = 0; ch < c; ++ch) {
+    for (int oy = 0; oy < oh; ++oy) {
+      const float* r0 = in + (static_cast<std::size_t>(ch) * h + 2 * oy) * w;
+      const float* r1 = r0 + w;
+      float* o = out + (static_cast<std::size_t>(ch) * oh + oy) * ow;
+      for (int ox = 0; ox < ow; ox += 16) {
+        const int left = std::min(ow - ox, 16);
+        const __mmask16 m_lo = mask(2 * left), m_hi = mask(2 * left - 16);
+        const float* p0 = r0 + 2 * ox;
+        const float* p1 = r1 + 2 * ox;
+        const __m512 a0 = _mm512_maskz_loadu_ps(m_lo, p0);
+        const __m512 a1 = _mm512_maskz_loadu_ps(m_hi, p0 + 16);
+        const __m512 b0 = _mm512_maskz_loadu_ps(m_lo, p1);
+        const __m512 b1 = _mm512_maskz_loadu_ps(m_hi, p1 + 16);
+        __m512 best = _mm512_max_ps(_mm512_permutex2var_ps(a0, even, a1),
+                                    neg_inf);
+        best = _mm512_max_ps(_mm512_permutex2var_ps(a0, odd, a1), best);
+        best = _mm512_max_ps(_mm512_permutex2var_ps(b0, even, b1), best);
+        best = _mm512_max_ps(_mm512_permutex2var_ps(b0, odd, b1), best);
+        if (relu) best = _mm512_max_ps(_mm512_setzero_ps(), best);
+        _mm512_mask_storeu_ps(o + ox, mask(left), best);
+      }
+    }
   }
 }
 
@@ -608,21 +671,25 @@ void dense_stage(const float* x, const double* bt, const float* bias,
   detail::dense_stage_generic(x, bt, bias, relu, y, m, k, n);
 }
 
-void conv_stage(const float* colsT, const double* w, const float* bias,
-                const float* bn_mean, const float* bn_invstd,
-                const float* bn_gamma, const float* bn_beta, bool relu,
-                float* y, int m, int k, int n) {
+void conv_stage(const float* packed, const int* off, const double* w,
+                const ConvEpilogue& e, float* y, int m, int k, int n) {
 #if defined(__x86_64__) && defined(__GNUC__)
   const int isa = isa_level();
   if (isa == 2)
-    return detail::conv_stage_avx512(colsT, w, bias, bn_mean, bn_invstd,
-                                     bn_gamma, bn_beta, relu, y, m, k, n);
-  if (isa == 1)
-    return detail::conv_stage_avx2(colsT, w, bias, bn_mean, bn_invstd,
-                                   bn_gamma, bn_beta, relu, y, m, k, n);
+    return detail::conv_stage_avx512(packed, off, w, e, y, m, k, n);
+  if (isa == 1) return detail::conv_stage_avx2(packed, off, w, e, y, m, k, n);
 #endif
-  detail::conv_stage_generic(colsT, w, bias, bn_mean, bn_invstd, bn_gamma,
-                             bn_beta, relu, y, m, k, n);
+  detail::conv_stage_generic(packed, off, w, e, y, m, k, n);
+}
+
+void max_pool2x2(const float* in, int c, int h, int w, bool relu,
+                 float* out) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  const int isa = isa_level();
+  if (isa == 2) return detail::max_pool2x2_avx512(in, c, h, w, relu, out);
+  if (isa == 1) return detail::max_pool2x2_avx2(in, c, h, w, relu, out);
+#endif
+  detail::max_pool2x2_generic(in, c, h, w, relu, out);
 }
 
 void row_axpy(const float* a, std::ptrdiff_t a_row, std::ptrdiff_t a_k,
@@ -730,38 +797,92 @@ void im2col_s8(const std::int8_t* src, int c_in, int h, int w, int k,
   im2col_any<std::int8_t>(src, c_in, h, w, k, stride, pad, oh, ow, cols);
 }
 
-void im2col_f32_t(const float* src, int c_in, int h, int w, int k, int stride,
-                  int pad, int oh, int ow, float* colsT) {
-  const int m = oh * ow;
-  float* row = colsT;
-  for (int c = 0; c < c_in; ++c) {
-    const float* plane = src + static_cast<std::size_t>(c) * h * w;
-    for (int ky = 0; ky < k; ++ky) {
-      for (int kx = 0; kx < k; ++kx, row += m) {
-        // Along x, tap kx lands inside the plane for ox in [x.lo, x.hi) —
-        // the interior of a one-wide kernel padded by pad − kx; the rest
-        // of each output row is padding.
-        const Interior x = interior(ow, w, 1, stride, pad - kx);
-        float* out = row;
-        for (int oy = 0; oy < oh; ++oy, out += ow) {
-          const int iy = oy * stride - pad + ky;
-          if (iy < 0 || iy >= h) {
-            std::fill(out, out + ow, 0.0f);
+// ------------------------------------------------------- conv packing
+
+ConvGeometry conv_geometry(int c_in, int h, int w, int k, int stride,
+                           int pad) {
+  ConvGeometry g;
+  g.c_in = c_in;
+  g.h = h;
+  g.w = w;
+  g.k = k;
+  g.stride = stride;
+  g.pad = pad;
+  g.oh = (h + 2 * pad - k) / stride + 1;
+  g.ow = (w + 2 * pad - k) / stride + 1;
+  g.phases = std::min(stride, k);
+  const int reach = (k - 1) / stride;  // phase-plane rows/cols a tap adds
+  g.hq = g.oh + reach;
+  g.wq = g.ow + reach;
+  const int used = (g.oh - 1) * g.wq + g.ow;
+  g.grid = (used + kConvTile - 1) / kConvTile * kConvTile;
+  const int phase = g.hq * g.wq;
+  const int chan = g.phases * g.phases * phase;
+  g.packed = static_cast<std::size_t>(c_in) * chan + (g.grid - used);
+  g.off.clear();
+  for (int c = 0; c < c_in; ++c)
+    for (int ky = 0; ky < k; ++ky)
+      for (int kx = 0; kx < k; ++kx)
+        g.off.push_back(c * chan +
+                        ((ky % stride) * g.phases + kx % stride) * phase +
+                        (ky / stride) * g.wq + kx / stride);
+  return g;
+}
+
+void pack_conv_input(const float* src, const ConvGeometry& g, float* packed) {
+  const int s = g.stride;
+  float* out = packed;
+  for (int c = 0; c < g.c_in; ++c) {
+    const float* plane = src + static_cast<std::size_t>(c) * g.h * g.w;
+    for (int ry = 0; ry < g.phases; ++ry) {
+      for (int rx = 0; rx < g.phases; ++rx) {
+        // Phase column qx holds input column qx·s + rx − pad, which lies
+        // inside the plane for qx in [lo, hi); the rest is padding.
+        const int lo = std::min(g.pad > rx ? (g.pad - rx + s - 1) / s : 0,
+                                g.wq);
+        const int hi = std::clamp((g.w + g.pad - rx + s - 1) / s, lo, g.wq);
+        for (int qy = 0; qy < g.hq; ++qy, out += g.wq) {
+          const int iy = qy * s + ry - g.pad;
+          if (iy < 0 || iy >= g.h) {
+            std::fill(out, out + g.wq, 0.0f);
             continue;
           }
-          const float* srow = plane + static_cast<std::size_t>(iy) * w;
-          const int off = kx - pad;  // ix = ox * stride + off
-          std::fill(out, out + x.lo, 0.0f);
-          if (stride == 1) {
-            std::copy(srow + x.lo + off, srow + x.hi + off, out + x.lo);
+          const float* row = plane + static_cast<std::size_t>(iy) * g.w;
+          std::fill(out, out + lo, 0.0f);
+          if (s == 1) {
+            std::copy(row + lo - g.pad, row + hi - g.pad, out + lo);
           } else {
-            for (int ox = x.lo; ox < x.hi; ++ox)
-              out[ox] = srow[ox * stride + off];
+            for (int qx = lo; qx < hi; ++qx) out[qx] = row[qx * s + rx - g.pad];
           }
-          std::fill(out + x.hi, out + ow, 0.0f);
+          std::fill(out + hi, out + g.wq, 0.0f);
         }
       }
     }
+  }
+  std::fill(out, packed + g.packed, 0.0f);
+}
+
+float* thread_scratch(std::size_t n) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+void conv_forward(const float* x, const ConvGeometry& g, const double* w,
+                  const ConvEpilogue& e, int n, float* y) {
+  float* packed =
+      thread_scratch(g.packed + static_cast<std::size_t>(n) * g.grid);
+  float* grid = packed + g.packed;
+  pack_conv_input(x, g, packed);
+  conv_stage(packed, g.off.data(), w, e, grid, g.grid,
+             static_cast<int>(g.off.size()), n);
+  for (int c = 0; c < n; ++c) {
+    const float* src = grid + static_cast<std::size_t>(c) * g.grid;
+    float* dst = y + static_cast<std::size_t>(c) * g.oh * g.ow;
+    for (int oy = 0; oy < g.oh; ++oy)
+      std::copy(src + static_cast<std::size_t>(oy) * g.wq,
+                src + static_cast<std::size_t>(oy) * g.wq + g.ow,
+                dst + static_cast<std::size_t>(oy) * g.ow);
   }
 }
 

@@ -8,7 +8,10 @@
 // optional BatchNorm affine, optional ReLU) applied as the exact float op
 // sequence of the layer walk. Accumulation is per-element in ascending-k
 // order, so the scalar, AVX2 and AVX-512 variants produce bitwise-identical
-// output and the runtime ISA dispatch cannot change a single bit:
+// output and the runtime ISA dispatch cannot change a single bit (NaN
+// payloads aside: when one sum meets two NaNs of different sign or
+// payload, which survives depends on the add's operand order, which a
+// fused multiply-add and a separate add pick differently):
 //
 //   * The double kernels may fuse multiply and add (explicit fmadd_pd):
 //     the product of two floats widened to double is exact (48 significant
@@ -19,6 +22,12 @@
 //     not contract a*b + c into an FMA even inside target("avx512f")
 //     functions, where FMA instructions are available.
 //
+// Convolution never builds a patch matrix: conv_forward copies a sample
+// once into zero-padded (phase) planes and conv_stage reads each tap
+// through an offset table over them (ConvGeometry below). The 2×2 max
+// pool has SIMD variants too; a max is a compare-select, so they are
+// bit-exact with no such caveat.
+//
 // The int8 GEMM feeds the explicitly *non*-bit-exact quantized serving
 // tier (serve/quant.hpp): pure integer dot products, so it is exact (and
 // order-independent) in its own domain; only the surrounding
@@ -27,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace orev::nn::kernels {
 
@@ -38,21 +48,93 @@ namespace orev::nn::kernels {
 void dense_stage(const float* x, const double* bt, const float* bias,
                  bool relu, float* y, int m, int k, int n);
 
-/// Fused convolution stage over a *transposed* patch matrix: colsT is
-/// [k, m] (m = oh*ow output pixels), w is the natural [n, k] filter bank
-/// widened to double, y is [n, m] channel planes. Per output element the
-/// op sequence is the same double-accumulate/cast as dense_stage, then
-/// float `+ bias[c]` (always — nn::Conv2D adds its possibly-zero bias
-/// unconditionally), then the optional fused BatchNorm
-/// ((v − mean)·invstd·γ + β; pass null bn_mean to skip) and ReLU. The
-/// SIMD variants vectorize across *pixels*, giving each lane its own
-/// ascending-k accumulator, and register-tile four output channels so
-/// one widened patch load feeds several accumulators — conv channel
-/// counts are far too narrow for the column-tiled dense kernel.
-void conv_stage(const float* colsT, const double* w, const float* bias,
-                const float* bn_mean, const float* bn_invstd,
-                const float* bn_gamma, const float* bn_beta, bool relu,
-                float* y, int m, int k, int n);
+/// The float epilogue of a conv output element, in the layer walk's op
+/// order: `+ bias[c]` (always — nn::Conv2D adds its possibly-zero bias
+/// unconditionally), then the optional BatchNorm affine
+/// ((v − mean)·invstd·γ + β; null bn_mean skips it), then the optional
+/// ReLU max(v, 0).
+struct ConvEpilogue {
+  const float* bias = nullptr;
+  const float* bn_mean = nullptr;
+  const float* bn_invstd = nullptr;
+  const float* bn_gamma = nullptr;
+  const float* bn_beta = nullptr;
+  bool relu = false;
+};
+
+/// Output pixels per conv register tile. A ConvGeometry's grid is a whole
+/// number of tiles, so the SIMD kernels never run a scalar pixel tail.
+inline constexpr int kConvTile = 16;
+
+/// Where every tap of a conv stage lives in its packed input.
+///
+/// pack_conv_input copies a [C, H, W] sample once into zero-padded
+/// planes. With stride s each channel is split into phases² phase planes
+/// (phases = min(s, k)): phase (ry, rx) holds padded positions
+/// (qy·s + ry, qx·s + rx) at (qy, qx), so tap (ky, kx) of output pixel
+/// (oy, ox) sits in phase (ky mod s, kx mod s) at (oy + ky/s, ox + kx/s) —
+/// contiguous in ox. Stride 1 is the one-phase case: the plain padded
+/// plane. Output pixels are indexed along the phase row pitch,
+/// p = oy·wq + ox, so tap kk of pixel p is packed[off[kk] + p] for every
+/// pixel at once; the wq − ow columns past each output row are computed
+/// and dropped.
+struct ConvGeometry {
+  int c_in = 0, h = 0, w = 0, k = 0, stride = 1, pad = 0;
+  int oh = 0, ow = 0;
+  int phases = 1;      // phase planes per axis
+  int hq = 0, wq = 0;  // extent of one phase plane
+  /// Pixels on the wq-pitch grid, (oh − 1)·wq + ow rounded up to whole
+  /// kConvTile tiles.
+  int grid = 0;
+  /// Floats pack_conv_input writes: the phase planes plus zeroed slack
+  /// for the last tile's over-read.
+  std::size_t packed = 0;
+  /// Tap offsets in the filter bank's (c, ky, kx) patch order.
+  std::vector<int> off;
+};
+
+/// Geometry of a conv over a [c_in, h, w] input; the output must be
+/// non-empty.
+ConvGeometry conv_geometry(int c_in, int h, int w, int k, int stride,
+                           int pad);
+
+/// Copy one [C, H, W] sample into g's phase planes, padding and slack
+/// zeroed. Every tap value is the one an im2col patch matrix holds.
+void pack_conv_input(const float* src, const ConvGeometry& g, float* packed);
+
+/// Fused convolution stage over a packed input: output pixel p of channel
+/// c is y[c·m + p] = epilogue(sum_kk double(packed[off[kk] + p]) ·
+/// w[c·k + kk]), summed in ascending kk from +0.0 and cast once to float.
+/// w is the natural [n, k] filter bank widened to double. m must be a
+/// whole number of kConvTile pixels, with packed readable at every
+/// off[kk] + p, p < m. The SIMD variants vectorize across *pixels*,
+/// giving each lane its own ascending-k accumulator, and register-tile
+/// four output channels so one widened tap load feeds several
+/// accumulators — conv channel counts are far too narrow for the
+/// column-tiled dense kernel.
+void conv_stage(const float* packed, const int* off, const double* w,
+                const ConvEpilogue& e, float* y, int m, int k, int n);
+
+/// One sample's whole conv: pack x into thread scratch, run conv_stage
+/// over g's grid with n output channels, and copy the oh·ow valid pixels
+/// of each channel into y ([n, oh, ow]). Bit-identical to an im2col patch
+/// matrix times the filter bank with the same per-element op order.
+void conv_forward(const float* x, const ConvGeometry& g, const double* w,
+                  const ConvEpilogue& e, int n, float* y);
+
+/// 2×2, stride-2 max pool over [c, h, w] into [c, h/2, w/2]: each output
+/// visits its four taps in (ky, kx) order from −inf keeping v when
+/// v > best, then optionally max(best, 0) — the scalar pool's NaN and −0
+/// results exactly.
+void max_pool2x2(const float* in, int c, int h, int w, bool relu,
+                 float* out);
+
+/// This thread's float scratch, grown to at least n floats. Shared by
+/// conv_forward and nn::Conv2D's backward: each use fills what it reads
+/// before reading it and none re-enters another, so memory stays at one
+/// sample's widest need per thread and steady-state calls allocate
+/// nothing.
+float* thread_scratch(std::size_t n);
 
 /// Rows of a float GEMM in the walk's update order. y is [m, n] row-major
 /// and b is [k, n] row-major; row i's multipliers are
@@ -81,12 +163,6 @@ void s8_gemm(const std::int8_t* a, const std::int8_t* w, std::int32_t* y,
 void im2col_f32(const float* src, int c_in, int h, int w, int k, int stride,
                 int pad, int oh, int ow, float* cols);
 
-/// Transposed im2col: same patch values, laid out [C*k*k, oh*ow] so
-/// conv_stage's pixel lanes read contiguously. Layout never affects the
-/// bit-exactness contract — only values do.
-void im2col_f32_t(const float* src, int c_in, int h, int w, int k, int stride,
-                  int pad, int oh, int ow, float* colsT);
-
 /// Same packing as im2col_f32 over an int8 plane (padding quantizes to 0
 /// exactly).
 void im2col_s8(const std::int8_t* src, int c_in, int h, int w, int k,
@@ -103,11 +179,10 @@ namespace detail {
 
 void dense_stage_generic(const float* x, const double* bt, const float* bias,
                          bool relu, float* y, int m, int k, int n);
-void conv_stage_generic(const float* colsT, const double* w,
-                        const float* bias, const float* bn_mean,
-                        const float* bn_invstd, const float* bn_gamma,
-                        const float* bn_beta, bool relu, float* y, int m,
-                        int k, int n);
+void conv_stage_generic(const float* packed, const int* off, const double* w,
+                        const ConvEpilogue& e, float* y, int m, int k, int n);
+void max_pool2x2_generic(const float* in, int c, int h, int w, bool relu,
+                         float* out);
 void row_axpy_generic(const float* a, std::ptrdiff_t a_row,
                       std::ptrdiff_t a_k, const float* b, float* y, int m,
                       int k, int n);
@@ -117,15 +192,14 @@ void dense_stage_avx2(const float* x, const double* bt, const float* bias,
                       bool relu, float* y, int m, int k, int n);
 void dense_stage_avx512(const float* x, const double* bt, const float* bias,
                         bool relu, float* y, int m, int k, int n);
-void conv_stage_avx2(const float* colsT, const double* w, const float* bias,
-                     const float* bn_mean, const float* bn_invstd,
-                     const float* bn_gamma, const float* bn_beta, bool relu,
-                     float* y, int m, int k, int n);
-void conv_stage_avx512(const float* colsT, const double* w,
-                       const float* bias, const float* bn_mean,
-                       const float* bn_invstd, const float* bn_gamma,
-                       const float* bn_beta, bool relu, float* y, int m,
-                       int k, int n);
+void conv_stage_avx2(const float* packed, const int* off, const double* w,
+                     const ConvEpilogue& e, float* y, int m, int k, int n);
+void conv_stage_avx512(const float* packed, const int* off, const double* w,
+                       const ConvEpilogue& e, float* y, int m, int k, int n);
+void max_pool2x2_avx2(const float* in, int c, int h, int w, bool relu,
+                      float* out);
+void max_pool2x2_avx512(const float* in, int c, int h, int w, bool relu,
+                        float* out);
 void row_axpy_avx2(const float* a, std::ptrdiff_t a_row, std::ptrdiff_t a_k,
                    const float* b, float* y, int m, int k, int n);
 void row_axpy_avx512(const float* a, std::ptrdiff_t a_row,

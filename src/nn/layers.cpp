@@ -16,18 +16,6 @@ float he_stddev(int fan_in) {
   return std::sqrt(2.0f / static_cast<float>(std::max(fan_in, 1)));
 }
 
-/// Per-thread scratch for Conv2D's patch matrices, shared by every Conv2D
-/// on the thread. Each use fills what it reads before reading it, and
-/// nothing inside a use re-enters a layer, so one buffer per thread is
-/// enough: memory stays at one sample's widest patch matrix per thread,
-/// whatever the batch size, and steady-state forwards and backwards
-/// allocate nothing.
-float* conv_scratch(std::size_t n) {
-  thread_local std::vector<float> buf;
-  if (buf.size() < n) buf.resize(n);
-  return buf.data();
-}
-
 /// col2im accumulate: inverse scatter of an im2col patch matrix into dx
 /// (one sample). Every dx element receives its contributions in ascending
 /// output-pixel order; interior pixels skip the per-tap bounds checks,
@@ -173,8 +161,8 @@ Tensor Conv2D::forward(const Tensor& x, bool /*training*/) {
   OREV_CHECK(oh > 0 && ow > 0, "Conv2D output collapses to zero size");
 
   if (!inference_mode_) cached_input_ = x;
-  const int patch = in_ch_ * k_ * k_;
-  const int ohw = oh * ow;
+  if (geom_.h != h || geom_.w != w)
+    geom_ = kernels::conv_geometry(in_ch_, h, w, k_, stride_, pad_);
   // Weights change under training, so they are widened afresh each call.
   const std::span<const float> wv = weight_.value.data();
   wide_weight_.assign(wv.begin(), wv.end());
@@ -182,23 +170,21 @@ Tensor Conv2D::forward(const Tensor& x, bool /*training*/) {
   // arithmetic, and the compiled plans add it the same way. A bias-less
   // layer's bias_ stays all zeros — it is never in params(), so nothing
   // trains or loads it.
-  const float* bias = bias_.value.raw();
+  kernels::ConvEpilogue epi;
+  epi.bias = bias_.value.raw();
 
   Tensor out({n, out_ch_, oh, ow});
-  // Sample-parallel: each sample packs its transposed patch matrix into
-  // thread scratch and writes its own output planes through the compiled
-  // plans' conv kernel — double(x)·double(w) summed in ascending patch
-  // order, one cast to float, then + b — so results are identical at
-  // every thread count and to the serving plans.
+  // Sample-parallel: each sample is packed into thread scratch and
+  // convolved into its own output planes by the compiled plans' conv
+  // kernel — double(x)·double(w) summed in ascending patch order, one
+  // cast to float, then + b — so results are identical at every thread
+  // count and to the serving plans.
+  const std::size_t in_n = static_cast<std::size_t>(in_ch_) * h * w;
+  const std::size_t out_n = static_cast<std::size_t>(out_ch_) * oh * ow;
   util::parallel_for(0, n, 1, [&](std::int64_t i) {
-    float* colsT = conv_scratch(static_cast<std::size_t>(patch) * ohw);
-    kernels::im2col_f32_t(
-        x.raw() + static_cast<std::size_t>(i) * in_ch_ * h * w, in_ch_, h,
-        w, k_, stride_, pad_, oh, ow, colsT);
-    kernels::conv_stage(colsT, wide_weight_.data(), bias, nullptr, nullptr,
-                        nullptr, nullptr, /*relu=*/false,
-                        out.raw() + static_cast<std::size_t>(i) * out_ch_ * ohw,
-                        ohw, patch, out_ch_);
+    kernels::conv_forward(x.raw() + static_cast<std::size_t>(i) * in_n, geom_,
+                          wide_weight_.data(), epi, out_ch_,
+                          out.raw() + static_cast<std::size_t>(i) * out_n);
   });
   return out;
 }
@@ -235,7 +221,7 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
       [&](GradAcc& acc, std::int64_t i) {
         // Thread scratch: the sample's [oH*oW, patch] patch matrix, rebuilt
         // from the cached input, then its [out_ch, patch] weight gradient.
-        float* cols = conv_scratch(cols_n + dw_n);
+        float* cols = kernels::thread_scratch(cols_n + dw_n);
         float* dw = cols + cols_n;
         kernels::im2col_f32(
             cached_input_.raw() + static_cast<std::size_t>(i) * in_ch_ * h * w,

@@ -1,7 +1,8 @@
-// Concrete layers: Dense, Conv2D (im2col), DepthwiseConv2D, pooling,
-// activations, BatchNorm, Dropout, Flatten.
+// Concrete layers: Dense, Conv2D (packed-plane forward, im2col backward),
+// DepthwiseConv2D, pooling, activations, BatchNorm, Dropout, Flatten.
 #pragma once
 
+#include "nn/kernels.hpp"
 #include "nn/layer.hpp"
 
 namespace orev::nn {
@@ -30,8 +31,8 @@ class Dense : public Layer {
   Tensor cached_input_;
 };
 
-/// 2-D convolution over [N, C, H, W] tensors, implemented with im2col and
-/// the compiled plans' conv kernel (nn/kernels.hpp).
+/// 2-D convolution over [N, C, H, W] tensors: the forward is the compiled
+/// plans' conv_forward (nn/kernels.hpp), the backward im2col + row_axpy.
 class Conv2D : public Layer {
  public:
   Conv2D(int in_channels, int out_channels, int kernel, int stride = 1,
@@ -61,6 +62,7 @@ class Conv2D : public Layer {
   Param bias_;    // [out_ch]; all zeros when bias-less
   Tensor cached_input_;  // backward rebuilds each sample's patch matrix
   std::vector<double> wide_weight_;  // weight_ widened to double, per call
+  kernels::ConvGeometry geom_;  // of the last input extent forward saw
 };
 
 /// Depthwise 2-D convolution (one filter per channel), the defining block

@@ -136,7 +136,8 @@ class NearRtRic {
   SdlStatus read_telemetry(const std::string& app_id, const std::string& ns,
                            const std::string& key, nn::Tensor& out);
   /// The same through a resolved SDL handle (see Sdl::resolve): no string
-  /// lookups, and `out` keeps its buffer when the shape is unchanged.
+  /// lookups, and `out` keeps its buffer when the shape is unchanged. A
+  /// read that does not return kOk leaves `out` untouched.
   SdlStatus read_telemetry(SdlHandle& h, nn::Tensor& out);
 
   /// A1 policies pushed down from the Non-RT RIC.

@@ -489,9 +489,10 @@ void Sdl::journal_write(const std::string& ns, const std::string& key,
                         const Entry& e) {
   std::lock_guard<std::mutex> lock(journal_mu_);
   if (!journal_.is_open()) return;
-  persist::ByteWriter w;
-  encode_entry(w, ns, key, e.writer, e.version, e.is_tensor, e.tensor, e.text);
-  const persist::Status st = journal_.append(w.buffer());
+  journal_buf_.clear();
+  encode_entry(journal_buf_, ns, key, e.writer, e.version, e.is_tensor,
+               e.tensor, e.text);
+  const persist::Status st = journal_.append(journal_buf_.buffer());
   OREV_CHECK(st.ok(),
              "SDL journal append failed: " + st.message());
   // Kill-point: the record is on disk; a seeded plan may simulate the

@@ -360,6 +360,7 @@ class Sdl {
   bool sync_each_write_ = false;
   mutable std::mutex journal_mu_;
   persist::JournalWriter journal_;
+  persist::ByteWriter journal_buf_;  // record encode buffer, reused
   std::uint64_t journal_replayed_ = 0;
   bool journal_tail_torn_ = false;
 };

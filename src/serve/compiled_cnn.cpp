@@ -76,6 +76,8 @@ inline float epilogue_bn_relu(const CnnStage& s, int c, float v) {
 }  // namespace
 
 void run_pool_stage(const CnnStage& s, const float* in, float* out) {
+  if (s.k == 2 && s.stride == 2)
+    return nn::kernels::max_pool2x2(in, s.in_c, s.in_h, s.in_w, s.relu, out);
   const int ihw = s.in_h * s.in_w;
   const int ohw = s.out_h * s.out_w;
   for (int c = 0; c < s.in_c; ++c) {
@@ -190,6 +192,7 @@ CompiledCnn::CompileResult CompiledCnn::compile(nn::Model& model) {
       s.k = conv->kernel();
       s.stride = conv->stride();
       s.pad = conv->padding();
+      s.geom = nn::kernels::conv_geometry(c, h, w, s.k, s.stride, s.pad);
       const std::vector<nn::Param*> ps = conv->params();
       const nn::Tensor& wt = ps[0]->value;  // [out_c, patch]
       s.weight.assign(wt.raw(), wt.raw() + wt.numel());
@@ -359,12 +362,6 @@ CompiledCnn::CompileResult CompiledCnn::compile(nn::Model& model) {
       continue;
     }
     plan->prefix_elems_ = std::max(plan->prefix_elems_, s.out_elems());
-    if (s.kind == CnnStage::Kind::kConv) {
-      const std::size_t patch =
-          static_cast<std::size_t>(s.in_c) * s.k * s.k;
-      const std::size_t ohw = static_cast<std::size_t>(s.out_h) * s.out_w;
-      plan->cols_cap_ = std::max(plan->cols_cap_, ohw * patch);
-    }
   }
 
   CompileResult r;
@@ -376,7 +373,6 @@ void CompiledCnn::ensure_scratch(int m) {
   const std::size_t mm = static_cast<std::size_t>(m);
   if (buf_a_.size() < mm * prefix_elems_) buf_a_.resize(mm * prefix_elems_);
   if (buf_b_.size() < mm * prefix_elems_) buf_b_.resize(mm * prefix_elems_);
-  if (cols_.size() < mm * cols_cap_) cols_.resize(mm * cols_cap_);
   if (flat_a_.size() < mm * flat_elems_) flat_a_.resize(mm * flat_elems_);
   if (flat_b_.size() < mm * flat_elems_) flat_b_.resize(mm * flat_elems_);
 }
@@ -402,7 +398,6 @@ void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
   auto run_sample = [&](std::int64_t i) {
     float* a = buf_a_.data() + static_cast<std::size_t>(i) * prefix_elems_;
     float* b = buf_b_.data() + static_cast<std::size_t>(i) * prefix_elems_;
-    float* cols = cols_.data() + static_cast<std::size_t>(i) * cols_cap_;
     const float* cur = rows + static_cast<std::size_t>(i) * in0_;
     for (std::size_t si = 0; si < flat_begin_; ++si) {
       const CnnStage& s = stages_[si];
@@ -412,19 +407,19 @@ void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
       note_maxabs(si, cur, s.in_elems());
       switch (s.kind) {
         case CnnStage::Kind::kConv: {
-          const int patch = s.in_c * s.k * s.k;
-          const int ohw = s.out_h * s.out_w;
-          // Transposed im2col + pixel-vectorized GEMM writing each channel
-          // plane of dst directly — bias/BN/ReLU fused in the kernel with
-          // the walk's exact per-element op order.
-          nn::kernels::im2col_f32_t(cur, s.in_c, s.in_h, s.in_w, s.k,
-                                    s.stride, s.pad, s.out_h, s.out_w, cols);
-          nn::kernels::conv_stage(cols, s.bt.data(), s.bias.data(),
-                                  s.bn ? s.bn_mean.data() : nullptr,
-                                  s.bn ? s.bn_invstd.data() : nullptr,
-                                  s.bn ? s.bn_gamma.data() : nullptr,
-                                  s.bn ? s.bn_beta.data() : nullptr, s.relu,
-                                  dst, ohw, patch, s.out_c);
+          // Packed-plane conv writing each channel plane of dst — bias/BN/
+          // ReLU fused in the kernel with the walk's exact per-element op
+          // order; its packing scratch is per thread.
+          nn::kernels::ConvEpilogue e;
+          e.bias = s.bias.data();
+          if (s.bn) {
+            e.bn_mean = s.bn_mean.data();
+            e.bn_invstd = s.bn_invstd.data();
+            e.bn_gamma = s.bn_gamma.data();
+            e.bn_beta = s.bn_beta.data();
+          }
+          e.relu = s.relu;
+          nn::kernels::conv_forward(cur, s.geom, s.bt.data(), e, s.out_c, dst);
           break;
         }
         case CnnStage::Kind::kDepthwise: {
@@ -477,8 +472,9 @@ void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
     // (and deterministic regardless of pool size).
     for (int i = 0; i < m; ++i) run_sample(i);
   } else if (flat_begin_ > 0) {
-    // Sample-parallel with disjoint per-sample scratch slices: identical
-    // arithmetic per sample at every thread count.
+    // Sample-parallel with disjoint per-sample scratch slices (and
+    // per-thread conv packing scratch): identical arithmetic per sample
+    // at every thread count.
     util::parallel_for(0, m, 1, run_sample);
   }
 

@@ -4,10 +4,13 @@
 // MaxPool2D / BatchNorm / ReLU / Flatten / Dropout / Dense layers over a
 // [C, H, W] (or flat [F]) input into a fused stage list:
 //
-//   * im2col patch packing into per-plan scratch allocated once;
-//   * the double-accumulating GEMM microkernels the layer walk runs on
-//     too (nn/kernels.hpp — scalar/AVX2/AVX-512 with runtime dispatch;
-//     nn::Conv2D's forward is the same im2col + conv_stage). The double
+//   * conv stages that copy each sample once into zero-padded input
+//     planes in per-thread scratch and read every tap through the
+//     stage's offset table (nn::kernels::ConvGeometry — no patch
+//     matrix), and a SIMD 2×2 max pool;
+//   * the double-accumulating microkernels the layer walk runs on too
+//     (nn/kernels.hpp — scalar/AVX2/AVX-512 with runtime dispatch;
+//     nn::Conv2D's forward is the same conv_forward). The double
 //     multiply-add may be one FMA, since a float×float product is exact
 //     in double; float epilogue arithmetic never fuses (src/ is compiled
 //     with -ffp-contract=off);
@@ -25,8 +28,9 @@
 //     bit-exact, just unfused.
 //
 // A plan runs in two parts. The spatial prefix (every stage before
-// Flatten) is sample-parallel with disjoint per-sample scratch slices
-// (see util/thread_pool design rule). The flat suffix (every stage after
+// Flatten) is sample-parallel with disjoint per-sample ping-pong slices
+// and per-thread conv packing scratch (see util/thread_pool design
+// rule). The flat suffix (every stage after
 // Flatten, or every stage for a rank-1 input such as the KPM DNN) runs
 // stage-major over all rows: one dense_stage call per Dense stage. Both
 // are byte-identical to nn::Model::predict at every thread count.
@@ -40,6 +44,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "nn/kernels.hpp"
 #include "serve/compiled.hpp"
 
 namespace orev::serve {
@@ -54,6 +59,8 @@ struct CnnStage {
   int in_c = 0, in_h = 1, in_w = 1;
   int out_c = 0, out_h = 1, out_w = 1;
   int k = 0, stride = 1, pad = 0;
+  /// Conv-only: the packed input's tap offsets and output grid.
+  nn::kernels::ConvGeometry geom;
 
   /// Dense-only: the walk adds a Dense bias only when present, while a
   /// Conv2D *always* adds its bias term (0.0f when bias-less — which is
@@ -140,11 +147,10 @@ class CompiledCnn : public CompiledPlan {
   int in0_ = 0;
   int classes_ = 0;
   std::size_t prefix_elems_ = 0;  // widest prefix stage output, per sample
-  std::size_t cols_cap_ = 0;      // widest im2col matrix, per sample
   std::size_t flat_elems_ = 0;    // widest suffix stage boundary, per row
-  /// Prefix ping-pong and im2col scratch (per-sample slices), suffix
-  /// ping-pong ([m, width] row-major), and predict_rows' logits.
-  std::vector<float> buf_a_, buf_b_, cols_, flat_a_, flat_b_, logits_;
+  /// Prefix ping-pong (per-sample slices), suffix ping-pong ([m, width]
+  /// row-major), and predict_rows' logits.
+  std::vector<float> buf_a_, buf_b_, flat_a_, flat_b_, logits_;
 };
 
 }  // namespace orev::serve

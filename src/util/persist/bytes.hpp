@@ -46,6 +46,9 @@ class ByteWriter {
 
   const std::string& buffer() const { return buf_; }
   std::string take() { return std::move(buf_); }
+  /// Empty the buffer but keep its capacity, so one writer can encode
+  /// record after record without reallocating.
+  void clear() { buf_.clear(); }
 
  private:
   std::string buf_;

@@ -31,7 +31,8 @@ Status JournalWriter::append(std::string_view payload) {
     return Status::Fail(StatusCode::kIoError, "journal is not open");
   if (payload.size() > kMaxJournalRecord)
     return Status::Fail(StatusCode::kBadValue, "journal record too large");
-  ByteWriter w;
+  ByteWriter& w = frame_;
+  w.clear();
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.raw(payload.data(), payload.size());
   w.u32(crc32(payload));

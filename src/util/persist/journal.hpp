@@ -16,6 +16,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/persist/bytes.hpp"
 #include "util/persist/persist.hpp"
 
 namespace orev::persist {
@@ -49,6 +50,7 @@ class JournalWriter {
   int fd_ = -1;
   bool sync_each_ = false;
   std::string path_;
+  ByteWriter frame_;  // the record being framed, reused across appends
 };
 
 /// Outcome of scanning a journal file.

@@ -10,7 +10,9 @@
 //     sibling, adaptive thresholds, quarantine review and the release
 //     channel;
 //   * a city-like loop: 256 cells, almost every row quarantined, review
-//     off.
+//     off;
+//   * the fleet-like loop with SDL storage attached (journal on, fsync
+//     off), so every committed write is also encoded and appended.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <new>
 #include <string>
@@ -83,6 +86,8 @@ struct LoopShape {
   bool sibling = true;
   std::uint64_t review_every = 24;
   bool release_channel = true;
+  /// Non-empty: attach SDL storage here (fsync off) before the warm-up.
+  std::string storage_dir;
 };
 
 /// RIC + IC xApp + defended engine driven by binary KPM frames.
@@ -106,6 +111,15 @@ class IndicationLoop {
         apps::make_kpm_dnn(kFeatures, 4, 17), oran::IndicationKind::kKpm, 13);
     EXPECT_TRUE(ric_.register_xapp(app_, id, 10));
     ric_.connect_e2(&node_);
+    if (!shape_.storage_dir.empty()) {
+      std::error_code ec;
+      std::filesystem::remove_all(shape_.storage_dir, ec);
+      std::filesystem::create_directories(shape_.storage_dir, ec);
+      EXPECT_TRUE(ric_.sdl()
+                      .attach_storage(shape_.storage_dir,
+                                      /*sync_each_write=*/false)
+                      .ok());
+    }
     for (auto& w : walk_)
       for (float& x : w) x = 0.5f;
 
@@ -176,6 +190,7 @@ class IndicationLoop {
   }
 
   const apps::IcXApp& app() const { return *app_; }
+  const oran::Sdl& sdl() const { return ric_.sdl(); }
   const serve::ServeEngine& engine() const { return *engine_; }
   std::uint64_t controls() const { return node_.controls; }
 
@@ -249,6 +264,28 @@ TEST(AllocBudget, QuarantineHeavyCityLoopAllocatesAtMostOncePerIndication) {
   EXPECT_LE(per_ind, 1.0);
   // Nearly every row is quarantined: the alert path is the steady state.
   EXPECT_GT(loop.app().serve_quarantined(), 30000u);
+}
+
+TEST(AllocBudget, PersistedSdlLoopAllocatesAtMostOncePerIndication) {
+  LoopShape shape;
+  shape.storage_dir = ::testing::TempDir() + "orev_alloc_sdl";
+  std::uintmax_t journal_bytes = 0;
+  {
+    IndicationLoop loop(shape);
+    ASSERT_TRUE(loop.sdl().storage_attached());
+    const double per_ind = loop.allocs_per_indication(20000, 20000);
+    std::printf("[alloc] persisted fleet-like loop: %.4f allocations per "
+                "indication\n",
+                per_ind);
+    EXPECT_LE(per_ind, 1.0);
+    std::error_code ec;
+    journal_bytes = std::filesystem::file_size(
+        shape.storage_dir + "/sdl_journal.log", ec);
+  }
+  // The writes really went through the journal.
+  EXPECT_GT(journal_bytes, 1000000u);
+  std::error_code ec;
+  std::filesystem::remove_all(shape.storage_dir, ec);
 }
 
 }  // namespace

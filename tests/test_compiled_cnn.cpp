@@ -123,9 +123,9 @@ nn::Tensor random_batch(const nn::Model& m, int rows, std::uint64_t seed,
 }
 
 /// Randomized conv-chain generator. Odd channel counts and spatial sizes
-/// on purpose: they drive the pixel-vectorized conv kernel through its
-/// 16-wide, 8-wide and scalar remainder paths, and the dense kernel
-/// through its column remainders. Every architecture is valid by
+/// on purpose: they leave the conv kernel's last grid tile partly past
+/// the output and its channel tiles with 1–3-channel remainders, and the
+/// dense kernel with column remainders. Every architecture is valid by
 /// construction (spatial dims are tracked so no stage collapses).
 nn::Model random_cnn_model(std::uint64_t seed) {
   Rng rng(seed);
@@ -229,6 +229,68 @@ TEST(CompiledCnnDifferential, IcXappCnnMatchesWalkAtServingBatchSizes) {
   }
 }
 
+TEST(CompiledCnnDifferential, StrideTwoZooChainsMatchWalk) {
+  // MiniMobileNet's and MiniResNet's conv stacks laid out flat (compiled
+  // plans take a flat Sequential: no Residual, Flatten instead of
+  // GlobalAvgPool) at the 1×24×24 spectrogram shape, so their stride-2
+  // 3×3 convs and 1×1 projection run through the phase-plane packer.
+  auto mobilenet = std::make_unique<nn::Sequential>();
+  mobilenet->emplace<nn::Conv2D>(1, 8, 3, 2, 1)
+      .emplace<nn::BatchNorm>(8)
+      .emplace<nn::ReLU>()
+      .emplace<nn::DepthwiseConv2D>(8, 3, 1, 1)
+      .emplace<nn::BatchNorm>(8)
+      .emplace<nn::ReLU>()
+      .emplace<nn::Conv2D>(8, 16, 1)
+      .emplace<nn::BatchNorm>(16)
+      .emplace<nn::ReLU>()
+      .emplace<nn::DepthwiseConv2D>(16, 3, 2, 1)
+      .emplace<nn::BatchNorm>(16)
+      .emplace<nn::ReLU>()
+      .emplace<nn::Conv2D>(16, 24, 1)
+      .emplace<nn::BatchNorm>(24)
+      .emplace<nn::ReLU>()
+      .emplace<nn::Flatten>()
+      .emplace<nn::Dense>(24 * 6 * 6, 4);
+  auto resnet = std::make_unique<nn::Sequential>();
+  resnet->emplace<nn::Conv2D>(1, 8, 3, 1, 1)
+      .emplace<nn::BatchNorm>(8)
+      .emplace<nn::ReLU>()
+      .emplace<nn::MaxPool2D>(2)
+      .emplace<nn::Conv2D>(8, 8, 3, 1, 1)
+      .emplace<nn::BatchNorm>(8)
+      .emplace<nn::ReLU>()
+      .emplace<nn::Conv2D>(8, 16, 3, 2, 1)
+      .emplace<nn::BatchNorm>(16)
+      .emplace<nn::ReLU>()
+      .emplace<nn::Conv2D>(16, 16, 3, 1, 1)
+      .emplace<nn::BatchNorm>(16)
+      .emplace<nn::Conv2D>(16, 16, 1, 2, 0)
+      .emplace<nn::Flatten>()
+      .emplace<nn::Dense>(16 * 3 * 3, 4);
+  std::vector<nn::Model> models;
+  models.emplace_back("FlatMobileNet", std::move(mobilenet),
+                      nn::Shape{1, 24, 24}, 4);
+  models.emplace_back("FlatResNet", std::move(resnet), nn::Shape{1, 24, 24},
+                      4);
+
+  ThreadGuard guard;
+  for (nn::Model& m : models) {
+    Rng rng(0x5702);
+    m.init(rng);
+    warm_and_lock(m, 0x5703);
+    CompiledCnn::CompileResult r = CompiledCnn::compile(m);
+    ASSERT_NE(r.plan, nullptr) << m.name() << ": " << r.failure.detail;
+    const nn::Tensor batch = random_batch(m, 13, 0x5704, 0.0f, 1.0f);
+    const std::string walk = tensor_digest(m.forward(batch, false));
+    for (const int threads : {1, 4}) {
+      util::set_num_threads(threads);
+      EXPECT_EQ(tensor_digest(r.plan->logits(batch)), walk)
+          << m.name() << " at " << threads << " threads";
+    }
+  }
+}
+
 TEST(CompiledCnnDifferential, HandBuiltDepthwiseBnChainExercisesEveryFusion) {
   // Bias-less conv, fused BN after conv and after depthwise, a standalone
   // BN after a pool (no GEMM host to fuse into), and a trailing ReLU.
@@ -265,10 +327,11 @@ TEST(CompiledCnnDifferential, HandBuiltDepthwiseBnChainExercisesEveryFusion) {
 
 TEST(CompiledCnnDifferential, FusedBnEpilogueMatchesWalkOnScalarPixelTails) {
   // Conv + fused BatchNorm with a random affine, ending in Flatten so the
-  // logits *are* the BN output. Odd spatial sizes leave pixel counts that
-  // are not multiples of 8, so the conv kernel's scalar pixel tail runs
-  // the epilogue γ·x̂ + β: compiled with FMA contraction it would round
-  // once instead of twice and drift from the walk's separate mul and add.
+  // logits *are* the BN output. Odd spatial sizes leave a last grid tile
+  // that runs past the output (lanes computed, never stored) and, on
+  // hosts without SIMD, the scalar conv path runs the epilogue γ·x̂ + β:
+  // compiled with FMA contraction it would round once instead of twice
+  // and drift from the walk's separate mul and add.
   ThreadGuard guard;
   util::set_num_threads(1);
   for (const int hw : {5, 7, 9, 11, 13}) {

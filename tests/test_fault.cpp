@@ -585,6 +585,62 @@ TEST_F(RicFaultTest, IcXAppFallsBackThenFailsSafeThenRecovers) {
   EXPECT_EQ(app->telemetry_failures(), 3u);
 }
 
+TEST_F(RicFaultTest, IcXAppDegradedModeFallsBackToEachNodesOwnTelemetry) {
+  oran::NearRtRic ric(&rbac_, &svc_);
+  FakeE2Node node;
+  ric.connect_e2(&node);
+  auto app = std::make_shared<apps::IcXApp>(tiny_ic_model(),
+                                            oran::IndicationKind::kKpm, 13);
+  apps::IcDegradedConfig dcfg;
+  dcfg.enabled = true;
+  dcfg.max_stale = 2;
+  app->set_degraded_config(dcfg);
+  ASSERT_TRUE(ric.register_xapp(app, onboard("ic"), 10));
+  // Deliver one cell's indication; return the control it caused.
+  auto deliver = [&](const char* cell, float sinr, std::uint64_t tti) {
+    oran::E2Indication ind = kpm_indication(sinr, tti);
+    ind.ran_node_id = cell;
+    const std::size_t before = node.controls.size();
+    ric.deliver_indication(ind);
+    EXPECT_EQ(node.controls.size(), before + 1) << cell << " tti " << tti;
+    return node.controls.back().action;
+  };
+  using oran::ControlAction;
+
+  // Healthy: cell A is clean, then cell B is jammed — B's row is the
+  // last one the app read.
+  EXPECT_EQ(deliver("cell-a", 0.9f, 1), ControlAction::kSetFixedMcs);
+  EXPECT_EQ(deliver("cell-b", 0.1f, 2), ControlAction::kSetAdaptiveMcs);
+
+  // Storage outage: reads fail, platform writes still land.
+  FaultInjector inj(one_site_plan("sdl.read", FaultKind::kTransient, 1.0));
+  ric.set_fault_injector(&inj);
+  // A falls back to its own clean row, not to B's jammed one.
+  EXPECT_EQ(deliver("cell-a", 0.1f, 3), ControlAction::kSetFixedMcs);
+  EXPECT_EQ(app->fallback_classifications(), 1u);
+  // A cell that never had a good read fails safe, although the app holds
+  // other cells' rows.
+  EXPECT_EQ(deliver("cell-c", 0.9f, 4), ControlAction::kSetAdaptiveMcs);
+  EXPECT_EQ(app->failsafe_controls(), 1u);
+  // B falls back to its own jammed row.
+  EXPECT_EQ(deliver("cell-b", 0.9f, 5), ControlAction::kSetAdaptiveMcs);
+  EXPECT_EQ(app->fallback_classifications(), 2u);
+  // Staleness ages per cell: A's cache is two of A's versions old (still
+  // usable), then three (fail-safe) — B's and C's writes do not count.
+  EXPECT_EQ(deliver("cell-a", 0.1f, 6), ControlAction::kSetFixedMcs);
+  EXPECT_EQ(app->fallback_classifications(), 3u);
+  EXPECT_EQ(deliver("cell-a", 0.1f, 7), ControlAction::kSetAdaptiveMcs);
+  EXPECT_EQ(app->failsafe_controls(), 2u);
+  EXPECT_EQ(app->telemetry_failures(), 5u);
+
+  ric.set_fault_injector(nullptr);
+  std::string published;
+  ASSERT_EQ(ric.sdl().read_text(oran::kRicPlatformId, oran::kNsDecisions,
+                                "ic/cell-c", published),
+            oran::SdlStatus::kOk);
+  EXPECT_EQ(published, "failsafe");
+}
+
 TEST_F(RicFaultTest, EmptyPlanChangesNothing) {
   auto run = [&](FaultInjector* inj) {
     oran::NearRtRic ric(&rbac_, &svc_);

@@ -1,19 +1,25 @@
 // Per-ISA lockdown for the shared numeric kernels (nn/kernels.hpp).
 //
 // Two suites:
-//   * KernelIsa — every SIMD variant of conv_stage, dense_stage and
-//     row_axpy that this CPU supports must be byte-identical to the
-//     generic variant, on odd m/k/n (every tile remainder) and on inputs
-//     holding ±0, subnormals and large magnitudes. Variants the CPU lacks
-//     are skipped, so the suite is meaningful on AVX-512 hosts and still
-//     runs everywhere.
-//   * KernelIm2col — the bounds-hoisted im2col packers against a per-tap
-//     bounds-checked reference over strides, paddings and kernels wider
-//     than the padded border.
+//   * KernelIsa — every SIMD variant of conv_stage, dense_stage, row_axpy
+//     and max_pool2x2 that this CPU supports must be byte-identical to
+//     the generic variant, on odd m/k/n (every tile remainder) and on
+//     inputs holding ±0, subnormals and large magnitudes; the whole conv
+//     (packer, every conv_stage variant, copy-out) must also match a
+//     per-element reference over the unpadded input, with NaN and ±inf
+//     among the values. Variants the CPU lacks are skipped, so the suite
+//     is meaningful on AVX-512 hosts and still runs everywhere.
+//   * KernelIm2col — the bounds-hoisted im2col packers and the conv
+//     input packer against a per-tap bounds-checked reference over
+//     strides, paddings and kernels wider than the padded border.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <sstream>
+#include <utility>
 #include <limits>
 #include <string>
 #include <vector>
@@ -60,11 +66,41 @@ struct Variant {
 };
 constexpr Variant kVariants[] = {{1, "avx2"}, {2, "avx512"}};
 
+/// Per-channel epilogue parameters for n channels; the ConvEpilogue
+/// built from them points into this object.
+struct EpilogueParams {
+  std::vector<float> bias, mean, invstd, gamma, beta;
+
+  EpilogueParams(int n, Rng& rng, float (*bias_value)(Rng&))
+      : bias(n), mean(n), invstd(n), gamma(n), beta(n) {
+    for (int c = 0; c < n; ++c) {
+      bias[c] = bias_value(rng);
+      mean[c] = rng.uniform(-1.0f, 1.0f);
+      invstd[c] = rng.uniform(0.5f, 2.0f);
+      gamma[c] = rng.uniform(0.5f, 1.5f);
+      beta[c] = rng.uniform(-0.5f, 0.5f);
+    }
+  }
+  ConvEpilogue epilogue(bool bn, bool relu) const {
+    ConvEpilogue e;
+    e.bias = bias.data();
+    if (bn) {
+      e.bn_mean = mean.data();
+      e.bn_invstd = invstd.data();
+      e.bn_gamma = gamma.data();
+      e.bn_beta = beta.data();
+    }
+    e.relu = relu;
+    return e;
+  }
+};
+
+using PoolFn = void (*)(const float*, int, int, int, bool, float*);
+
 #if defined(__x86_64__) && defined(__GNUC__)
 
-using ConvFn = void (*)(const float*, const double*, const float*,
-                        const float*, const float*, const float*,
-                        const float*, bool, float*, int, int, int);
+using ConvFn = void (*)(const float*, const int*, const double*,
+                        const ConvEpilogue&, float*, int, int, int);
 using DenseFn = void (*)(const float*, const double*, const float*, bool,
                          float*, int, int, int);
 using AxpyFn = void (*)(const float*, std::ptrdiff_t, std::ptrdiff_t,
@@ -79,44 +115,39 @@ DenseFn dense_variant(int level) {
 AxpyFn axpy_variant(int level) {
   return level == 2 ? detail::row_axpy_avx512 : detail::row_axpy_avx2;
 }
+PoolFn pool_variant(int level) {
+  return level == 2 ? detail::max_pool2x2_avx512 : detail::max_pool2x2_avx2;
+}
 
 TEST(KernelIsa, ConvStageVariantsMatchGeneric) {
   Rng rng(0xc0de);
   int compared = 0;
-  // m covers the 16-, 8- and scalar-pixel paths; n the 4-channel tiles
-  // and their single-channel remainder.
-  for (const int m : {1, 7, 8, 9, 16, 23, 49, 81}) {
+  // Arbitrary tap offsets into one buffer, so the kernels are held to
+  // their contract (tap kk of pixel p at packed[off[kk] + p]) and not
+  // just to conv layouts. m covers one and several tiles; n the
+  // 4-channel tiles and their 1–3-channel remainders.
+  for (const int m : {16, 32, 48, 160}) {
     for (const int k : {1, 5, 27}) {
       for (const int n : {1, 3, 4, 5, 9}) {
-        const std::vector<float> colsT =
-            special_vector(static_cast<std::size_t>(k) * m, rng);
+        const int span = 97;
+        const std::vector<float> packed =
+            special_vector(static_cast<std::size_t>(span + m), rng);
+        std::vector<int> off(static_cast<std::size_t>(k));
+        for (int& o : off) o = rng.uniform_int(0, span);
         const std::vector<double> w =
             widen(special_vector(static_cast<std::size_t>(n) * k, rng));
-        std::vector<float> bias(static_cast<std::size_t>(n));
-        std::vector<float> mean(bias.size()), invstd(bias.size()),
-            gamma(bias.size()), beta(bias.size());
-        for (int c = 0; c < n; ++c) {
-          bias[c] = special_value(rng);
-          mean[c] = rng.uniform(-1.0f, 1.0f);
-          invstd[c] = rng.uniform(0.5f, 2.0f);
-          gamma[c] = rng.uniform(0.5f, 1.5f);
-          beta[c] = rng.uniform(-0.5f, 0.5f);
-        }
+        const EpilogueParams ep(n, rng, special_value);
         for (const bool bn : {false, true}) {
           for (const bool relu : {false, true}) {
-            const float* bm = bn ? mean.data() : nullptr;
-            const float* bi = bn ? invstd.data() : nullptr;
-            const float* bg = bn ? gamma.data() : nullptr;
-            const float* bb = bn ? beta.data() : nullptr;
+            const ConvEpilogue e = ep.epilogue(bn, relu);
             std::vector<float> ref(static_cast<std::size_t>(n) * m);
-            detail::conv_stage_generic(colsT.data(), w.data(), bias.data(),
-                                       bm, bi, bg, bb, relu, ref.data(), m,
-                                       k, n);
+            detail::conv_stage_generic(packed.data(), off.data(), w.data(),
+                                       e, ref.data(), m, k, n);
             for (const Variant& v : kVariants) {
               if (isa_level() < v.level) continue;
               std::vector<float> got(ref.size());
-              conv_variant(v.level)(colsT.data(), w.data(), bias.data(), bm,
-                                    bi, bg, bb, relu, got.data(), m, k, n);
+              conv_variant(v.level)(packed.data(), off.data(), w.data(), e,
+                                    got.data(), m, k, n);
               EXPECT_TRUE(bytes_equal(ref, got))
                   << v.name << " m=" << m << " k=" << k << " n=" << n
                   << " bn=" << bn << " relu=" << relu;
@@ -238,13 +269,26 @@ TEST(KernelIsa, DispatchersMatchGeneric) {
   const std::vector<double> w = widen(special_vector(std::size_t(n) * k, rng));
   const std::vector<float> bias = special_vector(std::size_t(n), rng);
 
-  std::vector<float> ref(std::size_t(n) * m), got(ref.size());
-  detail::conv_stage_generic(x.data(), w.data(), bias.data(), nullptr,
-                             nullptr, nullptr, nullptr, true, ref.data(), m,
-                             k, n);
-  conv_stage(x.data(), w.data(), bias.data(), nullptr, nullptr, nullptr,
-             nullptr, true, got.data(), m, k, n);
+  // conv_stage over whole tiles: 32 pixels, taps spread over x.
+  const int px = 32;
+  std::vector<int> off(std::size_t(k), 0);
+  for (int& o : off) o = rng.uniform_int(0, m * k - px);
+  ConvEpilogue e;
+  e.bias = bias.data();
+  e.relu = true;
+  std::vector<float> ref(std::size_t(n) * px), got(ref.size());
+  detail::conv_stage_generic(x.data(), off.data(), w.data(), e, ref.data(),
+                             px, k, n);
+  conv_stage(x.data(), off.data(), w.data(), e, got.data(), px, k, n);
   EXPECT_TRUE(bytes_equal(ref, got)) << "conv_stage";
+
+  const int ph = 6, pw = 23, pc = 3;
+  const std::vector<float> pin = special_vector(std::size_t(pc) * ph * pw, rng);
+  std::vector<float> pref(std::size_t(pc) * (ph / 2) * (pw / 2)),
+      pgot(pref.size());
+  detail::max_pool2x2_generic(pin.data(), pc, ph, pw, true, pref.data());
+  max_pool2x2(pin.data(), pc, ph, pw, true, pgot.data());
+  EXPECT_TRUE(bytes_equal(pref, pgot)) << "max_pool2x2";
 
   std::vector<float> dref(std::size_t(m) * n), dgot(dref.size());
   detail::dense_stage_generic(x.data(), w.data(), bias.data(), false,
@@ -256,6 +300,197 @@ TEST(KernelIsa, DispatchersMatchGeneric) {
   detail::row_axpy_generic(x.data(), k, 1, x.data(), aref.data(), m, k, n);
   row_axpy(x.data(), k, 1, x.data(), agot.data(), m, k, n);
   EXPECT_TRUE(bytes_equal(aref, agot)) << "row_axpy";
+}
+
+// ------------------------------------------------------- whole conv --
+
+/// special_value's values plus NaN and ±inf. NaN inputs carry the sign
+/// bit of x86's default NaN — the one inf·0 and inf − inf produce — so
+/// every NaN a sum meets has the same bits, and the operand order of an
+/// add (which IEEE leaves free to pick either NaN) cannot change a byte.
+float conv_value(Rng& rng) {
+  switch (rng.uniform_int(0, 19)) {
+    case 0: return -std::numeric_limits<float>::quiet_NaN();
+    case 1: return std::numeric_limits<float>::infinity();
+    case 2: return -std::numeric_limits<float>::infinity();
+    default: return special_value(rng);
+  }
+}
+
+/// One [c_in, h, w] sample's conv straight from the definition: per
+/// output element the taps in (c, ky, kx) order, +0.0f outside the plane,
+/// summed in double from +0.0, cast once, then the float epilogue.
+std::vector<float> conv_reference(const std::vector<float>& x,
+                                  const std::vector<double>& w,
+                                  const ConvEpilogue& e, int c_in, int h,
+                                  int wd, int k, int stride, int pad, int n) {
+  const int oh = (h + 2 * pad - k) / stride + 1;
+  const int ow = (wd + 2 * pad - k) / stride + 1;
+  const std::size_t patch = std::size_t(c_in) * k * k;
+  std::vector<float> y(std::size_t(n) * oh * ow);
+  for (int c = 0; c < n; ++c)
+    for (int oy = 0; oy < oh; ++oy)
+      for (int ox = 0; ox < ow; ++ox) {
+        double acc = 0.0;
+        std::size_t kk = 0;
+        for (int ci = 0; ci < c_in; ++ci)
+          for (int ky = 0; ky < k; ++ky)
+            for (int kx = 0; kx < k; ++kx, ++kk) {
+              const int iy = oy * stride - pad + ky;
+              const int ix = ox * stride - pad + kx;
+              const float v = iy >= 0 && iy < h && ix >= 0 && ix < wd
+                                  ? x[(std::size_t(ci) * h + iy) * wd + ix]
+                                  : 0.0f;
+              acc += double(v) * w[c * patch + kk];
+            }
+        float v = static_cast<float>(acc) + e.bias[c];
+        if (e.bn_mean != nullptr) {
+          const float xh = (v - e.bn_mean[c]) * e.bn_invstd[c];
+          v = e.bn_gamma[c] * xh + e.bn_beta[c];
+        }
+        if (e.relu) v = std::max(v, 0.0f);
+        y[(std::size_t(c) * oh + oy) * ow + ox] = v;
+      }
+  return y;
+}
+
+/// Pack, run one conv_stage variant over the grid, keep the valid pixels.
+std::vector<float> conv_through(
+    const std::function<void(const float*, const int*, const double*,
+                             const ConvEpilogue&, float*, int, int, int)>& fn,
+    const std::vector<float>& x, const ConvGeometry& g,
+    const std::vector<double>& w, const ConvEpilogue& e, int n) {
+  std::vector<float> packed(g.packed);
+  pack_conv_input(x.data(), g, packed.data());
+  std::vector<float> grid(std::size_t(n) * g.grid);
+  fn(packed.data(), g.off.data(), w.data(), e, grid.data(), g.grid,
+     static_cast<int>(g.off.size()), n);
+  std::vector<float> y;
+  for (int c = 0; c < n; ++c)
+    for (int oy = 0; oy < g.oh; ++oy) {
+      const float* row = grid.data() + std::size_t(c) * g.grid +
+                         std::size_t(oy) * g.wq;
+      y.insert(y.end(), row, row + g.ow);
+    }
+  return y;
+}
+
+TEST(KernelIsa, ConvStageMatchesPerElementReference) {
+  Rng rng(0x9e0);
+  int idx = 0;
+  for (const int k : {1, 3, 5}) {
+    for (const int pad : {0, 1, 2}) {
+      for (const int stride : {1, 2}) {
+        for (const auto& [h, wd] : {std::pair{7, 13}, std::pair{13, 7}}) {
+          if (h + 2 * pad < k || wd + 2 * pad < k) continue;
+          // Channel counts walk 1–13 on both sides across the cases.
+          const int c_in = 1 + idx % 13;
+          const int n = 1 + (idx * 5 + 3) % 13;
+          ++idx;
+          std::vector<float> x(std::size_t(c_in) * h * wd);
+          for (float& v : x) v = conv_value(rng);
+          std::vector<double> w(std::size_t(n) * c_in * k * k);
+          for (double& v : w) v = conv_value(rng);
+          const EpilogueParams ep(n, rng, conv_value);
+          const ConvGeometry g =
+              conv_geometry(c_in, h, wd, k, stride, pad);
+          for (const bool bn : {false, true}) {
+            for (const bool relu : {false, true}) {
+              const ConvEpilogue e = ep.epilogue(bn, relu);
+              const std::vector<float> ref =
+                  conv_reference(x, w, e, c_in, h, wd, k, stride, pad, n);
+              std::ostringstream where;
+              where << "k=" << k << " p=" << pad << " s=" << stride << " "
+                    << h << "x" << wd << " c_in=" << c_in << " n=" << n
+                    << " bn=" << bn << " relu=" << relu;
+              EXPECT_TRUE(bytes_equal(
+                  ref, conv_through(detail::conv_stage_generic, x, g, w, e,
+                                    n)))
+                  << "generic " << where.str();
+#if defined(__x86_64__) && defined(__GNUC__)
+              for (const Variant& v : kVariants) {
+                if (isa_level() < v.level) continue;
+                EXPECT_TRUE(bytes_equal(
+                    ref, conv_through(conv_variant(v.level), x, g, w, e, n)))
+                    << v.name << " " << where.str();
+              }
+#endif
+              std::vector<float> got(ref.size());
+              conv_forward(x.data(), g, w.data(), e, n, got.data());
+              EXPECT_TRUE(bytes_equal(ref, got))
+                  << "conv_forward " << where.str();
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(idx, 36);
+}
+
+// ------------------------------------------------------------ max pool --
+
+/// The walk's pool loop for a 2×2, stride-2 window.
+std::vector<float> pool_reference(const std::vector<float>& in, int c, int h,
+                                  int w, bool relu) {
+  std::vector<float> out;
+  for (int ch = 0; ch < c; ++ch)
+    for (int oy = 0; oy < h / 2; ++oy)
+      for (int ox = 0; ox < w / 2; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        for (int ky = 0; ky < 2; ++ky)
+          for (int kx = 0; kx < 2; ++kx) {
+            const float v =
+                in[(std::size_t(ch) * h + 2 * oy + ky) * w + 2 * ox + kx];
+            if (v > best) best = v;
+          }
+        out.push_back(relu ? std::max(best, 0.0f) : best);
+      }
+  return out;
+}
+
+TEST(KernelIsa, MaxPool2x2VariantsMatchScalar) {
+  Rng rng(0x9001);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  int compared = 0;
+  // Widths across the 16- and 8-output steps, their masked or scalar
+  // tails and an odd last column the pool never reads.
+  for (const int h : {2, 3, 4, 7}) {
+    for (const int w : {2, 3, 5, 16, 17, 31, 32, 33, 47, 64, 65}) {
+      for (const int c : {1, 3}) {
+        std::vector<float> in(std::size_t(c) * h * w);
+        for (float& v : in) {
+          switch (rng.uniform_int(0, 9)) {
+            case 0: v = nan; break;
+            case 1: v = -nan; break;
+            case 2: v = -inf; break;
+            case 3: v = -0.0f; break;
+            case 4: v = 0.0f; break;
+            default: v = rng.uniform(-1.0f, 1.0f);
+          }
+        }
+        for (const bool relu : {false, true}) {
+          const std::vector<float> ref = pool_reference(in, c, h, w, relu);
+          std::vector<PoolFn> fns = {detail::max_pool2x2_generic,
+                                     max_pool2x2};
+#if defined(__x86_64__) && defined(__GNUC__)
+          for (const Variant& v : kVariants)
+            if (isa_level() >= v.level) fns.push_back(pool_variant(v.level));
+#endif
+          for (std::size_t f = 0; f < fns.size(); ++f) {
+            std::vector<float> got(ref.size(), 7.0f);
+            fns[f](in.data(), c, h, w, relu, got.data());
+            EXPECT_TRUE(bytes_equal(ref, got))
+                << "variant " << f << " " << h << "x" << w << " c=" << c
+                << " relu=" << relu;
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 4 * 11 * 2 * 2 * 2);
 }
 
 // ------------------------------------------------------------- im2col --
@@ -305,17 +540,7 @@ TEST(KernelIm2col, HoistedPackersMatchCheckedReference) {
                        rows.data());
             EXPECT_TRUE(bytes_equal(ref, rows)) << "im2col_f32 " << where;
 
-            // Transposed layout: element (p, kk) moves to (kk, p).
-            const std::size_t m = std::size_t(oh) * ow;
-            const std::size_t patch = ref.size() / m;
-            std::vector<float> colsT(ref.size(), 7.0f);
-            im2col_f32_t(src.data(), c_in, h, w, k, stride, pad, oh, ow,
-                         colsT.data());
-            std::vector<float> back(ref.size());
-            for (std::size_t p = 0; p < m; ++p)
-              for (std::size_t kk = 0; kk < patch; ++kk)
-                back[p * patch + kk] = colsT[kk * m + p];
-            EXPECT_TRUE(bytes_equal(ref, back)) << "im2col_f32_t " << where;
+            const std::size_t patch = ref.size() / (std::size_t(oh) * ow);
 
             std::vector<std::int8_t> src8(src.size());
             for (std::size_t i = 0; i < src.size(); ++i)
@@ -336,6 +561,66 @@ TEST(KernelIm2col, HoistedPackersMatchCheckedReference) {
                       : std::int8_t{0};
               ASSERT_EQ(rows8[i], want) << "im2col_s8 " << where;
             }
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 100);
+}
+
+TEST(KernelIm2col, ConvPackerMatchesCheckedReference) {
+  Rng rng(0x9ac4);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  int cases = 0;
+  for (const int h : {1, 2, 5, 8}) {
+    for (const int w : {1, 3, 6, 9, 17}) {
+      for (int k = 1; k <= 4; ++k) {
+        for (int stride = 1; stride <= 3; ++stride) {
+          for (int pad = 0; pad <= 2; ++pad) {
+            if (h + 2 * pad < k || w + 2 * pad < k) continue;
+            const int c_in = 2;
+            const int oh = (h + 2 * pad - k) / stride + 1;
+            const int ow = (w + 2 * pad - k) / stride + 1;
+            std::vector<float> src(std::size_t(c_in) * h * w);
+            for (float& v : src) v = rng.uniform(-1.0f, 1.0f);
+            const std::vector<float> ref =
+                im2col_reference(src, c_in, h, w, k, stride, pad, oh, ow);
+            const std::string where =
+                "h=" + std::to_string(h) + " w=" + std::to_string(w) +
+                " k=" + std::to_string(k) + " s=" + std::to_string(stride) +
+                " p=" + std::to_string(pad);
+
+            const ConvGeometry g = conv_geometry(c_in, h, w, k, stride, pad);
+            ASSERT_EQ(g.oh, oh) << where;
+            ASSERT_EQ(g.ow, ow) << where;
+            const int used = (oh - 1) * g.wq + ow;
+            EXPECT_EQ(g.grid % kConvTile, 0) << where;
+            EXPECT_TRUE(g.grid >= used && g.grid - used < kConvTile) << where;
+            const std::size_t patch = std::size_t(c_in) * k * k;
+            ASSERT_EQ(g.off.size(), patch) << where;
+            for (const int o : g.off)
+              ASSERT_LE(std::size_t(o) + g.grid, g.packed) << where;
+
+            // NaN-poisoned: the packer must write every float it owns.
+            std::vector<float> packed(g.packed, nan);
+            pack_conv_input(src.data(), g, packed.data());
+            for (const float v : packed) ASSERT_FALSE(std::isnan(v)) << where;
+            for (std::size_t i = g.packed - (g.grid - used); i < g.packed;
+                 ++i)
+              ASSERT_TRUE(bytes_equal({packed[i]}, {0.0f})) << where;
+            for (int oy = 0; oy < oh; ++oy)
+              for (int ox = 0; ox < ow; ++ox)
+                for (std::size_t kk = 0; kk < patch; ++kk) {
+                  const float got = packed[std::size_t(g.off[kk]) +
+                                           std::size_t(oy) * g.wq + ox];
+                  const float want =
+                      ref[(std::size_t(oy) * ow + ox) * patch + kk];
+                  ASSERT_TRUE(bytes_equal({got}, {want}))
+                      << where << " pixel " << oy << "," << ox << " tap "
+                      << kk;
+                }
             ++cases;
           }
         }

@@ -178,8 +178,8 @@ TEST(Conv2D, StridedGradientCheck) {
 // ------------------------------------------------- Conv2D reference --
 //
 // Conv2D runs on the compiled plans' kernels (nn/kernels.hpp): a
-// transposed im2col into the pixel-lane conv_stage forward, and a
-// row-axpy backward that rebuilds each sample's patch matrix from the
+// packed-plane forward (pack_conv_input into the pixel-lane conv_stage),
+// and a row-axpy backward that rebuilds each sample's patch matrix from the
 // cached input. The reference below is the layer's earlier formulation —
 // im2col, then matmul_bt / matmul_at / matmul as plain loops — kept here
 // so the kernels are checked against an implementation they share no
@@ -286,8 +286,57 @@ Tensor with_zeros(Shape s, Rng& rng, float zero_rate) {
   return t;
 }
 
-TEST(Conv2DReference, ForwardAndGradientsBitExactAcrossShapesAndThreads) {
+/// One Conv2D against conv_reference at 1 and 4 threads: the training
+/// forward, dx, dW and db, then the inference forward, bit for bit.
+/// Returns the number of thread counts checked.
+int check_conv_layer(int c_in, int out_ch, int k, int stride, int pad, int h,
+                     int w, int n, bool bias, Rng& rng) {
+  Conv2D layer(c_in, out_ch, k, stride, pad, bias);
+  layer.init(rng);
+  if (bias)
+    for (float& v : layer.params()[1]->value.data())
+      v = rng.uniform(-0.5f, 0.5f);
+  const Tensor wt = layer.params()[0]->value;
+  const Tensor b = bias ? layer.params()[1]->value : Tensor({1});
+  const Tensor x = with_zeros({n, c_in, h, w}, rng, 0.2f);
+  const Tensor gout = with_zeros(
+      {n, out_ch, layer.out_height(h), layer.out_width(w)}, rng, 0.4f);
+  const ConvReference ref =
+      conv_reference(x, wt, b, bias, k, stride, pad, &gout);
+  std::ostringstream where;
+  where << "k=" << k << " s=" << stride << " p=" << pad << " bias=" << bias
+        << " n=" << n << " c_in=" << c_in << " out=" << out_ch << " " << h
+        << "x" << w;
+
   const int saved_threads = util::num_threads();
+  int checked = 0;
+  for (const int threads : {1, 4}) {
+    util::set_num_threads(threads);
+    // Training mode: forward caches, backward against the reference
+    // gradients.
+    layer.set_inference_mode(false);
+    for (Param* p : layer.params()) p->zero_grad();
+    EXPECT_TRUE(same_bytes(layer.forward(x, true), ref.y))
+        << "training forward, " << where.str() << " t=" << threads;
+    EXPECT_TRUE(same_bytes(layer.backward(gout), ref.dx))
+        << "dx, " << where.str() << " t=" << threads;
+    EXPECT_TRUE(same_bytes(layer.params()[0]->grad, ref.dw))
+        << "dW, " << where.str() << " t=" << threads;
+    if (bias) {
+      EXPECT_TRUE(same_bytes(layer.params()[1]->grad, ref.db))
+          << "db, " << where.str() << " t=" << threads;
+    }
+    // Inference mode: no caches, same output.
+    layer.set_inference_mode(true);
+    EXPECT_TRUE(same_bytes(layer.forward(x, false), ref.y))
+        << "inference forward, " << where.str() << " t=" << threads;
+    ++checked;
+  }
+  util::set_num_threads(saved_threads);
+  return checked;
+}
+
+TEST(Conv2DReference, ForwardAndGradientsBitExactAcrossShapesAndThreads) {
   Rng rng(0xc2d);
   int checked = 0;
   for (int k = 1; k <= 3; ++k) {
@@ -299,54 +348,40 @@ TEST(Conv2DReference, ForwardAndGradientsBitExactAcrossShapesAndThreads) {
             const int out_ch = rng.uniform_int(1, 7);
             const int h = rng.uniform_int(k, 11);
             const int w = rng.uniform_int(k, 11);
-            Conv2D layer(c_in, out_ch, k, stride, pad, bias);
-            layer.init(rng);
-            if (bias)
-              for (float& v : layer.params()[1]->value.data())
-                v = rng.uniform(-0.5f, 0.5f);
-            const Tensor wt = layer.params()[0]->value;
-            const Tensor b = bias ? layer.params()[1]->value : Tensor({1});
-            const Tensor x = with_zeros({n, c_in, h, w}, rng, 0.2f);
-            const Tensor gout = with_zeros(
-                {n, out_ch, layer.out_height(h), layer.out_width(w)}, rng,
-                0.4f);
-            const ConvReference ref =
-                conv_reference(x, wt, b, bias, k, stride, pad, &gout);
-            std::ostringstream where;
-            where << "k=" << k << " s=" << stride << " p=" << pad
-                  << " bias=" << bias << " n=" << n << " c_in=" << c_in
-                  << " out=" << out_ch << " " << h << "x" << w;
-
-            for (const int threads : {1, 4}) {
-              util::set_num_threads(threads);
-              // Training mode: forward caches, backward against the
-              // reference gradients.
-              layer.set_inference_mode(false);
-              for (Param* p : layer.params()) p->zero_grad();
-              EXPECT_TRUE(same_bytes(layer.forward(x, true), ref.y))
-                  << "training forward, " << where.str() << " t=" << threads;
-              EXPECT_TRUE(same_bytes(layer.backward(gout), ref.dx))
-                  << "dx, " << where.str() << " t=" << threads;
-              EXPECT_TRUE(same_bytes(layer.params()[0]->grad, ref.dw))
-                  << "dW, " << where.str() << " t=" << threads;
-              if (bias) {
-                EXPECT_TRUE(same_bytes(layer.params()[1]->grad, ref.db))
-                    << "db, " << where.str() << " t=" << threads;
-              }
-              // Inference mode: no caches, same output.
-              layer.set_inference_mode(true);
-              EXPECT_TRUE(same_bytes(layer.forward(x, false), ref.y))
-                  << "inference forward, " << where.str()
-                  << " t=" << threads;
-              ++checked;
-            }
+            checked += check_conv_layer(c_in, out_ch, k, stride, pad, h, w, n,
+                                        bias, rng);
           }
         }
       }
     }
   }
-  util::set_num_threads(saved_threads);
   EXPECT_EQ(checked, 144);
+}
+
+TEST(Conv2DReference, StrideTwoZooModelConvsMatchTheReference) {
+  // Every Conv2D of make_mini_resnet and make_mini_mobilenet at the
+  // 1×24×24 spectrogram shape, with the input extent each one sees:
+  // the stride-2 3×3 convs and 1×1 shortcut run on stride² phase planes.
+  struct Geometry {
+    int c_in, out_ch, k, stride, pad, hw;
+  };
+  const Geometry zoo[] = {
+      {1, 8, 3, 1, 1, 24},   // MiniResNet stem
+      {8, 8, 3, 1, 1, 12},   // identity block (twice)
+      {8, 16, 3, 2, 1, 12},  // downsampling block, first conv
+      {16, 16, 3, 1, 1, 6},  // downsampling block, second conv
+      {8, 16, 1, 2, 0, 12},  // projected shortcut
+      {1, 8, 3, 2, 1, 24},   // MiniMobileNet stem
+      {8, 16, 1, 1, 0, 12},  // pointwise, block 1
+      {16, 24, 1, 1, 0, 6},  // pointwise, block 2
+  };
+  Rng rng(0x5172);
+  int checked = 0;
+  for (const Geometry& g : zoo)
+    for (const bool bias : {true, false})
+      checked += check_conv_layer(g.c_in, g.out_ch, g.k, g.stride, g.pad,
+                                  g.hw, g.hw, /*n=*/3, bias, rng);
+  EXPECT_EQ(checked, 32);
 }
 
 // -------------------------------------------------------- DepthwiseConv2D
