@@ -23,13 +23,12 @@
 //
 //   sdl — the same parallel writer load against a 1-stripe and a
 //   default-stripe Sdl, reporting stripe contentions and wall time (the
-//   oran.sdl.lock_wait_ns histogram fills as a side effect; view it via
+//   oran.sdl.lock_wait_ns sketch fills as a side effect; view it via
 //   --metrics-out or bench_perf_report).
 //
-// `--report-out FILE` writes the JSON consumed as the committed
-// BENCH_CITYSCALE_<date>.json baseline (diffed by
-// bench_perf_report --cityscale-baseline). The 1M-UE configuration is
-// exercised by `--ues 1000000 --epochs 2 --passes 1`.
+// `--report-out FILE` writes the JSON committed as
+// BENCH_CITYSCALE_<date>.json. The 1M-UE configuration is exercised by
+// `--ues 1000000 --epochs 2 --passes 1`.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>

@@ -1,5 +1,5 @@
-// Perf report: times three representative workloads into registry
-// histograms and prints their p50/p95/p99, so a single run with
+// Perf report: times representative workloads into registry quantile
+// sketches and prints their p50/p95/p99/p999, so a single run with
 // `--metrics-out BENCH_<date>.json` captures the repo's latency
 // trajectory in one comparable file:
 //
@@ -23,31 +23,13 @@
 //                           so the perf trajectory tracks defense health.
 //
 // The report also sweeps attack_batch() once, so the instrumentation
-// histograms populated by the pipelines themselves (attack.batch.*,
-// oran.*, serve.*) appear in the same JSON.
-//
-// Every perf.* histogram has a twin quantile sketch (`<name>_q`,
-// DESIGN.md §13) fed the same samples: the fixed-bucket histogram keeps
-// the report comparable with committed baselines, the sketch adds
-// relative-error p50/p95/p99/p999 without bucket-edge bias.
-//
-// Regression diffing: `--baseline BENCH_<date>.json` (a committed
-// --metrics-out file) prints a per-histogram delta table against this
-// run; `--serve-baseline BENCH_SERVE_<date>.json` diffs the serving
-// bench's unbatched/served throughput; `--defense-baseline
-// BENCH_DEFENSE_<date>.json` echoes the committed defense bench's
-// closed-loop AUC / release-rate / swap and overhead numbers;
-// `--cityscale-baseline BENCH_CITYSCALE_<date>.json` echoes the committed
-// city-scale emulation numbers (UEs/sec, codec paths, SDL striping).
-// Deltas are informational — the gates live in each bench's own pass
-// criteria.
-#include <cmath>
+// sketches populated by the pipelines themselves (attack.batch.*,
+// oran.*, serve.*) appear in the same JSON. Every sketch carries the
+// DDSketch relative-error bound (DESIGN.md §13), so quantiles have no
+// bucket-edge bias. Regression gates live in each bench's own pass
+// criteria; the committed `BENCH_*.json` files are history, not inputs.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <span>
-#include <sstream>
 #include <string>
 
 #include "apps/model_zoo.hpp"
@@ -82,18 +64,9 @@ class SinkE2Node : public oran::E2Node {
   std::uint64_t controls = 0;
 };
 
-/// One timed sample lands in both the fixed-bucket histogram (baseline
-/// comparability) and its twin quantile sketch (`<name>_q`).
-void observe_ms(obs::Histogram& h, obs::SketchMetric& q, double ms) {
-  h.observe(ms);
-  q.observe(ms);
-}
-
 void run_matmul(int reps) {
-  obs::Histogram& h = obs::histogram(
-      "perf.matmul64_ms", {}, "64x64 single-threaded matmul latency");
-  obs::SketchMetric& q = obs::sketch(
-      "perf.matmul64_ms_q", 0.01, "64x64 matmul latency (quantile sketch)");
+  obs::SketchMetric& lat_ms = obs::sketch(
+      "perf.matmul64_ms", 0.01, "64x64 single-threaded matmul latency");
   Rng rng(7);
   const nn::Tensor a = nn::Tensor::randn({64, 64}, rng);
   const nn::Tensor b = nn::Tensor::randn({64, 64}, rng);
@@ -101,18 +74,15 @@ void run_matmul(int reps) {
   for (int i = 0; i < reps; ++i) {
     WallTimer t;
     sink = nn::matmul(a, b)[0];
-    observe_ms(h, q, t.seconds() * 1e3);
+    lat_ms.observe(t.seconds() * 1e3);
   }
   (void)sink;
 }
 
 void run_e2_roundtrip(int reps) {
-  obs::Histogram& h = obs::histogram(
-      "perf.e2_roundtrip_ms", {},
+  obs::SketchMetric& lat_ms = obs::sketch(
+      "perf.e2_roundtrip_ms", 0.01,
       "E2 indication -> SDL -> xApp dispatch -> E2 control round trip");
-  obs::SketchMetric& q = obs::sketch(
-      "perf.e2_roundtrip_ms_q", 0.01,
-      "E2 round trip latency (quantile sketch)");
 
   oran::Rbac rbac;
   rbac.define_role("xapp-full",
@@ -143,19 +113,16 @@ void run_e2_roundtrip(int reps) {
     ind.tti = static_cast<std::uint64_t>(i);
     WallTimer t;
     ric.deliver_indication(ind);
-    observe_ms(h, q, t.seconds() * 1e3);
+    lat_ms.observe(t.seconds() * 1e3);
   }
   std::printf("[e2] %llu controls received over %d indications\n",
               static_cast<unsigned long long>(node.controls), reps);
 }
 
 void run_attack(int samples) {
-  obs::Histogram& h = obs::histogram(
-      "perf.attack_sample_ms", {},
+  obs::SketchMetric& lat_ms = obs::sketch(
+      "perf.attack_sample_ms", 0.01,
       "one FGSM perturbation of one spectrogram on the surrogate");
-  obs::SketchMetric& q = obs::sketch(
-      "perf.attack_sample_ms_q", 0.01,
-      "per-sample FGSM latency (quantile sketch)");
 
   const data::Dataset corpus = bench_spectrogram_corpus(/*per_class=*/12);
   nn::Model surrogate =
@@ -169,21 +136,18 @@ void run_attack(int samples) {
     const int label = surrogate.predict_one(x);
     volatile float sink = fgsm.perturb(surrogate, x, label)[0];
     (void)sink;
-    observe_ms(h, q, t.seconds() * 1e3);
+    lat_ms.observe(t.seconds() * 1e3);
   }
 
-  // One batched sweep so the pipeline's own attack.batch.* histograms are
+  // One batched sweep so the pipeline's own attack.batch.* sketches are
   // populated in the same report.
   attack::attack_batch(fgsm, surrogate, corpus.x, /*target_class=*/-1);
 }
 
 void run_serve(int batches) {
-  obs::Histogram& h = obs::histogram(
-      "perf.serve_batch_ms", {},
+  obs::SketchMetric& lat_ms = obs::sketch(
+      "perf.serve_batch_ms", 0.01,
       "one full 32-request micro-batch through the serving engine");
-  obs::SketchMetric& q = obs::sketch(
-      "perf.serve_batch_ms_q", 0.01,
-      "full micro-batch latency (quantile sketch)");
 
   serve::ServeConfig cfg;
   cfg.name = "perf";
@@ -202,18 +166,15 @@ void run_serve(int batches) {
     // covers admission + batching + the batched forward + completions.
     WallTimer t;
     for (nn::Tensor& r : reqs) eng.submit(std::move(r), nullptr);
-    observe_ms(h, q, t.seconds() * 1e3);
+    lat_ms.observe(t.seconds() * 1e3);
   }
   eng.drain();
 }
 
 void run_defense(int batches) {
-  obs::Histogram& h = obs::histogram(
-      "perf.defense_screen_ms", {},
+  obs::SketchMetric& lat_ms = obs::sketch(
+      "perf.defense_screen_ms", 0.01,
       "one screened 32-request micro-batch through the defended engine");
-  obs::SketchMetric& q = obs::sketch(
-      "perf.defense_screen_ms_q", 0.01,
-      "screened micro-batch latency (quantile sketch)");
 
   serve::ServeConfig cfg;
   cfg.name = "perfdef";
@@ -247,7 +208,7 @@ void run_defense(int batches) {
     }
     WallTimer t;
     for (nn::Tensor& r : reqs) eng.submit(std::move(r), nullptr);
-    observe_ms(h, q, t.seconds() * 1e3);
+    lat_ms.observe(t.seconds() * 1e3);
   }
   eng.drain();
 
@@ -328,13 +289,6 @@ void run_sdl_stripes(int writes_per_worker) {
   util::set_num_threads(1);
 }
 
-void print_hist(const char* name, const char* unit = "ms") {
-  const obs::Histogram::Snapshot s = obs::histogram(name).snapshot();
-  std::printf("%-24s n=%6llu  p50=%9.4f %s  p95=%9.4f %s  p99=%9.4f %s\n",
-              name, static_cast<unsigned long long>(s.count), s.p50, unit,
-              s.p95, unit, s.p99, unit);
-}
-
 void print_sketch(const char* name, const char* unit = "ms") {
   const obs::QuantileSketch s = obs::sketch(name).merged();
   std::printf("%-26s n=%6llu  p50=%9.4f  p95=%9.4f  p99=%9.4f  "
@@ -344,179 +298,11 @@ void print_sketch(const char* name, const char* unit = "ms") {
               s.quantile(0.999), unit);
 }
 
-// ------------------------------------------------- baseline regression diff
-//
-// The committed baselines are flat enough (one `"name": {...}` object per
-// line, numeric scalar fields) that a substring scan beats pulling in a
-// JSON parser: find the metric's object, then read the number after the
-// field's colon.
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-/// Value of `"field": <num>` inside the object starting at the first
-/// occurrence of `"name"` (NaN when absent).
-double baseline_field(const std::string& json, const std::string& name,
-                      const std::string& field) {
-  const std::size_t at = json.find("\"" + name + "\"");
-  if (at == std::string::npos) return std::nan("");
-  const std::size_t end = json.find('}', at);
-  const std::size_t f = json.find("\"" + field + "\"", at);
-  if (f == std::string::npos || (end != std::string::npos && f > end))
-    return std::nan("");
-  const std::size_t colon = json.find(':', f);
-  if (colon == std::string::npos) return std::nan("");
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
-void diff_row(const char* label, double now, double base, const char* unit) {
-  if (std::isnan(base)) {
-    std::printf("%-26s now=%9.4f %-3s  baseline=     (absent)\n", label, now,
-                unit);
-    return;
-  }
-  const double pct = base != 0.0 ? (now - base) / base * 100.0 : 0.0;
-  std::printf("%-26s now=%9.4f %-3s  baseline=%9.4f  %+7.1f%%\n", label, now,
-              unit, base, pct);
-}
-
-void diff_against_baseline(const std::string& path) {
-  const std::string json = read_file(path);
-  if (json.empty()) {
-    std::printf("[baseline] cannot read %s — skipping diff\n", path.c_str());
-    return;
-  }
-  std::printf("--- regression diff vs %s (positive = slower now) ---\n",
-              path.c_str());
-  for (const char* name :
-       {"perf.matmul64_ms", "perf.e2_roundtrip_ms", "perf.attack_sample_ms",
-        "attack.batch.sample_ms", "perf.serve_batch_ms",
-        "perf.defense_screen_ms"}) {
-    const obs::Histogram::Snapshot s = obs::histogram(name).snapshot();
-    diff_row((std::string(name) + " p50").c_str(), s.p50,
-             baseline_field(json, name, "p50"), "ms");
-    diff_row((std::string(name) + " p99").c_str(), s.p99,
-             baseline_field(json, name, "p99"), "ms");
-  }
-}
-
-void diff_against_defense_baseline(const std::string& path) {
-  const std::string json = read_file(path);
-  if (json.empty()) {
-    std::printf("[defense-baseline] cannot read %s — skipping diff\n",
-                path.c_str());
-    return;
-  }
-  // The defense report's sections ("closed_loop", "hot_swap", "overhead")
-  // are flat scalar objects; the name scan lands on each section header.
-  std::printf("--- defense closed loop vs %s ---\n", path.c_str());
-  std::printf("%-26s auc_pgm=%.4f  auc_uap=%.4f  release_rate=%.4f\n",
-              "closed_loop baseline",
-              baseline_field(json, "closed_loop", "auc_pgm"),
-              baseline_field(json, "closed_loop", "auc_uap"),
-              baseline_field(json, "closed_loop", "release_rate"));
-  std::printf("%-26s clean_delta=%.4f  agree_after=%.4f\n",
-              "hot_swap baseline",
-              baseline_field(json, "hot_swap", "clean_delta"),
-              baseline_field(json, "hot_swap", "agree_after"));
-  std::printf("%-26s p99_overhead=%.4f (gate <= 0.05)\n",
-              "overhead baseline",
-              baseline_field(json, "overhead", "p99_overhead"));
-  std::printf("(rerun bench_defense --report-out to refresh; this run only "
-              "echoes the committed numbers for context)\n");
-}
-
-void diff_against_serve_baseline(const std::string& path) {
-  const std::string json = read_file(path);
-  if (json.empty()) {
-    std::printf("[serve-baseline] cannot read %s — skipping diff\n",
-                path.c_str());
-    return;
-  }
-  // The serve report nests `"unbatched": {...}` ahead of the served runs;
-  // a name scan lands on the first (canonical) occurrence of each.
-  std::printf("--- serve throughput vs %s ---\n", path.c_str());
-  const double base_unbatched =
-      baseline_field(json, "unbatched", "throughput_rps");
-  const double base_requests = baseline_field(json, "config", "requests");
-  std::printf("%-26s baseline unbatched=%.0f req/s over %.0f requests\n",
-              "serve baseline", base_unbatched, base_requests);
-  std::printf("(rerun bench_serve --report-out to refresh; this run only "
-              "echoes the committed numbers for context)\n");
-}
-
-void diff_against_cityscale_baseline(const std::string& path) {
-  const std::string json = read_file(path);
-  if (json.empty()) {
-    std::printf("[cityscale-baseline] cannot read %s — skipping diff\n",
-                path.c_str());
-    return;
-  }
-  // The cityscale report's "scale" array opens with the single-thread run;
-  // the name scan lands on that first object. "copy"/"move"/"binary" only
-  // occur inside the codec section, "striped" inside the sdl section.
-  std::printf("--- cityscale emulation vs %s ---\n", path.c_str());
-  std::printf("%-26s ue_epochs/s=%.3e  ind/s=%.3e\n", "scale baseline (1 thr)",
-              baseline_field(json, "scale", "ue_epochs_per_sec"),
-              baseline_field(json, "scale", "indications_per_sec"));
-  for (const char* side : {"copy", "move", "binary"}) {
-    std::printf("%-26s inds/s=%.3e  allocs/ind=%.2f\n",
-                (std::string("codec ") + side).c_str(),
-                baseline_field(json, side, "inds_per_sec"),
-                baseline_field(json, side, "allocs_per_ind"));
-  }
-  std::printf("%-26s writes/s=%.3e  contentions=%.0f\n", "sdl striped",
-              baseline_field(json, "striped", "writes_per_sec"),
-              baseline_field(json, "striped", "contentions"));
-  std::printf("(rerun bench_cityscale --report-out to refresh; this run only "
-              "echoes the committed numbers for context)\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   ObsGuard obs_guard(argc, argv);
   parse_threads_flag(argc, argv);
-
-  // --baseline / --serve-baseline / --defense-baseline: committed reports
-  // to diff against.
-  std::string baseline;
-  std::string serve_baseline;
-  std::string defense_baseline;
-  std::string cityscale_baseline;
-  {
-    int w = 1;
-    for (int r = 1; r < argc; ++r) {
-      if (std::strcmp(argv[r], "--baseline") == 0 && r + 1 < argc) {
-        baseline = argv[++r];
-      } else if (std::strncmp(argv[r], "--baseline=", 11) == 0) {
-        baseline = argv[r] + 11;
-      } else if (std::strcmp(argv[r], "--serve-baseline") == 0 &&
-                 r + 1 < argc) {
-        serve_baseline = argv[++r];
-      } else if (std::strncmp(argv[r], "--serve-baseline=", 17) == 0) {
-        serve_baseline = argv[r] + 17;
-      } else if (std::strcmp(argv[r], "--defense-baseline") == 0 &&
-                 r + 1 < argc) {
-        defense_baseline = argv[++r];
-      } else if (std::strncmp(argv[r], "--defense-baseline=", 19) == 0) {
-        defense_baseline = argv[r] + 19;
-      } else if (std::strcmp(argv[r], "--cityscale-baseline") == 0 &&
-                 r + 1 < argc) {
-        cityscale_baseline = argv[++r];
-      } else if (std::strncmp(argv[r], "--cityscale-baseline=", 21) == 0) {
-        cityscale_baseline = argv[r] + 21;
-      } else {
-        argv[w++] = argv[r];
-      }
-    }
-    argc = w;
-  }
 
   std::printf("=== Perf report: matmul / E2 round-trip / attack sample / "
               "serve batch / defended batch ===\n");
@@ -529,38 +315,15 @@ int main(int argc, char** argv) {
   run_sdl_stripes(/*writes_per_worker=*/2000);
 
   print_rule();
-  print_hist("perf.matmul64_ms");
-  print_hist("perf.e2_roundtrip_ms");
-  print_hist("perf.attack_sample_ms");
-  print_hist("attack.batch.sample_ms");
-  print_hist("perf.serve_batch_ms");
-  print_hist("perf.defense_screen_ms");
-  print_hist("oran.sdl.lock_wait_ns", "ns");
-  print_rule();
-  // Sketch-derived quantiles (relative-error guarantee, no bucket bias).
-  print_sketch("perf.matmul64_ms_q");
-  print_sketch("perf.e2_roundtrip_ms_q");
-  print_sketch("perf.attack_sample_ms_q");
-  print_sketch("perf.serve_batch_ms_q");
-  print_sketch("perf.defense_screen_ms_q");
+  print_sketch("perf.matmul64_ms");
+  print_sketch("perf.e2_roundtrip_ms");
+  print_sketch("perf.attack_sample_ms");
+  print_sketch("attack.batch.sample_ms");
+  print_sketch("perf.serve_batch_ms");
+  print_sketch("perf.defense_screen_ms");
+  print_sketch("oran.sdl.lock_wait_ns", "ns");
   print_sketch("serve.perf.latency_us", "us");  // virtual submit-to-completion
   print_rule();
-  if (!baseline.empty()) {
-    diff_against_baseline(baseline);
-    print_rule();
-  }
-  if (!serve_baseline.empty()) {
-    diff_against_serve_baseline(serve_baseline);
-    print_rule();
-  }
-  if (!defense_baseline.empty()) {
-    diff_against_defense_baseline(defense_baseline);
-    print_rule();
-  }
-  if (!cityscale_baseline.empty()) {
-    diff_against_cityscale_baseline(cityscale_baseline);
-    print_rule();
-  }
   std::printf("run with --metrics-out BENCH_<date>.json to save the report\n");
   return 0;
 }

@@ -139,8 +139,8 @@ CloneReport clone_model(const data::Dataset& d_clone,
 
   static obs::Counter& trained = obs::counter(
       "attack.clone.candidates_trained", "MCA surrogate candidates trained");
-  static obs::Histogram& train_ms = obs::histogram(
-      "attack.clone.candidate_train_ms", {}, "per-candidate training time");
+  static obs::SketchMetric& train_ms = obs::sketch(
+      "attack.clone.candidate_train_ms", 0.01, "per-candidate training time");
 
   // ----- crash-safe checkpoint / resume ---------------------------------
   const bool ckpt = !config.checkpoint_dir.empty();

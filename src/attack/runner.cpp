@@ -13,8 +13,8 @@ BatchAttackResult attack_batch(Pgm& pgm, nn::Model& surrogate,
   const int n = x.dim(0);
   static obs::Counter& samples = obs::counter(
       "attack.batch.samples", "samples perturbed by input-specific PGMs");
-  static obs::Histogram& sample_ms = obs::histogram(
-      "attack.batch.sample_ms", {},
+  static obs::SketchMetric& sample_ms = obs::sketch(
+      "attack.batch.sample_ms", 0.01,
       "per-sample perturbation latency (the near-RT window evidence)");
   OREV_TRACE_SPAN_CAT("attack.batch", "attack");
 

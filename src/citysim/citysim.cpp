@@ -108,9 +108,8 @@ void CitySim::seed_queues() {
 }
 
 void CitySim::run_epochs(std::uint64_t n) {
-  static obs::Histogram& epoch_ms = obs::histogram(
-      "citysim.epoch_ms", {0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0},
-      "wall milliseconds per simulated epoch");
+  static obs::SketchMetric& epoch_ms = obs::sketch(
+      "citysim.epoch_ms", 0.01, "wall milliseconds per simulated epoch");
   for (std::uint64_t i = 0; i < n; ++i) {
     OREV_TRACE_SPAN_CAT("citysim.epoch", "citysim");
     const auto t0 = std::chrono::steady_clock::now();

@@ -60,6 +60,16 @@ double CalibrationProfile::score(const float* row, std::size_t n) const {
   return std::sqrt(acc / static_cast<double>(n));
 }
 
+double CalibrationProfile::max_z(const float* row, std::size_t n) const {
+  if (!ready() || n != mean_.size() || n == 0) return 0.0;
+  double worst = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = std::abs(static_cast<double>(row[i]) - mean_[i]);
+    worst = std::max(worst, d / std::sqrt(welford_var(m2_[i], count_)));
+  }
+  return worst;
+}
+
 void CalibrationProfile::save(persist::ByteWriter& w) const {
   w.u64(count_);
   w.u64(mean_.size());

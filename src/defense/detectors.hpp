@@ -67,6 +67,11 @@ class CalibrationProfile {
     return score(sample.raw(), sample.numel());
   }
 
+  /// max_i |x_i - mu_i| / sqrt(var_i) — the worst single-feature z-score
+  /// of `row`, with the same variance estimate and floor as score().
+  /// Returns 0 until ready() or when the row size does not match.
+  double max_z(const float* row, std::size_t n) const;
+
   void save(persist::ByteWriter& w) const;
   bool load(persist::ByteReader& r);
 

@@ -1,8 +1,5 @@
 #include "defense/runtime_monitor.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace orev::defense {
@@ -42,32 +39,17 @@ TelemetryDriftDetector::TelemetryDriftDetector(double z_threshold,
 }
 
 void TelemetryDriftDetector::observe(const nn::Tensor& sample) {
-  if (mean_.empty()) {
-    mean_.assign(sample.numel(), 0.0);
-    m2_.assign(sample.numel(), 0.0);
-  }
-  OREV_CHECK(sample.numel() == mean_.size(),
+  OREV_CHECK(profile_.features() == 0 ||
+                 sample.numel() == profile_.features(),
              "drift detector sample shape changed");
-  ++count_;
-  for (std::size_t i = 0; i < sample.numel(); ++i) {
-    const double x = sample[i];
-    const double delta = x - mean_[i];
-    mean_[i] += delta / count_;
-    m2_[i] += delta * (x - mean_[i]);
-  }
+  profile_.observe(sample.raw(), sample.numel());
 }
 
 double TelemetryDriftDetector::score(const nn::Tensor& sample) const {
-  if (!warmed_up() || mean_.empty()) return 0.0;
-  OREV_CHECK(sample.numel() == mean_.size(),
+  if (!warmed_up()) return 0.0;
+  OREV_CHECK(sample.numel() == profile_.features(),
              "drift detector sample shape changed");
-  double worst = 0.0;
-  for (std::size_t i = 0; i < sample.numel(); ++i) {
-    const double var = m2_[i] / std::max(count_ - 1, 1);
-    const double sd = std::sqrt(std::max(var, 1e-8));
-    worst = std::max(worst, std::abs(sample[i] - mean_[i]) / sd);
-  }
-  return worst;
+  return profile_.max_z(sample.raw(), sample.numel());
 }
 
 bool TelemetryDriftDetector::is_anomalous(const nn::Tensor& sample) const {

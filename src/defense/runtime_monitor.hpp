@@ -6,9 +6,10 @@
 //     platform owns) raises an alert. This catches the §3.1 injection
 //     path regardless of the perturbation's subtlety.
 //   * TelemetryDriftDetector — streaming per-feature anomaly detection on
-//     telemetry tensors (Welford running mean/variance, max-|z| score):
-//     flags statistical drift that bounded adversarial perturbations
-//     introduce into otherwise stationary KPM/spectrogram streams.
+//     telemetry tensors (a CalibrationProfile's Welford running
+//     mean/variance, max-|z| score): flags statistical drift that bounded
+//     adversarial perturbations introduce into otherwise stationary
+//     KPM/spectrogram streams.
 #pragma once
 
 #include <map>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "defense/detectors.hpp"
 #include "nn/tensor.hpp"
 #include "oran/sdl.hpp"
 
@@ -64,15 +66,15 @@ class TelemetryDriftDetector {
   /// Convenience: score ≥ threshold.
   bool is_anomalous(const nn::Tensor& sample) const;
 
-  int samples_observed() const { return count_; }
-  bool warmed_up() const { return count_ >= warmup_; }
+  int samples_observed() const {
+    return static_cast<int>(profile_.samples());
+  }
+  bool warmed_up() const { return samples_observed() >= warmup_; }
 
  private:
   double z_threshold_;
   int warmup_;
-  int count_ = 0;
-  std::vector<double> mean_;
-  std::vector<double> m2_;  // Welford sum of squared deviations
+  CalibrationProfile profile_;
 };
 
 }  // namespace orev::defense

@@ -169,6 +169,23 @@ __attribute__((target("avx2,fma"))) inline void conv_tile8_avx2(
   }
 }
 
+// GCC 12's unmasked _mm512_cvtps_pd / _mm512_cvtpd_ps / _mm512_max_ps
+// hand the masked builtin an uninitialised pass-through vector, which
+// -Wall reports as -W(maybe-)uninitialized. The all-lanes zero-masked
+// forms name no pass-through and compile to the same unmasked instruction.
+__attribute__((target("avx512f"))) inline __m512d cvtps_pd512(__m256 x) {
+  return _mm512_maskz_cvtps_pd(static_cast<__mmask8>(0xff), x);
+}
+
+__attribute__((target("avx512f"))) inline __m256 cvtpd_ps512(__m512d x) {
+  return _mm512_maskz_cvtpd_ps(static_cast<__mmask8>(0xff), x);
+}
+
+__attribute__((target("avx512f"))) inline __m512 max_ps512(__m512 a,
+                                                           __m512 b) {
+  return _mm512_maskz_max_ps(static_cast<__mmask16>(0xffff), a, b);
+}
+
 // Conv channels [c, c + NC) over sixteen pixels: NC × 2 zmm accumulators.
 template <int NC>
 __attribute__((target("avx2,fma,avx512f"))) inline void conv_tile16_avx512(
@@ -179,8 +196,8 @@ __attribute__((target("avx2,fma,avx512f"))) inline void conv_tile16_avx512(
   const double* wc = w + static_cast<std::size_t>(c) * k;
   for (int kk = 0; kk < k; ++kk) {
     const float* xp = src + off[kk];
-    const __m512d x0 = _mm512_cvtps_pd(_mm256_loadu_ps(xp));
-    const __m512d x1 = _mm512_cvtps_pd(_mm256_loadu_ps(xp + 8));
+    const __m512d x0 = cvtps_pd512(_mm256_loadu_ps(xp));
+    const __m512d x1 = cvtps_pd512(_mm256_loadu_ps(xp + 8));
     for (int j = 0; j < NC; ++j) {
       const __m512d wv =
           _mm512_set1_pd(wc[static_cast<std::size_t>(j) * k + kk]);
@@ -190,9 +207,9 @@ __attribute__((target("avx2,fma,avx512f"))) inline void conv_tile16_avx512(
   }
   for (int j = 0; j < NC; ++j) {
     float* out = y + static_cast<std::size_t>(c + j) * m;
-    _mm256_storeu_ps(out, conv_epilogue8(_mm512_cvtpd_ps(lo[j]), e, c + j));
+    _mm256_storeu_ps(out, conv_epilogue8(cvtpd_ps512(lo[j]), e, c + j));
     _mm256_storeu_ps(out + 8,
-                     conv_epilogue8(_mm512_cvtpd_ps(hi[j]), e, c + j));
+                     conv_epilogue8(cvtpd_ps512(hi[j]), e, c + j));
   }
 }
 
@@ -495,7 +512,7 @@ __attribute__((target("avx2,fma,avx512f"))) void dense_stage_avx512(
       }
       const __m512d cs[4] = {c0, c1, c2, c3};
       for (int q = 0; q < 4; ++q) {
-        __m256 v = _mm512_cvtpd_ps(cs[q]);
+        __m256 v = cvtpd_ps512(cs[q]);
         if (bias != nullptr)
           v = _mm256_add_ps(v, _mm256_loadu_ps(bias + j0 + 8 * q));
         if (relu) v = relu8(v);
@@ -593,12 +610,12 @@ __attribute__((target("avx2,avx512f"))) void max_pool2x2_avx512(
         const __m512 a1 = _mm512_maskz_loadu_ps(m_hi, p0 + 16);
         const __m512 b0 = _mm512_maskz_loadu_ps(m_lo, p1);
         const __m512 b1 = _mm512_maskz_loadu_ps(m_hi, p1 + 16);
-        __m512 best = _mm512_max_ps(_mm512_permutex2var_ps(a0, even, a1),
-                                    neg_inf);
-        best = _mm512_max_ps(_mm512_permutex2var_ps(a0, odd, a1), best);
-        best = _mm512_max_ps(_mm512_permutex2var_ps(b0, even, b1), best);
-        best = _mm512_max_ps(_mm512_permutex2var_ps(b0, odd, b1), best);
-        if (relu) best = _mm512_max_ps(_mm512_setzero_ps(), best);
+        __m512 best =
+            max_ps512(_mm512_permutex2var_ps(a0, even, a1), neg_inf);
+        best = max_ps512(_mm512_permutex2var_ps(a0, odd, a1), best);
+        best = max_ps512(_mm512_permutex2var_ps(b0, even, b1), best);
+        best = max_ps512(_mm512_permutex2var_ps(b0, odd, b1), best);
+        if (relu) best = max_ps512(_mm512_setzero_ps(), best);
         _mm512_mask_storeu_ps(o + ox, mask(left), best);
       }
     }

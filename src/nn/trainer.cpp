@@ -324,14 +324,14 @@ TrainReport Trainer::run(Model& model, const Tensor& x_train,
   }
   // ----------------------------------------------------------------------
 
-  // Epoch-level observability. Counters/histograms are process-wide; the
+  // Epoch-level observability. Counters/sketches are process-wide; the
   // per-epoch numbers also land in EpochRecord for the on_epoch callback.
   static obs::Counter& obs_epochs =
       obs::counter("nn.train.epochs", "training epochs completed");
   static obs::Counter& obs_samples =
       obs::counter("nn.train.samples", "training samples consumed");
-  static obs::Histogram& obs_epoch_ms =
-      obs::histogram("nn.train.epoch_ms", {}, "wall time per training epoch");
+  static obs::SketchMetric& obs_epoch_ms =
+      obs::sketch("nn.train.epoch_ms", 0.01, "wall time per training epoch");
   static obs::Gauge& obs_loss = obs::gauge("nn.train.last_train_loss");
   static obs::Gauge& obs_grad = obs::gauge("nn.train.last_grad_norm");
   static obs::Gauge& obs_tput =

@@ -262,8 +262,8 @@ bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
 void NearRtRic::dispatch_all(const E2Indication& ind,
                              double transport_delay_ms,
                              const obs::TraceContext& root) {
-  static obs::Histogram& dispatch_ms = obs::histogram(
-      "oran.xapp.dispatch_ms", {},
+  static obs::SketchMetric& dispatch_ms = obs::sketch(
+      "oran.xapp.dispatch_ms", 0.01,
       "per-xApp dispatch latency within the near-RT control window");
   static obs::Counter& misses = obs::counter(
       "oran.xapp.deadline_misses", "dispatches past the control window");

@@ -88,8 +88,8 @@ void NonRtRic::step() {
   static obs::Counter& publish_failures = obs::counter(
       "oran.o1.publish_failures",
       "PM history publishes that failed after retries");
-  static obs::Histogram& collect_ms =
-      obs::histogram("oran.o1.collect_ms", {}, "O1 PM collection latency");
+  static obs::SketchMetric& collect_ms =
+      obs::sketch("oran.o1.collect_ms", 0.01, "O1 PM collection latency");
   OREV_CHECK(o1_ != nullptr, "no O1 interface connected");
   OREV_TRACE_SPAN_CAT("nonrt.step", "oran");
 
@@ -140,8 +140,8 @@ void NonRtRic::step() {
     log_warn("PM history publish failed after retries; dispatching degraded");
   }
 
-  static obs::Histogram& dispatch_ms =
-      obs::histogram("oran.rapp.dispatch_ms", {}, "per-rApp dispatch latency");
+  static obs::SketchMetric& dispatch_ms =
+      obs::sketch("oran.rapp.dispatch_ms", 0.01, "per-rApp dispatch latency");
   static obs::Counter& rapp_faults = obs::counter(
       "oran.rapp.faults", "rApp dispatches that ended in an exception");
   fault::FaultInjector* fi = fault::effective(fault_);

@@ -45,13 +45,12 @@ std::uint64_t fnv1a(const std::string& ns, const std::string& key) {
 
 /// Lock-wait distribution in nanoseconds: only contended acquisitions are
 /// observed, so an uncontended (historical single-threaded) workload
-/// leaves the histogram empty instead of burying contention in zeros.
-obs::Histogram& lock_wait_hist() {
-  static obs::Histogram& h = obs::histogram(
-      "oran.sdl.lock_wait_ns",
-      {100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8},
+/// leaves the sketch empty instead of burying contention in zeros.
+obs::SketchMetric& lock_wait_ns() {
+  static obs::SketchMetric& s = obs::sketch(
+      "oran.sdl.lock_wait_ns", 0.01,
       "nanoseconds spent waiting for a contended SDL stripe mutex");
-  return h;
+  return s;
 }
 
 }  // namespace
@@ -62,7 +61,7 @@ Sdl::Sdl(const Rbac* rbac, std::size_t stripes) : rbac_(rbac) {
   stripes_.reserve(stripes);
   for (std::size_t i = 0; i < stripes; ++i)
     stripes_.push_back(std::make_unique<Stripe>());
-  lock_wait_hist();  // register the metric even if never contended
+  lock_wait_ns();  // register the metric even if never contended
 }
 
 std::size_t Sdl::stripe_of(const std::string& ns,
@@ -94,7 +93,7 @@ std::unique_lock<std::mutex> Sdl::lock_stripe(std::size_t i) const {
   const auto t0 = std::chrono::steady_clock::now();
   lk.lock();
   const auto t1 = std::chrono::steady_clock::now();
-  lock_wait_hist().observe(static_cast<double>(
+  lock_wait_ns().observe(static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()));
   return lk;
 }

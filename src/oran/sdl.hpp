@@ -16,7 +16,7 @@
 // identical to the historical single-map store. A one-stripe SDL *is* the
 // old single-mutex behaviour, which is what bench_perf_report's contention
 // phase compares against. Lock waits are observed into the
-// "oran.sdl.lock_wait_ns" histogram and per-stripe contention counters so
+// "oran.sdl.lock_wait_ns" sketch and per-stripe contention counters so
 // the sharding win is measurable.
 //
 // Robustness: an optional FaultInjector models a flaky storage backend

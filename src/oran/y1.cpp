@@ -29,8 +29,8 @@ bool Y1Service::unsubscribe(const std::string& subject) {
 void Y1Service::publish(const RaiReport& report) {
   static obs::Counter& published =
       obs::counter("oran.y1.published", "Y1 RAI reports published");
-  static obs::Histogram& fanout_ms =
-      obs::histogram("oran.y1.fanout_ms", {}, "Y1 consumer fan-out latency");
+  static obs::SketchMetric& fanout_ms =
+      obs::sketch("oran.y1.fanout_ms", 0.01, "Y1 consumer fan-out latency");
   published.inc();
   obs::ScopedTimerMs t(fanout_ms);
   ++published_;

@@ -5,14 +5,6 @@
 
 namespace orev::serve {
 
-namespace {
-
-std::vector<double> occupancy_buckets() {
-  return {1, 2, 4, 8, 16, 32, 64, 128};
-}
-
-}  // namespace
-
 SloStats::SloStats(const std::string& engine_name, int replicas,
                    const SloConfig& slo)
     : latency_shards_(static_cast<std::size_t>(std::max(replicas, 1)),
@@ -41,9 +33,9 @@ SloStats::SloStats(const std::string& engine_name, int replicas,
       m_queue_depth_q_(obs::sketch("serve." + engine_name + ".queue_depth_q",
                                    slo.sketch_alpha,
                                    "admission queue depth per sample")),
-      m_occupancy_(obs::histogram("serve." + engine_name + ".occupancy",
-                                  occupancy_buckets(),
-                                  "samples per flushed micro-batch")),
+      m_occupancy_(obs::sketch("serve." + engine_name + ".occupancy",
+                               slo.sketch_alpha,
+                               "samples per flushed micro-batch")),
       m_burn_miss_short_(
           obs::gauge("serve." + engine_name + ".burn.miss_short",
                      "deadline-miss burn rate over the short window")),

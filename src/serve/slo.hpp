@@ -114,7 +114,7 @@ class SloStats {
   obs::Gauge& m_queue_depth_;
   obs::SketchMetric& m_latency_us_;
   obs::SketchMetric& m_queue_depth_q_;
-  obs::Histogram& m_occupancy_;
+  obs::SketchMetric& m_occupancy_;
   obs::Gauge& m_burn_miss_short_;
   obs::Gauge& m_burn_miss_long_;
   obs::Gauge& m_burn_avail_short_;

@@ -27,8 +27,8 @@ namespace detail {
 void record_retries(int extra_attempts, double backoff_ms_total) {
   static obs::Counter& retries =
       obs::counter("fault.retries", "extra attempts spent retrying ops");
-  static obs::Histogram& backoff = obs::histogram(
-      "fault.retry.backoff_ms", {},
+  static obs::SketchMetric& backoff = obs::sketch(
+      "fault.retry.backoff_ms", 0.01,
       "virtual backoff accumulated per retried operation");
   retries.inc(static_cast<std::uint64_t>(extra_attempts));
   backoff.observe(backoff_ms_total);

@@ -1,12 +1,9 @@
 #include "util/obs/metrics.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -18,16 +15,6 @@ namespace {
 
 std::uint64_t to_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
-
-/// Atomic min/max over double bits via CAS.
-template <typename Cmp>
-void atomic_extreme(std::atomic<std::uint64_t>& bits, double v, Cmp better) {
-  std::uint64_t cur = bits.load(std::memory_order_relaxed);
-  while (better(v, from_bits(cur)) &&
-         !bits.compare_exchange_weak(cur, to_bits(v),
-                                     std::memory_order_relaxed)) {
-  }
-}
 
 /// Render a double as a JSON-legal number (finite, shortest-ish form).
 std::string json_double(double v) {
@@ -118,92 +105,6 @@ double Gauge::value() const {
   return from_bits(bits_.load(std::memory_order_relaxed));
 }
 
-// -------------------------------------------------------------- Histogram
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)),
-      buckets_(bounds_.size() + 1),
-      min_bits_(to_bits(std::numeric_limits<double>::infinity())),
-      max_bits_(to_bits(-std::numeric_limits<double>::infinity())) {
-  OREV_CHECK(!bounds_.empty(), "histogram needs at least one bucket bound");
-  OREV_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()),
-             "histogram bounds must be ascending");
-}
-
-void Histogram::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const std::size_t b = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t cur = sum_bits_.load(std::memory_order_relaxed);
-  while (!sum_bits_.compare_exchange_weak(cur, to_bits(from_bits(cur) + v),
-                                          std::memory_order_relaxed)) {
-  }
-  atomic_extreme(min_bits_, v, [](double a, double b2) { return a < b2; });
-  atomic_extreme(max_bits_, v, [](double a, double b2) { return a > b2; });
-}
-
-std::uint64_t Histogram::count() const {
-  return count_.load(std::memory_order_relaxed);
-}
-
-double Histogram::percentile_locked(const std::vector<std::uint64_t>& buckets,
-                                    std::uint64_t total, double pct, double lo,
-                                    double hi) const {
-  if (total == 0) return 0.0;
-  const double rank = pct / 100.0 * static_cast<double>(total);
-  std::uint64_t cum = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    const std::uint64_t next = cum + buckets[b];
-    if (static_cast<double>(next) >= rank && buckets[b] > 0) {
-      // Linear interpolation inside bucket b: [lower, upper] where lower
-      // is the previous bound (or min) and upper the bound (or max).
-      const double lower = b == 0 ? lo : std::max(lo, bounds_[b - 1]);
-      const double upper = b == bounds_.size() ? hi : std::min(hi, bounds_[b]);
-      const double frac =
-          (rank - static_cast<double>(cum)) / static_cast<double>(buckets[b]);
-      const double v = lower + (upper - lower) * std::clamp(frac, 0.0, 1.0);
-      return std::clamp(v, lo, hi);
-    }
-    cum = next;
-  }
-  return hi;
-}
-
-Histogram::Snapshot Histogram::snapshot() const {
-  Snapshot s;
-  s.bounds = bounds_;
-  s.buckets.resize(buckets_.size());
-  for (std::size_t b = 0; b < buckets_.size(); ++b)
-    s.buckets[b] = buckets_[b].load(std::memory_order_relaxed);
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum = from_bits(sum_bits_.load(std::memory_order_relaxed));
-  const double mn = from_bits(min_bits_.load(std::memory_order_relaxed));
-  const double mx = from_bits(max_bits_.load(std::memory_order_relaxed));
-  s.min = s.count == 0 ? 0.0 : mn;
-  s.max = s.count == 0 ? 0.0 : mx;
-  s.p50 = percentile_locked(s.buckets, s.count, 50.0, s.min, s.max);
-  s.p95 = percentile_locked(s.buckets, s.count, 95.0, s.min, s.max);
-  s.p99 = percentile_locked(s.buckets, s.count, 99.0, s.min, s.max);
-  return s;
-}
-
-double Histogram::percentile(double pct) const {
-  OREV_CHECK(pct >= 0.0 && pct <= 100.0, "percentile must be in [0, 100]");
-  const Snapshot s = snapshot();
-  return percentile_locked(s.buckets, s.count, pct, s.min, s.max);
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_bits_.store(0, std::memory_order_relaxed);
-  min_bits_.store(to_bits(std::numeric_limits<double>::infinity()),
-                  std::memory_order_relaxed);
-  max_bits_.store(to_bits(-std::numeric_limits<double>::infinity()),
-                  std::memory_order_relaxed);
-}
-
 // ------------------------------------------------------------ SketchMetric
 
 SketchMetric::SketchMetric(double alpha) : alpha_(alpha) {
@@ -237,18 +138,6 @@ void SketchMetric::reset() {
   }
 }
 
-std::vector<double> default_latency_buckets_ms() {
-  // {1, 2, 5} x 10^k from 100 ns to 100 s — 19 decades' worth of spread
-  // covers a matmul call and a full surrogate training run alike.
-  std::vector<double> out;
-  for (double decade = 1e-4; decade <= 1e5; decade *= 10.0) {
-    out.push_back(decade);
-    out.push_back(2.0 * decade);
-    out.push_back(5.0 * decade);
-  }
-  return out;
-}
-
 // --------------------------------------------------------------- Registry
 
 Registry& Registry::instance() {
@@ -259,7 +148,7 @@ Registry& Registry::instance() {
 Counter& Registry::counter(const std::string& name, const std::string& help) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry& e = metrics_[name];
-  OREV_CHECK(!e.gauge && !e.histogram && !e.sketch,
+  OREV_CHECK(!e.gauge && !e.sketch,
              "metric type mismatch: " + name);
   if (!e.counter) {
     e.counter = std::make_unique<Counter>();
@@ -271,7 +160,7 @@ Counter& Registry::counter(const std::string& name, const std::string& help) {
 Gauge& Registry::gauge(const std::string& name, const std::string& help) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry& e = metrics_[name];
-  OREV_CHECK(!e.counter && !e.histogram && !e.sketch,
+  OREV_CHECK(!e.counter && !e.sketch,
              "metric type mismatch: " + name);
   if (!e.gauge) {
     e.gauge = std::make_unique<Gauge>();
@@ -280,26 +169,11 @@ Gauge& Registry::gauge(const std::string& name, const std::string& help) {
   return *e.gauge;
 }
 
-Histogram& Registry::histogram(const std::string& name,
-                               std::vector<double> bounds,
-                               const std::string& help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& e = metrics_[name];
-  OREV_CHECK(!e.counter && !e.gauge && !e.sketch,
-             "metric type mismatch: " + name);
-  if (!e.histogram) {
-    if (bounds.empty()) bounds = default_latency_buckets_ms();
-    e.histogram = std::make_unique<Histogram>(std::move(bounds));
-    e.help = help;
-  }
-  return *e.histogram;
-}
-
 SketchMetric& Registry::sketch(const std::string& name, double alpha,
                                const std::string& help) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry& e = metrics_[name];
-  OREV_CHECK(!e.counter && !e.gauge && !e.histogram,
+  OREV_CHECK(!e.counter && !e.gauge,
              "metric type mismatch: " + name);
   if (!e.sketch) {
     e.sketch = std::make_unique<SketchMetric>(alpha);
@@ -321,14 +195,6 @@ std::string Registry::to_prometheus() const {
     } else if (e.gauge) {
       os << "# TYPE " << pn << " gauge\n"
          << pn << ' ' << json_double(e.gauge->value()) << '\n';
-    } else if (e.histogram) {
-      const Histogram::Snapshot s = e.histogram->snapshot();
-      os << "# TYPE " << pn << " summary\n";
-      os << pn << "{quantile=\"0.5\"} " << json_double(s.p50) << '\n';
-      os << pn << "{quantile=\"0.95\"} " << json_double(s.p95) << '\n';
-      os << pn << "{quantile=\"0.99\"} " << json_double(s.p99) << '\n';
-      os << pn << "_sum " << json_double(s.sum) << '\n';
-      os << pn << "_count " << s.count << '\n';
     } else if (e.sketch) {
       const QuantileSketch s = e.sketch->merged();
       os << "# TYPE " << pn << " summary\n";
@@ -350,7 +216,7 @@ std::string Registry::to_prometheus() const {
 std::string Registry::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
-  os << "{\n  \"schema\": \"orev-metrics-v1\",\n";
+  os << "{\n  \"schema\": \"orev-metrics-v2\",\n";
   os << "  \"counters\": {";
   bool first = true;
   for (const auto& [name, e] : metrics_) {
@@ -365,21 +231,6 @@ std::string Registry::to_json() const {
     if (!e.gauge) continue;
     os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
        << "\": " << json_double(e.gauge->value());
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, e] : metrics_) {
-    if (!e.histogram) continue;
-    const Histogram::Snapshot s = e.histogram->snapshot();
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": {"
-       << "\"count\": " << s.count << ", \"sum\": " << json_double(s.sum)
-       << ", \"mean\": " << json_double(s.mean())
-       << ", \"min\": " << json_double(s.min)
-       << ", \"max\": " << json_double(s.max)
-       << ", \"p50\": " << json_double(s.p50)
-       << ", \"p95\": " << json_double(s.p95)
-       << ", \"p99\": " << json_double(s.p99) << "}";
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"sketches\": {";
@@ -418,7 +269,6 @@ void Registry::reset_values() {
   for (auto& [name, e] : metrics_) {
     if (e.counter) e.counter->reset();
     if (e.gauge) e.gauge->reset();
-    if (e.histogram) e.histogram->reset();
     if (e.sketch) e.sketch->reset();
   }
 }
@@ -428,10 +278,6 @@ Counter& counter(const std::string& name, const std::string& help) {
 }
 Gauge& gauge(const std::string& name, const std::string& help) {
   return Registry::instance().gauge(name, help);
-}
-Histogram& histogram(const std::string& name, std::vector<double> bounds,
-                     const std::string& help) {
-  return Registry::instance().histogram(name, std::move(bounds), help);
 }
 SketchMetric& sketch(const std::string& name, double alpha,
                      const std::string& help) {

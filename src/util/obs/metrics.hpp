@@ -1,12 +1,13 @@
 // Process-wide metrics registry: lock-striped counters, gauges, and
-// fixed-bucket histograms with percentile estimation, exportable as
-// Prometheus text or JSON (the `BENCH_*.json` perf-trajectory format).
+// quantile sketches (sketch.hpp, the one latency-distribution kind: a
+// relative-error bound and an exact merge), exportable as Prometheus text
+// or JSON (schema `orev-metrics-v2`).
 //
 // Determinism contract: metrics are strictly *observational*. Recording a
-// value touches only the metric's own atomics — never an Rng stream, never
+// value touches only the metric's own state — never an Rng stream, never
 // any tensor — so instrumented pipelines produce byte-identical CSV/golden
 // output whether or not anyone reads the registry (locked down by
-// tests/test_determinism.cpp). Exported *values* of timing histograms vary
+// tests/test_determinism.cpp). Exported *values* of timing sketches vary
 // run to run, of course; event *counts* are deterministic.
 //
 // Hot-path usage caches the metric reference once per call site:
@@ -82,54 +83,6 @@ class Gauge {
   std::atomic<std::uint64_t> bits_{0};
 };
 
-/// Fixed-bucket histogram. Bucket upper bounds are set at construction
-/// (ascending, with an implicit +inf overflow bucket); observe() is two
-/// relaxed atomic adds plus a CAS each for sum/min/max. Percentiles are
-/// estimated by linear interpolation inside the bucket containing the
-/// requested rank, clamped to the observed [min, max].
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void observe(double v);
-
-  struct Snapshot {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    std::vector<double> bounds;          // upper bounds, excluding +inf
-    std::vector<std::uint64_t> buckets;  // bounds.size() + 1 entries
-    double mean() const { return count == 0 ? 0.0 : sum / double(count); }
-  };
-  Snapshot snapshot() const;
-
-  /// Percentile estimate in [0, 100] from the current bucket contents.
-  double percentile(double pct) const;
-
-  std::uint64_t count() const;
-  void reset();
-
- private:
-  double percentile_locked(const std::vector<std::uint64_t>& buckets,
-                           std::uint64_t total, double pct, double lo,
-                           double hi) const;
-
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_bits_{0};
-  std::atomic<std::uint64_t> min_bits_;
-  std::atomic<std::uint64_t> max_bits_;
-};
-
-/// Default histogram bounds for latencies measured in milliseconds:
-/// {1, 2, 5} x 10^k spanning 100 ns .. 100 s (one overflow bucket above).
-std::vector<double> default_latency_buckets_ms();
-
 /// Registry-resident quantile sketch, lock-striped by thread_index() so
 /// concurrent observers rarely contend. merged() combines the stripes in
 /// ascending order — an exact, order-independent merge (see sketch.hpp),
@@ -165,22 +118,16 @@ class Registry {
 
   Counter& counter(const std::string& name, const std::string& help = "");
   Gauge& gauge(const std::string& name, const std::string& help = "");
-  /// `bounds` is consulted only on first creation; pass {} for the
-  /// default latency buckets.
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> bounds = {},
-                       const std::string& help = "");
   /// `alpha` is consulted only on first creation.
   SketchMetric& sketch(const std::string& name, double alpha = 0.01,
                        const std::string& help = "");
 
   /// Prometheus text exposition (names sanitized to [a-z0-9_:], prefixed
   /// `orev_`; every series gets `# TYPE` and, when present, an escaped
-  /// `# HELP`). Histograms and sketches export as summaries.
+  /// `# HELP`). Sketches export as summaries.
   std::string to_prometheus() const;
 
   /// JSON report: {"schema": "...", "counters": {...}, "gauges": {...},
-  /// "histograms": {name: {count, sum, min, max, mean, p50, p95, p99}},
   /// "sketches": {name: {count, sum, mean, min, max, p50, p95, p99,
   /// p999}}}.
   std::string to_json() const;
@@ -197,7 +144,6 @@ class Registry {
   struct Entry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<SketchMetric> sketch;
     std::string help;
   };
@@ -209,23 +155,21 @@ class Registry {
 /// Convenience accessors against the global registry.
 Counter& counter(const std::string& name, const std::string& help = "");
 Gauge& gauge(const std::string& name, const std::string& help = "");
-Histogram& histogram(const std::string& name, std::vector<double> bounds = {},
-                     const std::string& help = "");
 SketchMetric& sketch(const std::string& name, double alpha = 0.01,
                      const std::string& help = "");
 
-/// RAII helper: observes the scope's wall time (in ms) into a histogram.
+/// RAII helper: observes the scope's wall time (in ms) into a sketch.
 class ScopedTimerMs {
  public:
-  explicit ScopedTimerMs(Histogram& h) : hist_(h) {}
+  explicit ScopedTimerMs(SketchMetric& s) : sketch_(s) {}
   ~ScopedTimerMs() {
-    hist_.observe(static_cast<double>(timer_.elapsed_ns()) * 1e-6);
+    sketch_.observe(static_cast<double>(timer_.elapsed_ns()) * 1e-6);
   }
   ScopedTimerMs(const ScopedTimerMs&) = delete;
   ScopedTimerMs& operator=(const ScopedTimerMs&) = delete;
 
  private:
-  Histogram& hist_;
+  SketchMetric& sketch_;
   WallTimer timer_;
 };
 

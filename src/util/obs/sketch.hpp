@@ -1,8 +1,9 @@
 // Mergeable relative-error quantile sketch (DDSketch-style).
 //
-// Fixed-bucket histograms (metrics.hpp) answer "roughly where is p99"
-// only as well as their bucket edges allow — and SLO misses live exactly
-// in the tail where the edges are coarsest. This sketch instead maps each
+// A fixed-bucket histogram answers "roughly where is p99" only as well
+// as its bucket edges allow — and SLO misses live exactly in the tail
+// where the edges are coarsest. This sketch, the registry's one latency
+// distribution (metrics.hpp's SketchMetric), instead maps each
 // value to a logarithmic bucket index i = ceil(ln v / ln gamma) with
 // gamma = (1 + alpha) / (1 - alpha), which guarantees every reported
 // quantile q satisfies |q - q_true| <= alpha * q_true (relative error,

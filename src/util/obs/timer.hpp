@@ -1,5 +1,5 @@
 // Monotonic wall-clock primitives shared by the whole observability layer
-// (metrics histograms, trace spans) and by the benchmark CSV reporting —
+// (latency sketches, trace spans) and by the benchmark CSV reporting —
 // one clock, one epoch, no duplicated chrono boilerplate.
 #pragma once
 

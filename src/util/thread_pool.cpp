@@ -63,8 +63,8 @@ void ThreadPool::worker_loop() {
     }
     {
       static obs::Gauge& busy = obs::gauge("pool.busy_workers");
-      static obs::Histogram& task_ms = obs::histogram(
-          "pool.task_ms", {}, "time one worker spent inside a region");
+      static obs::SketchMetric& task_ms = obs::sketch(
+          "pool.task_ms", 0.01, "time one worker spent inside a region");
       RegionGuard guard;
       busy.add(1.0);
       obs::ScopedTimerMs task_timer(task_ms);
@@ -92,8 +92,8 @@ void ThreadPool::run_on_all(const std::function<void()>& participant) {
   // so the two clock reads here are noise.
   static obs::Counter& regions =
       obs::counter("pool.regions", "parallel regions dispatched to workers");
-  static obs::Histogram& region_ms =
-      obs::histogram("pool.region_ms", {}, "wall time of one parallel region");
+  static obs::SketchMetric& region_ms =
+      obs::sketch("pool.region_ms", 0.01, "wall time of one parallel region");
   static obs::Gauge& busy =
       obs::gauge("pool.busy_workers", "tasks currently inside a region");
   regions.inc();

@@ -1,16 +1,23 @@
 // Observability-layer lockdown: metric correctness (counters, gauges,
-// histogram statistics and percentile estimation), registry get-or-create
-// stability, exactness of lock-striped counters under the thread pool,
-// well-formedness of both JSON exports (metrics report and Chrome trace),
+// latency-sketch statistics and quantile clamping), registry get-or-create
+// stability, exactness of lock-striped counters and sketches under the
+// thread pool, well-formedness of both JSON exports (metrics report and
+// Chrome trace), the pipelines' latency metrics landing under "sketches",
 // and the disabled-mode no-op contract for tracing.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "oran/near_rt_ric.hpp"
+#include "oran/onboarding.hpp"
+#include "oran/y1.hpp"
+#include "serve/slo.hpp"
+#include "util/fault/retry.hpp"
 #include "util/obs/obs.hpp"
 #include "util/thread_pool.hpp"
 
@@ -212,67 +219,58 @@ TEST(ObsGauge, SetAddValue) {
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
 
-// ----------------------------------------------------------- histograms
+// ------------------------------------------------- latency distributions
+//
+// ObsHistogram.* pin the latency-distribution contract every timed call
+// site relies on. Its one implementation is SketchMetric: exact count,
+// sum, min and max next to relative-error quantiles.
 
 TEST(ObsHistogram, SnapshotStatisticsExact) {
-  obs::Histogram& h = obs::histogram("test.hist.stats");
-  h.reset();
-  for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i));
-  const obs::Histogram::Snapshot s = h.snapshot();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.sum, 5050.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
-  // Percentiles are bucket estimates, not exact order statistics: require
-  // ordering and range, not equality.
-  EXPECT_LE(s.p50, s.p95);
-  EXPECT_LE(s.p95, s.p99);
-  EXPECT_GE(s.p50, s.min);
-  EXPECT_LE(s.p99, s.max);
-  EXPECT_NEAR(s.p50, 50.0, 25.0);
-}
-
-TEST(ObsHistogram, CustomBoundsBucketing) {
-  obs::Histogram& h =
-      obs::histogram("test.hist.custom", {1.0, 10.0, 100.0});
-  h.reset();
-  h.observe(0.5);    // bucket 0 (<= 1)
-  h.observe(5.0);    // bucket 1 (<= 10)
-  h.observe(50.0);   // bucket 2 (<= 100)
-  h.observe(500.0);  // overflow bucket
-  const obs::Histogram::Snapshot s = h.snapshot();
-  ASSERT_EQ(s.bounds.size(), 3u);
-  ASSERT_EQ(s.buckets.size(), 4u);
-  EXPECT_EQ(s.buckets[0], 1u);
-  EXPECT_EQ(s.buckets[1], 1u);
-  EXPECT_EQ(s.buckets[2], 1u);
-  EXPECT_EQ(s.buckets[3], 1u);
+  obs::SketchMetric& m = obs::sketch("test.hist.stats");
+  m.reset();
+  for (int i = 1; i <= 100; ++i) m.observe(static_cast<double>(i));
+  const obs::QuantileSketch s = m.merged();
+  EXPECT_EQ(s.count(), 100u);
+  EXPECT_DOUBLE_EQ(s.sum(), 5050.0);
+  EXPECT_DOUBLE_EQ(s.min(), 1.0);
+  EXPECT_DOUBLE_EQ(s.max(), 100.0);
+  // Quantiles are bucket estimates within the relative-error bound, not
+  // exact order statistics.
+  EXPECT_LE(s.quantile(0.50), s.quantile(0.95));
+  EXPECT_LE(s.quantile(0.95), s.quantile(0.99));
+  EXPECT_GE(s.quantile(0.50), s.min());
+  EXPECT_LE(s.quantile(0.99), s.max());
+  EXPECT_NEAR(s.quantile(0.50), 50.0, 50.0 * s.alpha());
 }
 
 TEST(ObsHistogram, PercentileClampedToObservedRange) {
-  obs::Histogram& h = obs::histogram("test.hist.clamp");
-  h.reset();
-  // All mass in one default bucket: interpolation inside the bucket must
-  // still never escape [min, max].
-  for (int i = 0; i < 50; ++i) h.observe(3.3);
-  EXPECT_DOUBLE_EQ(h.percentile(50.0), 3.3);
-  EXPECT_DOUBLE_EQ(h.percentile(99.0), 3.3);
+  obs::SketchMetric& m = obs::sketch("test.hist.clamp");
+  m.reset();
+  // All mass in one bucket: its midpoint estimate must still never escape
+  // [min, max].
+  for (int i = 0; i < 50; ++i) m.observe(3.3);
+  const obs::QuantileSketch s = m.merged();
+  EXPECT_DOUBLE_EQ(s.quantile(0.50), 3.3);
+  EXPECT_DOUBLE_EQ(s.quantile(0.99), 3.3);
 }
 
 TEST(ObsHistogram, CountExactUnderConcurrentObserves) {
   ThreadGuard guard;
   util::set_num_threads(4);
-  obs::Histogram& h = obs::histogram("test.hist.concurrent");
-  h.reset();
+  obs::SketchMetric& m = obs::sketch("test.hist.concurrent");
+  m.reset();
   constexpr std::int64_t kN = 10000;
   util::parallel_for(0, kN, 64, [&](std::int64_t i) {
-    h.observe(static_cast<double>(i % 7));
+    m.observe(static_cast<double>(i % 7));
   });
-  const obs::Histogram::Snapshot s = h.snapshot();
-  EXPECT_EQ(s.count, static_cast<std::uint64_t>(kN));
-  EXPECT_DOUBLE_EQ(s.min, 0.0);
-  EXPECT_DOUBLE_EQ(s.max, 6.0);
+  // Integer samples: every shard's sum and the merged sum are exact.
+  double expected_sum = 0.0;
+  for (std::int64_t i = 0; i < kN; ++i) expected_sum += double(i % 7);
+  const obs::QuantileSketch s = m.merged();
+  EXPECT_EQ(s.count(), static_cast<std::uint64_t>(kN));
+  EXPECT_DOUBLE_EQ(s.sum(), expected_sum);
+  EXPECT_DOUBLE_EQ(s.min(), 0.0);
+  EXPECT_DOUBLE_EQ(s.max(), 6.0);
 }
 
 // ------------------------------------------------------------- registry
@@ -291,12 +289,76 @@ TEST(ObsRegistry, GetOrCreateReturnsStableAddresses) {
 TEST(ObsRegistry, JsonExportIsWellFormed) {
   obs::counter("test.export.counter").inc(3);
   obs::gauge("test.export.gauge").set(-1.25);
-  obs::histogram("test.export.hist").observe(2.0);
+  obs::sketch("test.export.sketch").observe(2.0);
   const std::string json = obs::Registry::instance().to_json();
   EXPECT_TRUE(JsonValidator(json).valid()) << json;
-  EXPECT_NE(json.find("orev-metrics-v1"), std::string::npos);
+  EXPECT_NE(json.find("orev-metrics-v2"), std::string::npos);
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("test.export.counter"), std::string::npos);
-  EXPECT_NE(json.find("test.export.hist"), std::string::npos);
+  EXPECT_NE(json.find("test.export.sketch"), std::string::npos);
+}
+
+class NopXApp : public oran::XApp {
+ public:
+  void on_indication(const oran::E2Indication& /*ind*/,
+                     oran::NearRtRic& /*ric*/) override {}
+};
+
+/// True when `name` is a key of the report's "sketches" object (the last
+/// section of to_json()).
+bool exported_as_sketch(const std::string& json, const std::string& name) {
+  const std::size_t section = json.find("\"sketches\": {");
+  return section != std::string::npos &&
+         json.find("\"" + name + "\": {", section) != std::string::npos;
+}
+
+TEST(ObsRegistry, PipelineLatencyMetricsExportAsSketches) {
+  // Each metric is registered by its real call site, not by name here.
+  oran::Rbac rbac;
+  rbac.define_role("xapp-full", {oran::Permission{"telemetry/*", true, true},
+                                 oran::Permission{"e2/control", false, true}});
+  oran::Operator op("op", "sec");
+  oran::OnboardingService svc(&op, &rbac);
+  oran::AppDescriptor d;
+  d.name = "obs";
+  d.version = "1";
+  d.vendor = "v";
+  d.payload = "p";
+  d.requested_role = "xapp-full";
+  oran::NearRtRic ric(&rbac, &svc);  // its Sdl registers lock_wait_ns
+  ric.register_xapp(std::make_shared<NopXApp>(),
+                    svc.onboard(op.package(d)).app_id, 0);
+  oran::E2Indication ind;
+  ind.ran_node_id = "ran-1";
+  ind.kind = oran::IndicationKind::kKpm;
+  ind.payload = nn::Tensor({4}, 0.5f);
+  ric.deliver_indication(ind);
+
+  serve::SloStats slo("obstest", 1, serve::SloConfig{});
+  slo.on_batch(8);
+
+  oran::Y1Service y1(&op);
+  y1.publish(oran::RaiReport{});
+
+  int calls = 0;
+  fault::retry_call(fault::RetryPolicy{}, 1, [&] {
+    return ++calls < 2 ? fault::TryResult::kTransient : fault::TryResult::kOk;
+  });
+
+  {
+    ThreadGuard guard;
+    util::set_num_threads(4);
+    util::parallel_for(0, 64, 1, [](std::int64_t) {});
+  }
+
+  const std::string json = obs::Registry::instance().to_json();
+  for (const char* name :
+       {"oran.xapp.dispatch_ms", "oran.sdl.lock_wait_ns",
+        "serve.obstest.occupancy", "oran.y1.fanout_ms",
+        "fault.retry.backoff_ms", "pool.task_ms", "pool.region_ms"})
+    EXPECT_TRUE(exported_as_sketch(json, name)) << name;
+  EXPECT_GE(obs::sketch("oran.xapp.dispatch_ms").count(), 1u);
+  EXPECT_GE(obs::sketch("serve.obstest.occupancy").count(), 1u);
 }
 
 TEST(ObsRegistry, PrometheusExportSanitizesNames) {
@@ -410,12 +472,12 @@ TEST(ObsTimer, MonotoneAndLaps) {
   EXPECT_LE(t.elapsed_ns(), b + 1000000000ull);  // sanity: reset re-anchors
 }
 
-TEST(ObsTimer, ScopedTimerObservesIntoHistogram) {
-  obs::Histogram& h = obs::histogram("test.scoped.timer");
-  h.reset();
-  { const obs::ScopedTimerMs t(h); }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_GE(h.snapshot().min, 0.0);
+TEST(ObsTimer, ScopedTimerObservesIntoSketch) {
+  obs::SketchMetric& m = obs::sketch("test.scoped.timer");
+  m.reset();
+  { const obs::ScopedTimerMs t(m); }
+  EXPECT_EQ(m.count(), 1u);
+  EXPECT_GE(m.merged().min(), 0.0);
 }
 
 }  // namespace
