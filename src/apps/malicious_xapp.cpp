@@ -25,17 +25,31 @@ void MaliciousXApp::arm_input_specific(Generator gen, double window_ms) {
   mode_ = Mode::kAttack;
 }
 
+MaliciousXApp::Node& MaliciousXApp::node_for(std::string_view node_id,
+                                              oran::NearRtRic& ric) {
+  auto it = nodes_.find(node_id);
+  if (it == nodes_.end())
+    it = nodes_.emplace(std::string(node_id), Node{}).first;
+  Node& node = it->second;
+  if (node.ric != &ric) {
+    const std::string ns = kind_ == oran::IndicationKind::kSpectrogram
+                               ? oran::kNsSpectrogram
+                               : oran::kNsKpm;
+    oran::Sdl& sdl = ric.sdl();
+    node.ric = &ric;
+    node.telemetry = sdl.resolve(app_id(), ns, it->first + "/current");
+    node.decision =
+        sdl.resolve(app_id(), oran::kNsDecisions, "ic/" + it->first);
+  }
+  return node;
+}
+
 void MaliciousXApp::on_indication(const oran::E2Indication& ind,
                                   oran::NearRtRic& ric) {
   if (ind.kind != kind_) return;
-  const char* ns = kind_ == oran::IndicationKind::kSpectrogram
-                       ? oran::kNsSpectrogram
-                       : oran::kNsKpm;
-  const std::string key = ind.ran_node_id + "/current";
-
-  nn::Tensor input;
-  if (ric.sdl().read_tensor(app_id(), ns, key, input) !=
-      oran::SdlStatus::kOk) {
+  Node& node = node_for(ind.ran_node_id, ric);
+  nn::Tensor& input = input_;
+  if (ric.sdl().read_tensor(node.telemetry, input) != oran::SdlStatus::kOk) {
     return;  // read access revoked — nothing this app can do
   }
 
@@ -43,14 +57,13 @@ void MaliciousXApp::on_indication(const oran::E2Indication& ind,
     // Pair the previous input with the victim's (now published) label.
     if (pending_input_.has_value()) {
       std::string label_text;
-      if (ric.sdl().read_text(app_id(), oran::kNsDecisions,
-                              "ic/" + ind.ran_node_id,
-                              label_text) == oran::SdlStatus::kOk) {
+      if (ric.sdl().read_text(node.decision, label_text) ==
+          oran::SdlStatus::kOk) {
         obs_x_.push_back(std::move(*pending_input_));
         obs_y_.push_back(std::stoi(label_text));
       }
     }
-    pending_input_ = std::move(input);
+    pending_input_ = input;
     return;
   }
 
@@ -98,7 +111,7 @@ void MaliciousXApp::on_indication(const oran::E2Indication& ind,
     return;  // armed with nothing
   }
 
-  if (ric.sdl().write_tensor(app_id(), ns, key, adversarial) ==
+  if (ric.sdl().write_tensor(node.telemetry, std::move(adversarial)) ==
       oran::SdlStatus::kOk) {
     ++applied_;
   } else {

@@ -21,10 +21,14 @@
 
 #include <functional>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "nn/tensor.hpp"
 #include "oran/near_rt_ric.hpp"
+#include "util/string_hash.hpp"
 
 namespace orev::apps {
 
@@ -62,8 +66,20 @@ class MaliciousXApp : public oran::XApp {
   std::uint64_t deadline_misses() const { return missed_; }
 
  private:
+  /// One RAN node's SDL handles, resolved on its first indication against
+  /// the dispatching RIC (and again if another RIC dispatches).
+  struct Node {
+    oran::NearRtRic* ric = nullptr;
+    oran::SdlHandle telemetry;  // <ns>, "<node>/current"
+    oran::SdlHandle decision;   // decisions, "ic/<node>"
+  };
+  Node& node_for(std::string_view node_id, oran::NearRtRic& ric);
+
   oran::IndicationKind kind_;
   Mode mode_ = Mode::kObserve;
+  std::unordered_map<std::string, Node, util::StringHash, std::equal_to<>>
+      nodes_;
+  nn::Tensor input_;  // the telemetry entry read, storage reused
 
   std::optional<nn::Tensor> uap_;
   Generator generator_;

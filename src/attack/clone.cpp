@@ -294,7 +294,11 @@ CloneReport clone_model(const data::Dataset& d_clone,
       // Progress now covers this candidate; its trainer checkpoint is
       // dead weight (a crash past this point resumes at candidate i+1).
       save_progress(i + 1);
-      persist::remove_file(clone_candidate_path(config.checkpoint_dir, i));
+      const std::string stale = clone_candidate_path(config.checkpoint_dir, i);
+      const persist::Status removed = persist::remove_file(stale);
+      if (!removed.ok())
+        log_warn("MCA: stale candidate checkpoint left at ", stale, ": ",
+                 removed.message());
     }
   }
 

@@ -43,11 +43,17 @@ int runner_up(const nn::Tensor& logits, int skip) {
 
 }  // namespace
 
+void input_loss_gradient(nn::Model& model, const nn::Tensor& x, int label,
+                         nn::Tensor& g) {
+  grad_query_counter().inc();
+  model.input_gradient_into(x, std::span<const int>(&label, 1), g);
+}
+
 nn::Tensor input_loss_gradient(nn::Model& model, const nn::Tensor& x,
                                int label) {
-  grad_query_counter().inc();
-  nn::Tensor g = model.input_gradient(x, {label});
-  return unbatch(std::move(g), x.shape());
+  nn::Tensor g;
+  input_loss_gradient(model, x, label, g);
+  return g;
 }
 
 nn::Tensor logit_diff_gradient(nn::Model& model, const nn::Tensor& x,
@@ -129,8 +135,9 @@ nn::Tensor Pgd::run(nn::Model& model, const nn::Tensor& x, int cls,
   adv.clamp(0.0f, 1.0f);
 
   const float dir = targeted ? -1.0f : 1.0f;
+  nn::Tensor g;  // every step's gradient, in one buffer
   for (int step = 0; step < steps_; ++step) {
-    const nn::Tensor g = input_loss_gradient(model, adv, cls);
+    input_loss_gradient(model, adv, cls, g);
     for (std::size_t i = 0; i < adv.numel(); ++i) {
       adv[i] += dir * alpha_ * sign(g[i]);
       // Project into the ℓ∞ ball around x, then into the data range.

@@ -62,6 +62,11 @@ class Pgm {
 nn::Tensor input_loss_gradient(nn::Model& model, const nn::Tensor& x,
                                int label);
 
+/// The same gradient into `g`, whose storage is reused when it already
+/// has x's shape (iterative methods keep one buffer across steps).
+void input_loss_gradient(nn::Model& model, const nn::Tensor& x, int label,
+                         nn::Tensor& g);
+
 /// Gradient of (logit_a - logit_b) w.r.t. one unbatched input.
 nn::Tensor logit_diff_gradient(nn::Model& model, const nn::Tensor& x,
                                int logit_a, int logit_b);

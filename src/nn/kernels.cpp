@@ -69,6 +69,15 @@ inline int compact_nonzero(const float* a, std::ptrdiff_t a_stride, int k0,
   return cnt;
 }
 
+/// One Dense output on the natural [n, k] weight layout: the walk's
+/// double dot product in ascending kk, then the epilogue.
+inline float dense_dot1(const float* xrow, const float* wrow, int k,
+                        const float* bias, bool relu, int j) {
+  double acc = 0.0;
+  for (int kk = 0; kk < k; ++kk) acc += double(xrow[kk]) * wrow[kk];
+  return dense_epilogue1(acc, bias, relu, j);
+}
+
 #if defined(__x86_64__) && defined(__GNUC__)
 
 // SIMD ReLU as max(0, v), not max(v, 0): _mm*_max_ps returns its second
@@ -354,6 +363,115 @@ __attribute__((target("avx2,avx512f"))) inline void axpy_row_avx512(
   }
 }
 
+// Eight Dense outputs [j0, j0 + 8) of one row from the natural [n, k]
+// weight layout: each kk gathers the eight weights (a stride-k column of
+// W), widens them and fmadds against the broadcast input — the per-output
+// ascending-kk double sum of dense_dot1, with no packed W^T.
+__attribute__((target("avx2,fma"))) inline void dense_rows_tile8_avx2(
+    const float* xrow, const float* w, const float* bias, bool relu,
+    float* yrow, int k, int j0) {
+  const __m256i col = _mm256_mullo_epi32(
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(k));
+  const float* wj = w + static_cast<std::size_t>(j0) * k;
+  __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
+  for (int kk = 0; kk < k; ++kk) {
+    const __m256 wv = _mm256_i32gather_ps(wj + kk, col, 4);
+    const __m256d xv = _mm256_set1_pd(static_cast<double>(xrow[kk]));
+    lo = _mm256_fmadd_pd(xv, _mm256_cvtps_pd(_mm256_castps256_ps128(wv)), lo);
+    hi = _mm256_fmadd_pd(xv, _mm256_cvtps_pd(_mm256_extractf128_ps(wv, 1)),
+                         hi);
+  }
+  __m256 v = _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
+  if (bias != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(bias + j0));
+  if (relu) v = relu8(v);
+  _mm256_storeu_ps(yrow + j0, v);
+}
+
+__attribute__((target("avx2,fma,avx512f"))) inline void
+dense_rows_tile8_avx512(const float* xrow, const float* w, const float* bias,
+                        bool relu, float* yrow, int k, int j0) {
+  const __m256i col = _mm256_mullo_epi32(
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(k));
+  const float* wj = w + static_cast<std::size_t>(j0) * k;
+  __m512d acc = _mm512_setzero_pd();
+  for (int kk = 0; kk < k; ++kk) {
+    const __m256 wv = _mm256_i32gather_ps(wj + kk, col, 4);
+    acc = _mm512_fmadd_pd(_mm512_set1_pd(static_cast<double>(xrow[kk])),
+                          cvtps_pd512(wv), acc);
+  }
+  __m256 v = cvtpd_ps512(acc);
+  if (bias != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(bias + j0));
+  if (relu) v = relu8(v);
+  _mm256_storeu_ps(yrow + j0, v);
+}
+
+// Stride-1 conv backward-data tile: input channels [ci0, ci0 + CB) over
+// the grid positions [q, q + 8). Per lane, each tap (descending (ky, kx))
+// sums its dcols entry over the output channels in ascending order,
+// skipping zero dy values — row_axpy's update, product then sum, each
+// rounded — and the tap sums are added into the dx accumulator in that
+// tap order: col2im_accum's ascending-pixel order for stride 1.
+template <int CB>
+__attribute__((target("avx2"))) inline void conv_bwd_tile8_avx2(
+    const float* gp, std::size_t plane, int gw, int k, const float* w,
+    int n, int c_in, float* dxg, int m, int ci0, int q) {
+  const int taps = k * k;
+  const std::size_t patch = static_cast<std::size_t>(c_in) * taps;
+  __m256 acc[CB];
+  for (int b = 0; b < CB; ++b) acc[b] = _mm256_setzero_ps();
+  for (int ky = k - 1; ky >= 0; --ky) {
+    for (int kx = k - 1; kx >= 0; --kx) {
+      const float* gq = gp + (k - 1 - ky) * gw + (k - 1 - kx) + q;
+      const float* wt = w + static_cast<std::size_t>(ci0) * taps + ky * k + kx;
+      __m256 d[CB];
+      for (int b = 0; b < CB; ++b) d[b] = _mm256_setzero_ps();
+      for (int c = 0; c < n; ++c) {
+        const __m256 gv = _mm256_loadu_ps(gq + c * plane);
+        const __m256 nz = _mm256_cmp_ps(gv, _mm256_setzero_ps(), _CMP_NEQ_UQ);
+        const float* wc = wt + c * patch;
+        for (int b = 0; b < CB; ++b) {
+          const __m256 upd = _mm256_add_ps(
+              d[b], _mm256_mul_ps(gv, _mm256_set1_ps(wc[b * taps])));
+          d[b] = _mm256_blendv_ps(d[b], upd, nz);
+        }
+      }
+      for (int b = 0; b < CB; ++b) acc[b] = _mm256_add_ps(acc[b], d[b]);
+    }
+  }
+  for (int b = 0; b < CB; ++b)
+    _mm256_storeu_ps(dxg + static_cast<std::size_t>(ci0 + b) * m + q, acc[b]);
+}
+
+template <int CB>
+__attribute__((target("avx2,avx512f"))) inline void conv_bwd_tile16_avx512(
+    const float* gp, std::size_t plane, int gw, int k, const float* w,
+    int n, int c_in, float* dxg, int m, int ci0, int q) {
+  const int taps = k * k;
+  const std::size_t patch = static_cast<std::size_t>(c_in) * taps;
+  __m512 acc[CB];
+  for (int b = 0; b < CB; ++b) acc[b] = _mm512_setzero_ps();
+  for (int ky = k - 1; ky >= 0; --ky) {
+    for (int kx = k - 1; kx >= 0; --kx) {
+      const float* gq = gp + (k - 1 - ky) * gw + (k - 1 - kx) + q;
+      const float* wt = w + static_cast<std::size_t>(ci0) * taps + ky * k + kx;
+      __m512 d[CB];
+      for (int b = 0; b < CB; ++b) d[b] = _mm512_setzero_ps();
+      for (int c = 0; c < n; ++c) {
+        const __m512 gv = _mm512_loadu_ps(gq + c * plane);
+        const __mmask16 nz =
+            _mm512_cmp_ps_mask(gv, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+        const float* wc = wt + c * patch;
+        for (int b = 0; b < CB; ++b)
+          d[b] = _mm512_mask_add_ps(
+              d[b], nz, d[b], _mm512_mul_ps(gv, _mm512_set1_ps(wc[b * taps])));
+      }
+      for (int b = 0; b < CB; ++b) acc[b] = _mm512_add_ps(acc[b], d[b]);
+    }
+  }
+  for (int b = 0; b < CB; ++b)
+    _mm512_storeu_ps(dxg + static_cast<std::size_t>(ci0 + b) * m + q, acc[b]);
+}
+
 // Int8 dot-product rows: widen int8 lanes to int16, multiply-accumulate
 // pairs into int32 with pmaddwd. Integer adds associate freely, so lane
 // order cannot change the result — the dispatch here is purely about
@@ -411,6 +529,92 @@ void s8_gemm_generic(const std::int8_t* a, const std::int8_t* w,
 }  // namespace
 
 // ------------------------------------------------------- ISA variants
+
+// ------------------------------------------------- conv backward-data
+
+namespace {
+
+/// The stride-1 backward-data layout: dy planes zero-padded by k − 1 on
+/// every side, so each tap of dx grid position q = y·gw + x reads
+/// plane[q + (k−1−ky)·gw + (k−1−kx)] — contiguous in q, like the forward's
+/// ConvGeometry. Columns x ≥ w of the grid are computed and dropped.
+struct BwdGrid {
+  int gw = 0;             // row pitch of the padded dy planes and dx grid
+  int m = 0;              // dx grid positions, whole kConvTile tiles
+  std::size_t plane = 0;  // floats per padded dy plane, tail reads included
+};
+
+BwdGrid bwd_grid(const ConvGeometry& g) {
+  BwdGrid b;
+  b.gw = g.w + g.k - 1;
+  const int rows = (g.h - 1) * b.gw + g.w;
+  b.m = (rows + kConvTile - 1) / kConvTile * kConvTile;
+  // The last tile's reads end below m + (k−1)·(gw+1), which also covers
+  // the h + k − 1 padded rows.
+  const std::size_t span = static_cast<std::size_t>(b.m) +
+                           static_cast<std::size_t>(g.k - 1) * (b.gw + 1);
+  b.plane = (span + kConvTile - 1) / kConvTile * kConvTile;
+  return b;
+}
+
+void pack_bwd_dy(const float* dy, const ConvGeometry& g, const BwdGrid& b,
+                 int n, float* gp) {
+  // Padded row r holds dy row r − shift; columns likewise.
+  const int shift = g.k - 1 - g.pad;
+  const int rows = g.h + g.k - 1;
+  const int ox_lo = std::max(0, -shift);
+  const int ox_hi = std::min(g.ow, b.gw - shift);
+  for (int c = 0; c < n; ++c) {
+    float* plane = gp + static_cast<std::size_t>(c) * b.plane;
+    std::fill(plane, plane + b.plane, 0.0f);
+    if (ox_lo >= ox_hi) continue;
+    const float* src = dy + static_cast<std::size_t>(c) * g.oh * g.ow;
+    for (int oy = std::max(0, -shift); oy < g.oh && oy + shift < rows; ++oy)
+      std::copy(src + static_cast<std::size_t>(oy) * g.ow + ox_lo,
+                src + static_cast<std::size_t>(oy) * g.ow + ox_hi,
+                plane + static_cast<std::size_t>(oy + shift) * b.gw + ox_lo +
+                    shift);
+  }
+}
+
+using BwdGridFn = void (*)(const float* gp, std::size_t plane, int gw, int k,
+                           const float* w, int n, int c_in, float* dxg,
+                           int m);
+
+/// conv_backward_data around one ISA's grid kernel. Other strides take
+/// the im2col route itself: zeroed dcols through row_axpy, then
+/// col2im_accum.
+void conv_backward_data_with(BwdGridFn grid, const float* dy,
+                             const ConvGeometry& g, const float* w, int n,
+                             float* dx) {
+  if (g.stride != 1) {
+    const int patch = g.c_in * g.k * g.k;
+    const int ohw = g.oh * g.ow;
+    const std::size_t cols_n = static_cast<std::size_t>(ohw) * patch;
+    float* cols = thread_scratch(cols_n);
+    std::fill(cols, cols + cols_n, 0.0f);
+    row_axpy(dy, 1, ohw, w, cols, ohw, n, patch);
+    std::fill(dx, dx + static_cast<std::size_t>(g.c_in) * g.h * g.w, 0.0f);
+    col2im_accum(cols, g.c_in, g.h, g.w, g.k, g.stride, g.pad, g.oh, g.ow,
+                 dx);
+    return;
+  }
+  const BwdGrid b = bwd_grid(g);
+  float* gp = thread_scratch(static_cast<std::size_t>(n) * b.plane +
+                             static_cast<std::size_t>(g.c_in) * b.m);
+  float* dxg = gp + static_cast<std::size_t>(n) * b.plane;
+  pack_bwd_dy(dy, g, b, n, gp);
+  grid(gp, b.plane, b.gw, g.k, w, n, g.c_in, dxg, b.m);
+  for (int c = 0; c < g.c_in; ++c)
+    for (int y = 0; y < g.h; ++y) {
+      const float* src = dxg + static_cast<std::size_t>(c) * b.m +
+                         static_cast<std::size_t>(y) * b.gw;
+      std::copy(src, src + g.w,
+                dx + (static_cast<std::size_t>(c) * g.h + y) * g.w);
+    }
+}
+
+}  // namespace
 
 namespace detail {
 
@@ -470,6 +674,48 @@ void row_axpy_generic(const float* a, std::ptrdiff_t a_row,
       for (int j = 0; j < n; ++j) yi[j] += av * brow[j];
     }
   }
+}
+
+void dense_rows_generic(const float* x, const float* w, const float* bias,
+                        bool relu, float* y, int m, int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const float* xrow = x + static_cast<std::size_t>(i) * k;
+    float* yrow = y + static_cast<std::size_t>(i) * n;
+    for (int j = 0; j < n; ++j)
+      yrow[j] = dense_dot1(xrow, w + static_cast<std::size_t>(j) * k, k, bias,
+                           relu, j);
+  }
+}
+
+static void conv_bwd_grid_generic(const float* gp, std::size_t plane,
+                                  int gw, int k, const float* w, int n,
+                                  int c_in, float* dxg, int m) {
+  const int taps = k * k;
+  const std::size_t patch = static_cast<std::size_t>(c_in) * taps;
+  for (int ci = 0; ci < c_in; ++ci) {
+    for (int q = 0; q < m; ++q) {
+      float acc = 0.0f;
+      for (int ky = k - 1; ky >= 0; --ky) {
+        for (int kx = k - 1; kx >= 0; --kx) {
+          const float* gq = gp + (k - 1 - ky) * gw + (k - 1 - kx) + q;
+          const float* wt =
+              w + static_cast<std::size_t>(ci) * taps + ky * k + kx;
+          float d = 0.0f;
+          for (int c = 0; c < n; ++c) {
+            const float gv = gq[c * plane];
+            if (gv != 0.0f) d = d + gv * wt[c * patch];
+          }
+          acc = acc + d;
+        }
+      }
+      dxg[static_cast<std::size_t>(ci) * m + q] = acc;
+    }
+  }
+}
+
+void conv_backward_data_generic(const float* dy, const ConvGeometry& g,
+                                const float* w, int n, float* dx) {
+  conv_backward_data_with(conv_bwd_grid_generic, dy, g, w, n, dx);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -656,6 +902,94 @@ __attribute__((target("avx2,avx512f"))) void row_axpy_avx512(
   }
 }
 
+__attribute__((target("avx2,fma"))) void dense_rows_avx2(
+    const float* x, const float* w, const float* bias, bool relu, float* y,
+    int m, int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const float* xrow = x + static_cast<std::size_t>(i) * k;
+    float* yrow = y + static_cast<std::size_t>(i) * n;
+    int j0 = 0;
+    for (; j0 + 8 <= n; j0 += 8)
+      dense_rows_tile8_avx2(xrow, w, bias, relu, yrow, k, j0);
+    for (; j0 < n; ++j0)
+      yrow[j0] = dense_dot1(xrow, w + static_cast<std::size_t>(j0) * k, k,
+                            bias, relu, j0);
+  }
+}
+
+__attribute__((target("avx2,fma,avx512f"))) void dense_rows_avx512(
+    const float* x, const float* w, const float* bias, bool relu, float* y,
+    int m, int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const float* xrow = x + static_cast<std::size_t>(i) * k;
+    float* yrow = y + static_cast<std::size_t>(i) * n;
+    int j0 = 0;
+    for (; j0 + 8 <= n; j0 += 8)
+      dense_rows_tile8_avx512(xrow, w, bias, relu, yrow, k, j0);
+    for (; j0 < n; ++j0)
+      yrow[j0] = dense_dot1(xrow, w + static_cast<std::size_t>(j0) * k, k,
+                            bias, relu, j0);
+  }
+}
+
+// Input channels in blocks of four (one narrower block for the rest), so
+// each dy load and its zero mask feed four dcols accumulators.
+static __attribute__((target("avx2"))) void conv_bwd_grid_avx2(
+    const float* gp, std::size_t plane, int gw, int k, const float* w, int n,
+    int c_in, float* dxg, int m) {
+  for (int q = 0; q < m; q += 8) {
+    int ci = 0;
+    for (; ci + 4 <= c_in; ci += 4)
+      conv_bwd_tile8_avx2<4>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
+    switch (c_in - ci) {
+      case 3:
+        conv_bwd_tile8_avx2<3>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
+        break;
+      case 2:
+        conv_bwd_tile8_avx2<2>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
+        break;
+      case 1:
+        conv_bwd_tile8_avx2<1>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+static __attribute__((target("avx2,avx512f"))) void conv_bwd_grid_avx512(
+    const float* gp, std::size_t plane, int gw, int k, const float* w, int n,
+    int c_in, float* dxg, int m) {
+  for (int q = 0; q < m; q += 16) {
+    int ci = 0;
+    for (; ci + 4 <= c_in; ci += 4)
+      conv_bwd_tile16_avx512<4>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
+    switch (c_in - ci) {
+      case 3:
+        conv_bwd_tile16_avx512<3>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
+        break;
+      case 2:
+        conv_bwd_tile16_avx512<2>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
+        break;
+      case 1:
+        conv_bwd_tile16_avx512<1>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+void conv_backward_data_avx2(const float* dy, const ConvGeometry& g,
+                             const float* w, int n, float* dx) {
+  conv_backward_data_with(conv_bwd_grid_avx2, dy, g, w, n, dx);
+}
+
+void conv_backward_data_avx512(const float* dy, const ConvGeometry& g,
+                               const float* w, int n, float* dx) {
+  conv_backward_data_with(conv_bwd_grid_avx512, dy, g, w, n, dx);
+}
+
 #endif  // x86_64 && GNUC
 
 }  // namespace detail
@@ -717,6 +1051,26 @@ void row_axpy(const float* a, std::ptrdiff_t a_row, std::ptrdiff_t a_k,
   if (isa == 1) return detail::row_axpy_avx2(a, a_row, a_k, b, y, m, k, n);
 #endif
   detail::row_axpy_generic(a, a_row, a_k, b, y, m, k, n);
+}
+
+void conv_backward_data(const float* dy, const ConvGeometry& g,
+                        const float* w, int n, float* dx) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  const int isa = isa_level();
+  if (isa == 2) return detail::conv_backward_data_avx512(dy, g, w, n, dx);
+  if (isa == 1) return detail::conv_backward_data_avx2(dy, g, w, n, dx);
+#endif
+  detail::conv_backward_data_generic(dy, g, w, n, dx);
+}
+
+void dense_rows(const float* x, const float* w, const float* bias, bool relu,
+                float* y, int m, int k, int n) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  const int isa = isa_level();
+  if (isa == 2) return detail::dense_rows_avx512(x, w, bias, relu, y, m, k, n);
+  if (isa == 1) return detail::dense_rows_avx2(x, w, bias, relu, y, m, k, n);
+#endif
+  detail::dense_rows_generic(x, w, bias, relu, y, m, k, n);
 }
 
 void s8_gemm(const std::int8_t* a, const std::int8_t* w, std::int32_t* y,
@@ -802,11 +1156,62 @@ void im2col_any(const T* src, int c_in, int h, int w, int k, int stride,
   }
 }
 
+// K > 0 fixes the kernel size at compile time so the tap loops unroll;
+// K == 0 reads it from k. Interior pixels skip the per-tap bounds checks,
+// which changes neither a value nor the accumulation order.
+template <int K>
+void col2im_rows(const float* cols, int c_in, int h, int w, int k,
+                 int stride, int pad, int oh, int ow, float* dst) {
+  if (K > 0) k = K;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const float* row = cols;
+  for (int oy = 0; oy < oh; ++oy) {
+    const int iy0 = oy * stride - pad;
+    const bool row_in = iy0 >= 0 && iy0 + k <= h;
+    for (int ox = 0; ox < ow; ++ox) {
+      const int ix0 = ox * stride - pad;
+      if (row_in && ix0 >= 0 && ix0 + k <= w) {
+        const std::size_t corner = static_cast<std::size_t>(iy0) * w + ix0;
+        for (int c = 0; c < c_in; ++c) {
+          float* tap = dst + c * plane + corner;
+          for (int ky = 0; ky < k; ++ky)
+            for (int kx = 0; kx < k; ++kx)
+              tap[static_cast<std::size_t>(ky) * w + kx] += *row++;
+        }
+        continue;
+      }
+      for (int c = 0; c < c_in; ++c) {
+        float* pl = dst + c * plane;
+        for (int ky = 0; ky < k; ++ky) {
+          const int iy = iy0 + ky;
+          for (int kx = 0; kx < k; ++kx, ++row) {
+            const int ix = ix0 + kx;
+            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+              pl[static_cast<std::size_t>(iy) * w + ix] += *row;
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void im2col_f32(const float* src, int c_in, int h, int w, int k, int stride,
                 int pad, int oh, int ow, float* cols) {
   im2col_any<float>(src, c_in, h, w, k, stride, pad, oh, ow, cols);
+}
+
+void col2im_accum(const float* cols, int c_in, int h, int w, int k,
+                  int stride, int pad, int oh, int ow, float* dst) {
+  switch (k) {
+    case 1:
+      return col2im_rows<1>(cols, c_in, h, w, k, stride, pad, oh, ow, dst);
+    case 3:
+      return col2im_rows<3>(cols, c_in, h, w, k, stride, pad, oh, ow, dst);
+    default:
+      return col2im_rows<0>(cols, c_in, h, w, k, stride, pad, oh, ow, dst);
+  }
 }
 
 void im2col_s8(const std::int8_t* src, int c_in, int h, int w, int k,

@@ -26,7 +26,10 @@
 // once into zero-padded (phase) planes and conv_stage reads each tap
 // through an offset table over them (ConvGeometry below). The 2×2 max
 // pool has SIMD variants too; a max is a compare-select, so they are
-// bit-exact with no such caveat.
+// bit-exact with no such caveat. The gradient plan's kernels follow the
+// same rules: dense_rows is the Dense forward over unpacked weights, and
+// conv_backward_data computes a conv's dx element by element in the
+// im2col route's op order.
 //
 // The int8 GEMM feeds the explicitly *non*-bit-exact quantized serving
 // tier (serve/quant.hpp): pure integer dot products, so it is exact (and
@@ -36,6 +39,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace orev::nn::kernels {
@@ -122,6 +126,30 @@ void conv_stage(const float* packed, const int* off, const double* w,
 void conv_forward(const float* x, const ConvGeometry& g, const double* w,
                   const ConvEpilogue& e, int n, float* y);
 
+/// dense_stage over the natural, unpacked weight layout: w is the float
+/// [n, k] matrix nn::Dense holds, read in place. Bit-identical to
+/// nn::Dense's forward (double(x)·double(w) summed in ascending k, cast
+/// once, then bias and ReLU), so a caller whose weights change between
+/// calls needs no per-call transpose. The SIMD variants gather one weight
+/// column per k step for eight outputs at a time.
+void dense_rows(const float* x, const float* w, const float* bias, bool relu,
+                float* y, int m, int k, int n);
+
+/// One sample's conv input gradient: dx ([c_in, h, w] of g) from dy
+/// ([n, oh, ow]) and the natural float [n, c_in·k·k] filter bank —
+/// nn::Conv2D's dx and nn::GradPlan's. The result is the im2col route's
+/// bit for bit: zeroed dcols = dy^T · w through row_axpy (ascending
+/// output channel, zero dy skipped, product and sum each rounded), then
+/// col2im_accum into a zeroed dx (ascending output pixel). For stride 1
+/// a fused kernel computes each dx element directly in that order — taps
+/// in descending (ky, kx) are its ascending pixels — over dy planes
+/// zero-padded by k − 1, vectorized across output positions: a padded
+/// position's dcols sum stays +0.0, and adding +0.0 to a sum that started
+/// at +0.0 changes no bit. Other strides run the im2col route itself.
+/// Uses thread_scratch.
+void conv_backward_data(const float* dy, const ConvGeometry& g,
+                        const float* w, int n, float* dx);
+
 /// 2×2, stride-2 max pool over [c, h, w] into [c, h/2, w/2]: each output
 /// visits its four taps in (ky, kx) order from −inf keeping v when
 /// v > best, then optionally max(best, 0) — the scalar pool's NaN and −0
@@ -130,10 +158,11 @@ void max_pool2x2(const float* in, int c, int h, int w, bool relu,
                  float* out);
 
 /// This thread's float scratch, grown to at least n floats. Shared by
-/// conv_forward and nn::Conv2D's backward: each use fills what it reads
-/// before reading it and none re-enters another, so memory stays at one
-/// sample's widest need per thread and steady-state calls allocate
-/// nothing.
+/// conv_forward, conv_backward_data and nn::Conv2D's backward (which
+/// calls conv_backward_data only once done with its own use): each use
+/// fills what it reads before reading it and none re-enters another, so
+/// memory stays at one sample's widest need per thread and steady-state
+/// calls allocate nothing.
 float* thread_scratch(std::size_t n);
 
 /// Rows of a float GEMM in the walk's update order. y is [m, n] row-major
@@ -163,6 +192,37 @@ void s8_gemm(const std::int8_t* a, const std::int8_t* w, std::int32_t* y,
 void im2col_f32(const float* src, int c_in, int h, int w, int k, int stride,
                 int pad, int oh, int ow, float* cols);
 
+/// The inverse of im2col_f32 for gradients: adds each entry of one
+/// sample's [oh*ow, C*k*k] patch-matrix gradient into the [C, H, W] cell
+/// it was read from (padding taps are dropped). Every dst element
+/// receives its contributions in ascending output-pixel order — the
+/// order nn::Conv2D's backward and nn::GradPlan both rely on.
+void col2im_accum(const float* cols, int c_in, int h, int w, int k,
+                  int stride, int pad, int oh, int ow, float* dst);
+
+/// The max pool's window rule: the k×k taps at (iy0 + ky, ix0 + kx) are
+/// visited in (ky, kx) order from −inf and the first strictly greater
+/// value wins. Returns that tap's offset in `plane` (row pitch w), or −1
+/// when no tap exceeds −inf (an all-NaN or all-−inf window): the pool
+/// then outputs −inf, and nn::MaxPool2D routes the window's gradient to
+/// flat index 0 of its whole input batch.
+inline std::ptrdiff_t pool_window_argmax(const float* plane, int w, int iy0,
+                                         int ix0, int k) {
+  float best = -std::numeric_limits<float>::infinity();
+  std::ptrdiff_t best_idx = -1;
+  for (int ky = 0; ky < k; ++ky) {
+    const std::ptrdiff_t row = static_cast<std::ptrdiff_t>(iy0 + ky) * w;
+    for (int kx = 0; kx < k; ++kx) {
+      // Selects, not a branch: which tap wins is data-dependent.
+      const float v = plane[row + ix0 + kx];
+      const bool gt = v > best;
+      best = gt ? v : best;
+      best_idx = gt ? row + ix0 + kx : best_idx;
+    }
+  }
+  return best_idx;
+}
+
 /// Same packing as im2col_f32 over an int8 plane (padding quantizes to 0
 /// exactly).
 void im2col_s8(const std::int8_t* src, int c_in, int h, int w, int k,
@@ -186,6 +246,10 @@ void max_pool2x2_generic(const float* in, int c, int h, int w, bool relu,
 void row_axpy_generic(const float* a, std::ptrdiff_t a_row,
                       std::ptrdiff_t a_k, const float* b, float* y, int m,
                       int k, int n);
+void dense_rows_generic(const float* x, const float* w, const float* bias,
+                        bool relu, float* y, int m, int k, int n);
+void conv_backward_data_generic(const float* dy, const ConvGeometry& g,
+                                const float* w, int n, float* dx);
 
 #if defined(__x86_64__) && defined(__GNUC__)
 void dense_stage_avx2(const float* x, const double* bt, const float* bias,
@@ -205,6 +269,14 @@ void row_axpy_avx2(const float* a, std::ptrdiff_t a_row, std::ptrdiff_t a_k,
 void row_axpy_avx512(const float* a, std::ptrdiff_t a_row,
                      std::ptrdiff_t a_k, const float* b, float* y, int m,
                      int k, int n);
+void dense_rows_avx2(const float* x, const float* w, const float* bias,
+                     bool relu, float* y, int m, int k, int n);
+void dense_rows_avx512(const float* x, const float* w, const float* bias,
+                       bool relu, float* y, int m, int k, int n);
+void conv_backward_data_avx2(const float* dy, const ConvGeometry& g,
+                             const float* w, int n, float* dx);
+void conv_backward_data_avx512(const float* dy, const ConvGeometry& g,
+                               const float* w, int n, float* dx);
 #endif
 
 }  // namespace detail

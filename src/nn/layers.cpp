@@ -16,59 +16,6 @@ float he_stddev(int fan_in) {
   return std::sqrt(2.0f / static_cast<float>(std::max(fan_in, 1)));
 }
 
-/// col2im accumulate: inverse scatter of an im2col patch matrix into dx
-/// (one sample). Every dx element receives its contributions in ascending
-/// output-pixel order; interior pixels skip the per-tap bounds checks,
-/// which changes neither a value nor that order. K > 0 fixes the kernel
-/// size at compile time so the tap loops unroll; K == 0 reads it from k.
-template <int K>
-void col2im_rows(const float* cols, int c_in, int h, int w, int k,
-                 int stride, int pad, int oh, int ow, float* dst) {
-  if (K > 0) k = K;
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
-  const float* row = cols;
-  for (int oy = 0; oy < oh; ++oy) {
-    const int iy0 = oy * stride - pad;
-    const bool row_in = iy0 >= 0 && iy0 + k <= h;
-    for (int ox = 0; ox < ow; ++ox) {
-      const int ix0 = ox * stride - pad;
-      if (row_in && ix0 >= 0 && ix0 + k <= w) {
-        const std::size_t corner = static_cast<std::size_t>(iy0) * w + ix0;
-        for (int c = 0; c < c_in; ++c) {
-          float* tap = dst + c * plane + corner;
-          for (int ky = 0; ky < k; ++ky)
-            for (int kx = 0; kx < k; ++kx)
-              tap[static_cast<std::size_t>(ky) * w + kx] += *row++;
-        }
-        continue;
-      }
-      for (int c = 0; c < c_in; ++c) {
-        float* pl = dst + c * plane;
-        for (int ky = 0; ky < k; ++ky) {
-          const int iy = iy0 + ky;
-          for (int kx = 0; kx < k; ++kx, ++row) {
-            const int ix = ix0 + kx;
-            if (iy >= 0 && iy < h && ix >= 0 && ix < w)
-              pl[static_cast<std::size_t>(iy) * w + ix] += *row;
-          }
-        }
-      }
-    }
-  }
-}
-
-void col2im_accum(const float* cols, int c_in, int h, int w, int k,
-                  int stride, int pad, int oh, int ow, float* dst) {
-  switch (k) {
-    case 1:
-      return col2im_rows<1>(cols, c_in, h, w, k, stride, pad, oh, ow, dst);
-    case 3:
-      return col2im_rows<3>(cols, c_in, h, w, k, stride, pad, oh, ow, dst);
-    default:
-      return col2im_rows<0>(cols, c_in, h, w, k, stride, pad, oh, ow, dst);
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- Dense
@@ -204,6 +151,8 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
   const std::size_t dw_n = static_cast<std::size_t>(out_ch_) * patch;
   const float* wt = weight_.value.raw();
   Tensor dx(cached_input_.shape());
+  if (geom_.h != h || geom_.w != w)
+    geom_ = kernels::conv_geometry(in_ch_, h, w, k_, stride_, pad_);
 
   // Sample-parallel with an ordered reduction for the shared parameter
   // gradients: each chunk fills its own accumulator, and the chunk sums
@@ -242,12 +191,11 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
               acc.b[c] += g[static_cast<std::size_t>(c) * ohw + p];
         }
 
-        // dcols = G · W, overwriting the consumed patch matrix: row p takes
-        // pixel p of every plane (stride oH*oW) in ascending channel order.
-        std::fill(cols, cols + cols_n, 0.0f);
-        kernels::row_axpy(g, 1, ohw, wt, cols, ohw, out_ch_, patch);
-        col2im_accum(cols, in_ch_, h, w, k_, stride_, pad_, oh, ow,
-                     dx.raw() + static_cast<std::size_t>(i) * in_ch_ * h * w);
+        // dx = col2im(G · W), the gradient plan's kernel (it reuses the
+        // consumed scratch).
+        kernels::conv_backward_data(
+            g, geom_, wt, out_ch_,
+            dx.raw() + static_cast<std::size_t>(i) * in_ch_ * h * w);
       },
       [](GradAcc& total, const GradAcc& chunk) {
         total.w += chunk.w;
@@ -397,21 +345,10 @@ Tensor MaxPool2D::forward(const Tensor& x, bool /*training*/) {
       std::size_t oi = static_cast<std::size_t>(pidx) * oh * ow;
       for (int oy = 0; oy < oh; ++oy) {
         for (int ox = 0; ox < ow; ++ox, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          for (int ky = 0; ky < k_; ++ky) {
-            const int iy = oy * stride_ + ky;
-            for (int kx = 0; kx < k_; ++kx) {
-              const int ix = ox * stride_ + kx;
-              const float v = plane[static_cast<std::size_t>(iy) * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = plane_base + static_cast<std::size_t>(iy) * w + ix;
-              }
-            }
-          }
-          out[oi] = best;
-          argmax_[oi] = best_idx;
+          const std::ptrdiff_t a = kernels::pool_window_argmax(
+              plane, w, oy * stride_, ox * stride_, k_);
+          out[oi] = a < 0 ? -std::numeric_limits<float>::infinity() : plane[a];
+          argmax_[oi] = a < 0 ? 0 : plane_base + static_cast<std::size_t>(a);
         }
       }
     }

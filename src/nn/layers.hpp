@@ -21,6 +21,9 @@ class Dense : public Layer {
 
   int in_features() const { return in_; }
   int out_features() const { return out_; }
+  bool has_bias() const { return has_bias_; }
+  const Tensor& weight() const { return weight_.value; }  // [out, in]
+  const Tensor& bias() const { return bias_.value; }      // [out]
 
  private:
   int in_;
@@ -32,7 +35,8 @@ class Dense : public Layer {
 };
 
 /// 2-D convolution over [N, C, H, W] tensors: the forward is the compiled
-/// plans' conv_forward (nn/kernels.hpp), the backward im2col + row_axpy.
+/// plans' conv_forward (nn/kernels.hpp); the backward takes dW from im2col
+/// + row_axpy and dx from the gradient plan's conv_backward_data.
 class Conv2D : public Layer {
  public:
   Conv2D(int in_channels, int out_channels, int kernel, int stride = 1,
@@ -54,6 +58,9 @@ class Conv2D : public Layer {
   int stride() const { return stride_; }
   int padding() const { return pad_; }
   bool has_bias() const { return has_bias_; }
+  const Tensor& weight() const { return weight_.value; }  // [out_ch, patch]
+  /// Always out_ch wide; all zeros when bias-less.
+  const Tensor& bias() const { return bias_.value; }
 
  private:
   int in_ch_, out_ch_, k_, stride_, pad_;

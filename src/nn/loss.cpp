@@ -2,30 +2,59 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace orev::nn {
 
 Tensor softmax(const Tensor& logits) { return softmax_t(logits, 1.0f); }
+
+namespace {
+
+/// softmax_t over n raw rows of c logits into out ([n, c] row-major).
+void softmax_rows(const float* logits, int n, int c, float temperature,
+                  float* out) {
+  for (int i = 0; i < n; ++i) {
+    const float* z = logits + static_cast<std::size_t>(i) * c;
+    float* p = out + static_cast<std::size_t>(i) * c;
+    float row_max = -std::numeric_limits<float>::infinity();
+    for (int j = 0; j < c; ++j) row_max = std::max(row_max, z[j] / temperature);
+    double denom = 0.0;
+    for (int j = 0; j < c; ++j) {
+      const float e = std::exp(z[j] / temperature - row_max);
+      p[j] = e;
+      denom += e;
+    }
+    for (int j = 0; j < c; ++j) p[j] = static_cast<float>(p[j] / denom);
+  }
+}
+
+}  // namespace
 
 Tensor softmax_t(const Tensor& logits, float temperature) {
   OREV_CHECK(logits.rank() == 2, "softmax expects [N, C] logits");
   OREV_CHECK(temperature > 0.0f, "softmax temperature must be positive");
   const int n = logits.dim(0), c = logits.dim(1);
   Tensor out({n, c});
-  for (int i = 0; i < n; ++i) {
-    float row_max = -std::numeric_limits<float>::infinity();
-    for (int j = 0; j < c; ++j)
-      row_max = std::max(row_max, logits.at2(i, j) / temperature);
-    double denom = 0.0;
-    for (int j = 0; j < c; ++j) {
-      const float e = std::exp(logits.at2(i, j) / temperature - row_max);
-      out.at2(i, j) = e;
-      denom += e;
-    }
-    for (int j = 0; j < c; ++j)
-      out.at2(i, j) = static_cast<float>(out.at2(i, j) / denom);
-  }
+  softmax_rows(logits.raw(), n, c, temperature, out.raw());
   return out;
+}
+
+float cross_entropy_rows(const float* logits, std::span<const int> labels,
+                         int c, float* dlogits) {
+  const int n = static_cast<int>(labels.size());
+  softmax_rows(logits, n, c, 1.0f, dlogits);
+  double loss = 0.0;
+  const float inv_n = 1.0f / static_cast<float>(n);
+  for (int i = 0; i < n; ++i) {
+    const int y = labels[static_cast<std::size_t>(i)];
+    OREV_CHECK(y >= 0 && y < c, "label out of range");
+    float& p = dlogits[static_cast<std::size_t>(i) * c + y];
+    loss -= std::log(std::max(p, 1e-12f));
+    p -= 1.0f;
+  }
+  const std::size_t total = static_cast<std::size_t>(n) * c;
+  for (std::size_t e = 0; e < total; ++e) dlogits[e] *= inv_n;
+  return static_cast<float>(loss / n);
 }
 
 LossGrad cross_entropy_with_logits(const Tensor& logits,
@@ -34,19 +63,9 @@ LossGrad cross_entropy_with_logits(const Tensor& logits,
   const int n = logits.dim(0), c = logits.dim(1);
   OREV_CHECK(static_cast<int>(labels.size()) == n,
              "label count does not match batch");
-  Tensor probs = softmax(logits);
   LossGrad out;
-  out.dlogits = probs;
-  double loss = 0.0;
-  const float inv_n = 1.0f / static_cast<float>(n);
-  for (int i = 0; i < n; ++i) {
-    const int y = labels[static_cast<std::size_t>(i)];
-    OREV_CHECK(y >= 0 && y < c, "label out of range");
-    loss -= std::log(std::max(probs.at2(i, y), 1e-12f));
-    out.dlogits.at2(i, y) -= 1.0f;
-  }
-  out.dlogits *= inv_n;
-  out.loss = static_cast<float>(loss / n);
+  out.dlogits = Tensor({n, c});
+  out.loss = cross_entropy_rows(logits.raw(), labels, c, out.dlogits.raw());
   return out;
 }
 

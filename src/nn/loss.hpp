@@ -2,6 +2,7 @@
 // soft-label / temperature variant used by defensive distillation (§7).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "nn/tensor.hpp"
@@ -24,6 +25,13 @@ struct LossGrad {
 /// Hard-label cross-entropy: labels[i] in [0, C).
 LossGrad cross_entropy_with_logits(const Tensor& logits,
                                    const std::vector<int>& labels);
+
+/// The arithmetic of cross_entropy_with_logits over labels.size() raw rows
+/// of c logits: writes dLoss/dlogits ([n, c] row-major) and returns the
+/// mean loss. nn::GradPlan calls it too, so both gradient paths start
+/// from the same bits.
+float cross_entropy_rows(const float* logits, std::span<const int> labels,
+                         int c, float* dlogits);
 
 /// Soft-label cross-entropy against target probability rows [N, C], with
 /// optional softmax temperature on the logits.

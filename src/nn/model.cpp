@@ -1,5 +1,6 @@
 #include "nn/model.hpp"
 
+#include <algorithm>
 #include <cstdint>
 
 #include "nn/serialize.hpp"
@@ -23,22 +24,39 @@ Model::Model(std::string name, LayerPtr root, Shape input_shape,
   OREV_CHECK(!input_shape_.empty(), "Model input shape must be non-empty");
 }
 
+Model::Model(Model&& other) noexcept
+    : name_(std::move(other.name_)),
+      root_(std::move(other.root_)),
+      input_shape_(std::move(other.input_shape_)),
+      num_classes_(other.num_classes_),
+      inference_only_(other.inference_only_) {
+  other.drop_plan();
+}
+
+Model& Model::operator=(Model&& other) noexcept {
+  if (this == &other) return *this;
+  name_ = std::move(other.name_);
+  root_ = std::move(other.root_);
+  input_shape_ = std::move(other.input_shape_);
+  num_classes_ = other.num_classes_;
+  inference_only_ = other.inference_only_;
+  drop_plan();
+  other.drop_plan();
+  return *this;
+}
+
 Model Model::clone() const {
   Model m(name_, root_->clone(), input_shape_, num_classes_);
   m.inference_only_ = inference_only_;
   return m;
 }
 
-Tensor Model::batched(const Tensor& x) const {
+int Model::rows_of(const Tensor& x) const {
   if (x.rank() == input_shape_.size()) {
-    // Single sample: prepend a batch axis.
     OREV_CHECK(x.shape() == input_shape_,
                "sample shape " + shape_str(x.shape()) +
                    " does not match model input " + shape_str(input_shape_));
-    Shape s;
-    s.push_back(1);
-    s.insert(s.end(), input_shape_.begin(), input_shape_.end());
-    return x.reshaped(std::move(s));
+    return 1;
   }
   OREV_CHECK(x.rank() == input_shape_.size() + 1,
              "input rank mismatch for model " + name_);
@@ -46,7 +64,40 @@ Tensor Model::batched(const Tensor& x) const {
     OREV_CHECK(x.dim(i + 1) == input_shape_[i],
                "input shape mismatch for model " + name_);
   }
+  return x.dim(0);
+}
+
+Tensor Model::batched(const Tensor& x) const {
+  rows_of(x);
+  if (x.rank() == input_shape_.size()) {
+    // Single sample: prepend a batch axis.
+    Shape s;
+    s.push_back(1);
+    s.insert(s.end(), input_shape_.begin(), input_shape_.end());
+    return x.reshaped(std::move(s));
+  }
   return x;
+}
+
+GradPlan* Model::grad_plan() {
+  if (!plan_tried_) {
+    plan_tried_ = true;
+    GradPlan::CompileResult r =
+        GradPlan::compile(*root_, input_shape_, num_classes_);
+    plan_ = std::move(r.plan);
+    plan_refusal_ = r.refusal;
+  }
+  return plan_.get();
+}
+
+void Model::drop_plan() {
+  plan_.reset();
+  plan_tried_ = false;
+}
+
+GradPlanRefusal Model::grad_plan_refusal() {
+  grad_plan();
+  return plan_refusal_;
 }
 
 Tensor Model::forward(const Tensor& x, bool training) {
@@ -82,26 +133,97 @@ Tensor Model::predict_proba(const Tensor& x) {
   return softmax(forward(x, /*training=*/false));
 }
 
+const float* Model::plan_logits_one(const Tensor& sample) {
+  GradPlan* plan = grad_plan();
+  if (plan == nullptr || rows_of(sample) != 1) return nullptr;
+  return plan->forward(sample.raw(), 1);
+}
+
 int Model::predict_one(const Tensor& sample) {
-  return predict(sample).front();
+  const float* z = plan_logits_one(sample);
+  if (z == nullptr) return predict(sample).front();
+  int best = 0;
+  for (int j = 1; j < num_classes_; ++j)
+    if (z[j] > z[best]) best = j;
+  return best;
 }
 
 Tensor Model::logits_one(const Tensor& sample) {
+  if (const float* z = plan_logits_one(sample))
+    return Tensor({num_classes_}, std::vector<float>(z, z + num_classes_));
   Tensor logits = forward(sample, /*training=*/false);
   return logits.reshaped({num_classes_});
 }
 
+void Model::gradient_rows(const Tensor& x, std::span<const int> labels,
+                          const Tensor* dlogits, float* dx) {
+  OREV_CHECK(!inference_only_,
+             "model '" + name_ +
+                 "' is inference-locked: its layers no longer store the "
+                 "forward caches a backward pass consumes");
+  const int m = rows_of(x);
+  GradPlan* plan = grad_plan();
+  if (plan == nullptr || m == 0) {
+    const Tensor logits = forward(x, /*training=*/false);
+    Tensor g;
+    if (dlogits != nullptr) {
+      OREV_CHECK(logits.shape() == dlogits->shape(),
+                 "custom gradient shape mismatch");
+      g = backward(*dlogits);
+    } else {
+      const LossGrad lg = cross_entropy_with_logits(
+          logits, std::vector<int>(labels.begin(), labels.end()));
+      g = backward(lg.dlogits);
+    }
+    std::copy(g.raw(), g.raw() + g.numel(), dx);
+    return;
+  }
+  const float* z = plan->forward(x.raw(), m);
+  const float* dz = nullptr;
+  if (dlogits != nullptr) {
+    OREV_CHECK(dlogits->rank() == 2 && dlogits->dim(0) == m &&
+                   dlogits->dim(1) == num_classes_,
+               "custom gradient shape mismatch");
+    dz = dlogits->raw();
+  } else {
+    OREV_CHECK(static_cast<int>(labels.size()) == m,
+               "label count does not match batch");
+    cross_entropy_rows(z, labels, num_classes_, plan->dlogits_scratch());
+    dz = plan->dlogits_scratch();
+  }
+  plan->backward(dz, dx);
+}
+
+namespace {
+
+/// x's shape with a batch axis.
+Shape batched_shape(const Tensor& x, const Shape& input_shape) {
+  if (x.rank() != input_shape.size()) return x.shape();
+  Shape s;
+  s.reserve(input_shape.size() + 1);
+  s.push_back(1);
+  s.insert(s.end(), input_shape.begin(), input_shape.end());
+  return s;
+}
+
+}  // namespace
+
 Tensor Model::input_gradient(const Tensor& x, const std::vector<int>& labels) {
-  Tensor logits = forward(x, /*training=*/false);
-  const LossGrad lg = cross_entropy_with_logits(logits, labels);
-  return backward(lg.dlogits);
+  Tensor dx(batched_shape(x, input_shape_));
+  gradient_rows(x, labels, nullptr, dx.raw());
+  return dx;
+}
+
+void Model::input_gradient_into(const Tensor& x, std::span<const int> labels,
+                                Tensor& dx) {
+  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
+  gradient_rows(x, labels, nullptr, dx.raw());
 }
 
 Tensor Model::input_gradient_custom(const Tensor& x, const Tensor& dlogits) {
-  Tensor logits = forward(x, /*training=*/false);
-  OREV_CHECK(logits.shape() == dlogits.shape(),
-             "custom gradient shape mismatch");
-  return backward(dlogits);
+  Tensor dx(batched_shape(x, input_shape_));
+  gradient_rows(x, {}, &dlogits, dx.raw());
+  return dx;
 }
 
 std::vector<Param*> Model::params() { return root_->params(); }
@@ -169,6 +291,7 @@ persist::Status Model::read_state(persist::ByteReader& r) {
   }
   for (std::size_t i = 0; i < ps.size(); ++i)
     ps[i]->value = std::move(values[i]);
+  drop_plan();
   return root_->load_state(r);
 }
 

@@ -2,10 +2,13 @@
 // with the inference and gradient entry points the attack library uses.
 #pragma once
 
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "nn/blocks.hpp"
+#include "nn/grad_plan.hpp"
 #include "nn/layer.hpp"
 #include "nn/loss.hpp"
 
@@ -18,8 +21,10 @@ class Model {
   /// [N, num_classes] logits.
   Model(std::string name, LayerPtr root, Shape input_shape, int num_classes);
 
-  Model(Model&&) = default;
-  Model& operator=(Model&&) = default;
+  /// Moving a model drops its gradient plan; the next gradient call
+  /// compiles a fresh one.
+  Model(Model&& other) noexcept;
+  Model& operator=(Model&& other) noexcept;
 
   /// Deep copy (layer tree, weights, running stats). Thread-safe against
   /// other concurrent clone()/forward-on-replica calls, which is what the
@@ -62,19 +67,41 @@ class Model {
   /// Softmax probabilities for a batch.
   Tensor predict_proba(const Tensor& x);
 
-  /// Predicted class of one (unbatched) sample.
+  /// Predicted class of one (unbatched) sample. Runs the forward half of
+  /// the gradient plan when the model compiles one (bit-identical logits).
   int predict_one(const Tensor& sample);
 
-  /// Logits of one (unbatched) sample as a flat [C] tensor.
+  /// Logits of one (unbatched) sample as a flat [C] tensor; the same path
+  /// as predict_one.
   Tensor logits_one(const Tensor& sample);
 
   /// Gradient of the mean cross-entropy loss w.r.t. the input batch —
   /// the primitive that all gradient-based perturbation methods build on.
+  /// Returned with a batch axis, [N, ...input_shape].
+  ///
+  /// The input-gradient calls run the model's nn::GradPlan (grad_plan.hpp)
+  /// when its architecture compiles to one — forward plus the
+  /// backward-data chain in plan-owned scratch, dx bit-identical to the
+  /// layer walk's — and the walk otherwise. Parameter gradients are
+  /// unspecified afterwards: the plan leaves them untouched and the walk
+  /// accumulates into them. No caller reads them; the Trainer zeroes them
+  /// before every step.
   Tensor input_gradient(const Tensor& x, const std::vector<int>& labels);
+
+  /// The same gradient into a caller-owned tensor that takes x's own shape
+  /// (batched or not). Its storage is reused when it already has that
+  /// shape, so a loop of steps on one sample (PGD) allocates nothing after
+  /// the first.
+  void input_gradient_into(const Tensor& x, std::span<const int> labels,
+                           Tensor& dx);
 
   /// Gradient of an arbitrary logits-space objective: caller supplies
   /// dObjective/dLogits.
   Tensor input_gradient_custom(const Tensor& x, const Tensor& dlogits);
+
+  /// Why input gradients take the layer walk (kNone when this model runs
+  /// a gradient plan). Compiles the plan if no call has yet.
+  GradPlanRefusal grad_plan_refusal();
 
   std::vector<Param*> params();
   void init(Rng& rng);
@@ -112,12 +139,28 @@ class Model {
 
  private:
   Tensor batched(const Tensor& x) const;
+  /// Rows of x after batched()'s shape checks, without its copy.
+  int rows_of(const Tensor& x) const;
+  /// The compiled plan, built on first use; null when refused.
+  GradPlan* grad_plan();
+  /// Forget the plan (and any refusal); the next use compiles again.
+  void drop_plan();
+  /// The input-gradient entry points' shared core: dLoss/dx of x's rows
+  /// into dx (x.numel() floats). A null `dlogits` selects cross-entropy
+  /// against `labels`.
+  void gradient_rows(const Tensor& x, std::span<const int> labels,
+                     const Tensor* dlogits, float* dx);
+  /// The plan's logits of x's first row, or null when x takes the walk.
+  const float* plan_logits_one(const Tensor& sample);
 
   std::string name_;
   LayerPtr root_;
   Shape input_shape_;
   int num_classes_;
   bool inference_only_ = false;
+  std::unique_ptr<GradPlan> plan_;
+  GradPlanRefusal plan_refusal_ = GradPlanRefusal::kNone;
+  bool plan_tried_ = false;
 };
 
 }  // namespace orev::nn

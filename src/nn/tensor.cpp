@@ -258,8 +258,9 @@ Tensor matmul_bt(const Tensor& a, const Tensor& b) {
   // dense kernel (kernels::dense_stage, the compiled MLP plan's) runs
   // unit-stride over output columns: independent per-column accumulator
   // chains instead of one latency-bound dot-product chain per element.
-  // The pack cost amortises over the batch rows; below kPackRows the
-  // plain dot products are cheaper than the pack.
+  // The pack cost amortises over the batch rows; below kPackRows
+  // kernels::dense_rows reads b in place, gathering one column of it per
+  // kk for eight outputs at a time.
   constexpr int kPackRows = 8;
   if (m >= kPackRows) {
     std::vector<double> bt(static_cast<std::size_t>(n) * k);
@@ -285,15 +286,7 @@ Tensor matmul_bt(const Tensor& a, const Tensor& b) {
     }
     return out;
   }
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = pa + static_cast<std::size_t>(i) * k;
-    for (int j = 0; j < n; ++j) {
-      const float* brow = pb + static_cast<std::size_t>(j) * k;
-      double acc = 0.0;
-      for (int kk = 0; kk < k; ++kk) acc += double(arow[kk]) * brow[kk];
-      po[static_cast<std::size_t>(i) * n + j] = static_cast<float>(acc);
-    }
-  }
+  kernels::dense_rows(pa, pb, nullptr, false, po, m, k, n);
   return out;
 }
 

@@ -57,9 +57,12 @@ class Rng {
     return std::uniform_real_distribution<float>(lo, hi)(*this);
   }
 
-  /// Standard normal scaled by `stddev` around `mean`.
+  /// Standard normal scaled by `stddev` around `mean`. The unit draw is
+  /// scaled here, with libstdc++'s own float ops in its order, so a zero
+  /// stddev (which std::normal_distribution forbids) returns `mean` and
+  /// advances the engine exactly as any other stddev does.
   float normal(float mean = 0.0f, float stddev = 1.0f) {
-    return std::normal_distribution<float>(mean, stddev)(*this);
+    return std::normal_distribution<float>(0.0f, 1.0f)(*this) * stddev + mean;
   }
 
   /// Uniform integer in [lo, hi] inclusive.

@@ -13,8 +13,11 @@
 //     off;
 //   * the fleet-like loop with SDL storage attached (journal on, fsync
 //     off), so every committed write is also encoded and appended.
+// A fourth test holds per-sample PGD on the compiled gradient plan to the
+// allocations of its own results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -28,6 +31,7 @@
 
 #include "apps/ic_xapp.hpp"
 #include "apps/model_zoo.hpp"
+#include "attack/pgm.hpp"
 #include "oran/e2_codec.hpp"
 #include "oran/near_rt_ric.hpp"
 #include "oran/onboarding.hpp"
@@ -286,6 +290,34 @@ TEST(AllocBudget, PersistedSdlLoopAllocatesAtMostOncePerIndication) {
   EXPECT_GT(journal_bytes, 1000000u);
   std::error_code ec;
   std::filesystem::remove_all(shape.storage_dir, ec);
+}
+
+TEST(AllocBudget, PgdOnGradPlanAllocatesOnlyItsResults) {
+  // Per-sample PGD on the compiled gradient plan: after warm-up a whole
+  // perturbation allocates its adversarial sample and one gradient buffer
+  // (a tensor is a shape plus its data: two allocations each) — at most
+  // steps + 2 — where the layer walk allocated every activation and
+  // gradient of every step.
+  util::set_num_threads(1);
+  constexpr int kSteps = 5;
+  nn::Model surrogate = apps::make_base_cnn({1, 24, 24}, 2, 11);
+  Rng rng(0x9d);
+  const nn::Tensor x = nn::Tensor::uniform({1, 24, 24}, rng, 0.0f, 1.0f);
+  attack::Pgd pgd(0.3f, kSteps);
+  for (int i = 0; i < 3; ++i) pgd.perturb(surrogate, x, 1);
+  ASSERT_EQ(surrogate.grad_plan_refusal(), nn::GradPlanRefusal::kNone);
+  std::uint64_t worst = 0;
+  for (int i = 0; i < 20; ++i) {
+    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    const nn::Tensor adv = pgd.perturb(surrogate, x, 1);
+    const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+    worst = std::max<std::uint64_t>(worst, a1 - a0);
+    ASSERT_EQ(adv.shape(), x.shape());
+  }
+  std::printf("[alloc] PGD(%d) on the gradient plan: %llu allocations per "
+              "perturbation\n",
+              kSteps, static_cast<unsigned long long>(worst));
+  EXPECT_LE(worst, static_cast<std::uint64_t>(kSteps + 2));
 }
 
 }  // namespace

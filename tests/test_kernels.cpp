@@ -8,7 +8,10 @@
 //     (packer, every conv_stage variant, copy-out) must also match a
 //     per-element reference over the unpadded input, with NaN and ±inf
 //     among the values. Variants the CPU lacks are skipped, so the suite
-//     is meaningful on AVX-512 hosts and still runs everywhere.
+//     is meaningful on AVX-512 hosts and still runs everywhere. The
+//     gradient plan's dense_rows and conv_backward_data (every variant)
+//     must match the layer walk's arithmetic they replace: the Dense
+//     double dot products, and row_axpy plus col2im_accum.
 //   * KernelIm2col — the bounds-hoisted im2col packers and the conv
 //     input packer against a per-tap bounds-checked reference over
 //     strides, paddings and kernels wider than the padded border.
@@ -491,6 +494,123 @@ TEST(KernelIsa, MaxPool2x2VariantsMatchScalar) {
     }
   }
   EXPECT_GE(compared, 4 * 11 * 2 * 2 * 2);
+}
+
+// ------------------------------------------ gradient-plan kernels --
+
+using DenseRowsFn = void (*)(const float*, const float*, const float*, bool,
+                             float*, int, int, int);
+using ConvBwdFn = void (*)(const float*, const ConvGeometry&, const float*,
+                           int, float*);
+
+/// The generic variant, the dispatcher and every SIMD variant this CPU
+/// supports.
+std::vector<std::pair<std::string, DenseRowsFn>> dense_rows_fns() {
+  std::vector<std::pair<std::string, DenseRowsFn>> fns = {
+      {"generic", detail::dense_rows_generic}, {"dispatch", dense_rows}};
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (isa_level() >= 1) fns.emplace_back("avx2", detail::dense_rows_avx2);
+  if (isa_level() >= 2) fns.emplace_back("avx512", detail::dense_rows_avx512);
+#endif
+  return fns;
+}
+
+std::vector<std::pair<std::string, ConvBwdFn>> conv_bwd_fns() {
+  std::vector<std::pair<std::string, ConvBwdFn>> fns = {
+      {"generic", detail::conv_backward_data_generic},
+      {"dispatch", conv_backward_data}};
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (isa_level() >= 1)
+    fns.emplace_back("avx2", detail::conv_backward_data_avx2);
+  if (isa_level() >= 2)
+    fns.emplace_back("avx512", detail::conv_backward_data_avx512);
+#endif
+  return fns;
+}
+
+TEST(KernelIsa, DenseRowsMatchesWalkDotProducts) {
+  // nn::Dense's forward: per output the double dot product in ascending
+  // k over the natural [n, k] weights, one cast, then bias and ReLU.
+  Rng rng(0xd0e5);
+  for (const int m : {1, 3}) {
+    for (const int k : {1, 7, 33, 432}) {
+      for (const int n : {1, 5, 8, 9, 17, 32}) {
+        std::vector<float> x(static_cast<std::size_t>(m) * k),
+            w(static_cast<std::size_t>(n) * k), bias(n);
+        for (float& v : x) v = conv_value(rng);
+        for (float& v : w) v = conv_value(rng);
+        for (float& v : bias) v = special_value(rng);
+        for (const bool with_bias : {false, true}) {
+          for (const bool relu : {false, true}) {
+            const float* b = with_bias ? bias.data() : nullptr;
+            std::vector<float> ref(static_cast<std::size_t>(m) * n);
+            for (int i = 0; i < m; ++i)
+              for (int j = 0; j < n; ++j) {
+                double acc = 0.0;
+                for (int kk = 0; kk < k; ++kk)
+                  acc += double(x[std::size_t(i) * k + kk]) *
+                         w[std::size_t(j) * k + kk];
+                float v = static_cast<float>(acc);
+                if (b != nullptr) v += b[j];
+                if (relu) v = std::max(v, 0.0f);
+                ref[std::size_t(i) * n + j] = v;
+              }
+            for (const auto& [name, fn] : dense_rows_fns()) {
+              std::vector<float> got(ref.size());
+              fn(x.data(), w.data(), b, relu, got.data(), m, k, n);
+              EXPECT_TRUE(bytes_equal(ref, got))
+                  << name << " m=" << m << " k=" << k << " n=" << n
+                  << " bias=" << with_bias << " relu=" << relu;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelIsa, ConvBackwardDataMatchesWalkRoute) {
+  // nn::Conv2D's dx: zeroed dcols = dy^T · w through row_axpy, then
+  // col2im_accum into a zeroed dx. dy holds runs of ±0 (ReLU masks) and
+  // NaN/±inf; w holds non-finite entries too, so a skipped zero dy that
+  // met an infinite weight would show as NaN.
+  Rng rng(0xbac0);
+  struct Geo {
+    int c_in, h, w, k, stride, pad, n;
+  };
+  const Geo geos[] = {
+      {1, 24, 24, 3, 1, 1, 6}, {6, 12, 12, 3, 1, 1, 12},
+      {12, 6, 6, 3, 1, 1, 12}, {3, 9, 7, 5, 1, 2, 5},
+      {4, 10, 10, 3, 1, 0, 7}, {3, 6, 6, 1, 1, 0, 5},
+      {2, 5, 5, 3, 1, 3, 3},   {5, 7, 11, 2, 1, 1, 9},
+      {2, 8, 9, 3, 2, 1, 4},   {3, 11, 9, 3, 3, 2, 2},
+      {1, 1, 1, 1, 1, 0, 1},   {7, 3, 17, 3, 1, 1, 3}};
+  for (const Geo& g : geos) {
+    const ConvGeometry geom =
+        conv_geometry(g.c_in, g.h, g.w, g.k, g.stride, g.pad);
+    const int patch = g.c_in * g.k * g.k, ohw = geom.oh * geom.ow;
+    std::vector<float> dy(static_cast<std::size_t>(g.n) * ohw),
+        w(static_cast<std::size_t>(g.n) * patch);
+    for (float& v : dy) {
+      const float u = rng.uniform();
+      v = u < 0.35f ? 0.0f : (u < 0.45f ? -0.0f : conv_value(rng));
+    }
+    for (float& v : w) v = conv_value(rng);
+    std::vector<float> cols(static_cast<std::size_t>(ohw) * patch, 0.0f);
+    detail::row_axpy_generic(dy.data(), 1, ohw, w.data(), cols.data(), ohw,
+                             g.n, patch);
+    std::vector<float> ref(static_cast<std::size_t>(g.c_in) * g.h * g.w, 0.0f);
+    col2im_accum(cols.data(), g.c_in, g.h, g.w, g.k, g.stride, g.pad, geom.oh,
+                 geom.ow, ref.data());
+    for (const auto& [name, fn] : conv_bwd_fns()) {
+      std::vector<float> got(ref.size(), 7.0f);  // overwritten, not added to
+      fn(dy.data(), geom, w.data(), g.n, got.data());
+      EXPECT_TRUE(bytes_equal(ref, got))
+          << name << " c_in=" << g.c_in << " " << g.h << "x" << g.w
+          << " k=" << g.k << " stride=" << g.stride << " pad=" << g.pad
+          << " n=" << g.n;
+    }
+  }
 }
 
 // ------------------------------------------------------------- im2col --

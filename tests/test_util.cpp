@@ -200,6 +200,21 @@ TEST(Rng, NormalHasApproxMoments) {
   EXPECT_NEAR(var, 9.0, 0.5);
 }
 
+TEST(Rng, NormalWithZeroStddevReturnsMean) {
+  // std::normal_distribution requires stddev > 0; Rng::normal draws the
+  // unit normal and scales it, so a zero spread returns the mean and
+  // leaves the engine exactly where a unit draw leaves it.
+  for (const std::uint64_t seed : {1ull, 42ull, 0x5eedull}) {
+    Rng zero(seed), unit(seed);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(zero.normal(-3.25f, 0.0f), -3.25f) << "draw " << i;
+      unit.normal(0.0f, 1.0f);
+    }
+    EXPECT_EQ(zero.engine_state(), unit.engine_state());
+    EXPECT_EQ(zero(), unit());
+  }
+}
+
 TEST(Rng, InvertedBoundsThrow) {
   Rng r(6);
   EXPECT_THROW(r.uniform(1.0f, 0.0f), CheckError);
