@@ -5,9 +5,11 @@
 // traffic, defense augmentation) asks one question per step: dLoss/dx.
 // The layer walk answers it with a full training backward — weight
 // gradients, im2col rebuilds, bias sums — and a fresh tensor per layer.
-// A GradPlan compiles a flat Sequential of Conv2D, ReLU, MaxPool2D,
-// Flatten, Dropout (an identity at inference) and Dense into a stage list
-// that runs
+// A GradPlan takes the stage list of nn::lower_chain (lowering.hpp, the
+// lowering the serve plan compiles from too) and keeps the chains whose
+// every stage has a compiled backward: Conv2D, ReLU, MaxPool2D, Flatten,
+// Dropout (an identity at inference) and Dense. A BatchNorm or depthwise
+// stage is refused. The plan runs
 //
 //   * the walk's forward kernels (kernels::conv_forward with the ReLU
 //     fused into its epilogue, the SIMD 2×2 max pool, the Dense double
@@ -21,43 +23,28 @@
 //
 // Each kernel is the one the walk calls, on the same operands in the same
 // order, so logits and dx equal the walk's bit for bit — at every batch
-// size and thread count. Weights are read in place on every call (conv
+// size and thread count. Unlike the serve plan, which snapshots a locked
+// replica, this executor reads the weights in place on every call (conv
 // weights widened to double per call, as Conv2D::forward does), so no
 // optimizer step, set_weights or load can leave the plan stale.
-// Architectures outside the set are refused with a typed reason, never
-// an exception, and the model keeps the walk.
+// Architectures outside the set are refused with a typed CompileFailure,
+// never an exception, and the model keeps the walk.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "nn/kernels.hpp"
+#include "nn/lowering.hpp"
 #include "nn/tensor.hpp"
 
 namespace orev::nn {
 
-class Conv2D;
-class Dense;
-class Layer;
-
-/// Why a model keeps the layer walk for its gradients.
-enum class GradPlanRefusal {
-  kNone = 0,
-  kNotSequential,     // the root is not a flat nn::Sequential
-  kUnsupportedLayer,  // BatchNorm, DepthwiseConv2D, Residual, DenseConcat, ...
-  kShapeMismatch,     // the layers do not chain over the input shape
-};
-
-const char* grad_plan_refusal_name(GradPlanRefusal r);
-
 class GradPlan {
  public:
   struct CompileResult {
-    std::unique_ptr<GradPlan> plan;  // set iff refusal == kNone
-    GradPlanRefusal refusal = GradPlanRefusal::kNone;
-    std::string detail;
+    std::unique_ptr<GradPlan> plan;  // set iff failure.code == kOk
+    CompileFailure failure;
   };
 
   /// Compile the layer tree `root` for [input_shape] samples and
@@ -80,28 +67,9 @@ class GradPlan {
 
   int input_features() const { return in0_; }
   int num_classes() const { return classes_; }
+  const std::vector<ChainStage>& stages() const { return stages_; }
 
  private:
-  struct Stage {
-    enum class Kind { kConv, kPool, kDense, kRelu };
-    Kind kind = Kind::kRelu;
-    const Conv2D* conv = nullptr;
-    const Dense* dense = nullptr;
-    int in_c = 0, in_h = 1, in_w = 1;
-    int out_c = 0, out_h = 1, out_w = 1;
-    int k = 0, stride = 1;        // pool window
-    kernels::ConvGeometry geom;   // conv
-    bool relu = false;            // a ReLU fused after the op
-    std::size_t wide_off = 0;     // conv: the filter bank's slot in wide_
-
-    std::size_t in_elems() const {
-      return static_cast<std::size_t>(in_c) * in_h * in_w;
-    }
-    std::size_t out_elems() const {
-      return static_cast<std::size_t>(out_c) * out_h * out_w;
-    }
-  };
-
   GradPlan() = default;
   void ensure_rows(int m);
   void widen_weights();
@@ -110,10 +78,11 @@ class GradPlan {
   /// Sample i through the spatial prefix.
   void forward_sample(int i);
   void backward_stage(std::size_t s, float* g_out, float* g_in);
-  void pool_backward(const Stage& st, const float* in, const float* g,
+  void pool_backward(const ChainStage& st, const float* in, const float* g,
                      float* dx, int m);
 
-  std::vector<Stage> stages_;
+  std::vector<ChainStage> stages_;
+  std::vector<std::size_t> wide_off_;  // conv: the filter bank's slot in wide_
   std::size_t flat_begin_ = 0;  // first stage of the row-major flat suffix
   int in0_ = 0;
   int classes_ = 0;
@@ -126,7 +95,6 @@ class GradPlan {
   std::vector<std::size_t> act_off_;  // each stage's [m, out] slice of acts_
   std::vector<float> acts_;
   std::vector<float> grad_a_, grad_b_, dlogits_;
-  std::vector<char> pool_deferred_;  // per sample: a no-max window to replay
 };
 
 }  // namespace orev::nn

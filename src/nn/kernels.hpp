@@ -204,8 +204,8 @@ void col2im_accum(const float* cols, int c_in, int h, int w, int k,
 /// visited in (ky, kx) order from −inf and the first strictly greater
 /// value wins. Returns that tap's offset in `plane` (row pitch w), or −1
 /// when no tap exceeds −inf (an all-NaN or all-−inf window): the pool
-/// then outputs −inf, and nn::MaxPool2D routes the window's gradient to
-/// flat index 0 of its whole input batch.
+/// then outputs −inf, and routes the window's gradient to its own first
+/// tap (see pool_grad_tap).
 inline std::ptrdiff_t pool_window_argmax(const float* plane, int w, int iy0,
                                          int ix0, int k) {
   float best = -std::numeric_limits<float>::infinity();
@@ -221,6 +221,13 @@ inline std::ptrdiff_t pool_window_argmax(const float* plane, int w, int iy0,
     }
   }
   return best_idx;
+}
+
+/// The tap a window's gradient goes to: its argmax `a`, or its first tap
+/// (iy0, ix0) when it has no strict max — always inside its own plane.
+inline std::ptrdiff_t pool_grad_tap(std::ptrdiff_t a, int w, int iy0,
+                                    int ix0) {
+  return a >= 0 ? a : static_cast<std::ptrdiff_t>(iy0) * w + ix0;
 }
 
 /// Same packing as im2col_f32 over an int8 plane (padding quantizes to 0

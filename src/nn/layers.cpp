@@ -345,10 +345,12 @@ Tensor MaxPool2D::forward(const Tensor& x, bool /*training*/) {
       std::size_t oi = static_cast<std::size_t>(pidx) * oh * ow;
       for (int oy = 0; oy < oh; ++oy) {
         for (int ox = 0; ox < ow; ++ox, ++oi) {
-          const std::ptrdiff_t a = kernels::pool_window_argmax(
-              plane, w, oy * stride_, ox * stride_, k_);
+          const int iy0 = oy * stride_, ix0 = ox * stride_;
+          const std::ptrdiff_t a =
+              kernels::pool_window_argmax(plane, w, iy0, ix0, k_);
           out[oi] = a < 0 ? -std::numeric_limits<float>::infinity() : plane[a];
-          argmax_[oi] = a < 0 ? 0 : plane_base + static_cast<std::size_t>(a);
+          argmax_[oi] = plane_base + static_cast<std::size_t>(
+                                         kernels::pool_grad_tap(a, w, iy0, ix0));
         }
       }
     }

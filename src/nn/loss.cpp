@@ -97,12 +97,10 @@ double accuracy(const Tensor& logits, const std::vector<int>& labels) {
   OREV_CHECK(static_cast<int>(labels.size()) == n, "label count mismatch");
   if (n == 0) return 0.0;
   int correct = 0;
-  for (int i = 0; i < n; ++i) {
-    int best = 0;
-    for (int j = 1; j < c; ++j)
-      if (logits.at2(i, j) > logits.at2(i, best)) best = j;
-    if (best == labels[static_cast<std::size_t>(i)]) ++correct;
-  }
+  for (int i = 0; i < n; ++i)
+    if (argmax_row(logits.raw() + static_cast<std::size_t>(i) * c, c) ==
+        labels[static_cast<std::size_t>(i)])
+      ++correct;
   return static_cast<double>(correct) / n;
 }
 

@@ -85,7 +85,7 @@ GradPlan* Model::grad_plan() {
     GradPlan::CompileResult r =
         GradPlan::compile(*root_, input_shape_, num_classes_);
     plan_ = std::move(r.plan);
-    plan_refusal_ = r.refusal;
+    plan_refusal_ = r.failure.code;
   }
   return plan_.get();
 }
@@ -95,7 +95,7 @@ void Model::drop_plan() {
   plan_tried_ = false;
 }
 
-GradPlanRefusal Model::grad_plan_refusal() {
+CompileError Model::grad_plan_refusal() {
   grad_plan();
   return plan_refusal_;
 }
@@ -120,12 +120,9 @@ std::vector<int> Model::predict(const Tensor& x) {
   Tensor logits = forward(x, /*training=*/false);
   const int n = logits.dim(0), c = logits.dim(1);
   std::vector<int> out(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    int best = 0;
-    for (int j = 1; j < c; ++j)
-      if (logits.at2(i, j) > logits.at2(i, best)) best = j;
-    out[static_cast<std::size_t>(i)] = best;
-  }
+  for (int i = 0; i < n; ++i)
+    out[static_cast<std::size_t>(i)] =
+        argmax_row(logits.raw() + static_cast<std::size_t>(i) * c, c);
   return out;
 }
 
@@ -142,10 +139,7 @@ const float* Model::plan_logits_one(const Tensor& sample) {
 int Model::predict_one(const Tensor& sample) {
   const float* z = plan_logits_one(sample);
   if (z == nullptr) return predict(sample).front();
-  int best = 0;
-  for (int j = 1; j < num_classes_; ++j)
-    if (z[j] > z[best]) best = j;
-  return best;
+  return argmax_row(z, num_classes_);
 }
 
 Tensor Model::logits_one(const Tensor& sample) {

@@ -99,9 +99,9 @@ class Model {
   /// dObjective/dLogits.
   Tensor input_gradient_custom(const Tensor& x, const Tensor& dlogits);
 
-  /// Why input gradients take the layer walk (kNone when this model runs
+  /// Why input gradients take the layer walk (kOk when this model runs
   /// a gradient plan). Compiles the plan if no call has yet.
-  GradPlanRefusal grad_plan_refusal();
+  CompileError grad_plan_refusal();
 
   std::vector<Param*> params();
   void init(Rng& rng);
@@ -159,7 +159,7 @@ class Model {
   int num_classes_;
   bool inference_only_ = false;
   std::unique_ptr<GradPlan> plan_;
-  GradPlanRefusal plan_refusal_ = GradPlanRefusal::kNone;
+  CompileError plan_refusal_ = CompileError::kOk;
   bool plan_tried_ = false;
 };
 

@@ -131,4 +131,14 @@ Tensor matmul_at(const Tensor& a, const Tensor& b);
 /// L2 distance between two same-shape tensors: ||a - b||_2.
 float l2_distance(const Tensor& a, const Tensor& b);
 
+/// The predicted class of one row of n logits: strict greater-than, so
+/// the first maximum wins (and a NaN never does). Every prediction path —
+/// the layer walk, both compiled plans, accuracy — compares this way.
+inline int argmax_row(const float* row, int n) {
+  int best = 0;
+  for (int j = 1; j < n; ++j)
+    if (row[j] > row[best]) best = j;
+  return best;
+}
+
 }  // namespace orev::nn

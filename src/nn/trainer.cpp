@@ -492,12 +492,10 @@ EvalResult evaluate(Model& model, const Tensor& x, const std::vector<int>& y,
         BatchStat& st = stats[static_cast<std::size_t>(b)];
         st.loss = double(lg.loss) * (hi - lo);
         const int c = logits.dim(1);
-        for (int i = 0; i < hi - lo; ++i) {
-          int best = 0;
-          for (int j = 1; j < c; ++j)
-            if (logits.at2(i, j) > logits.at2(i, best)) best = j;
-          if (best == yb[static_cast<std::size_t>(i)]) ++st.correct;
-        }
+        for (int i = 0; i < hi - lo; ++i)
+          if (argmax_row(logits.raw() + static_cast<std::size_t>(i) * c, c) ==
+              yb[static_cast<std::size_t>(i)])
+            ++st.correct;
       });
 
   double loss = 0.0;

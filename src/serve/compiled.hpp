@@ -15,40 +15,25 @@
 // *around* the arithmetic: per-call weight packing, per-layer tensor
 // allocation, activation-cache copies and virtual layer dispatch.
 //
-// CompiledCnn (serve/compiled_cnn.hpp) is the one float plan compiler:
-// it covers conv chains (the spectrogram CNN family) and flat Dense/ReLU
-// stacks (the KPM DNN family) alike, with typed compile errors for
-// everything else. compile_plan() below is its factory.
+// CompiledCnn (serve/compiled_cnn.hpp) is the one float plan: it covers
+// conv chains (the spectrogram CNN family) and flat Dense/ReLU stacks (the
+// KPM DNN family) alike. It compiles from nn::lower_chain, the one
+// lowering of a layer chain to stages, which nn::GradPlan (the attacks'
+// input-gradient plan) compiles from as well; failures of either are one
+// typed nn::CompileFailure. The two executors stay apart on purpose: this
+// one snapshots an inference-locked replica's weights (widened and
+// transposed banks, folded BatchNorm, depthwise), the gradient plan reads
+// the live weights of a model that trains between calls. compile_plan()
+// below is the serve plan's factory.
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "nn/lowering.hpp"
 #include "nn/model.hpp"
 
 namespace orev::serve {
-
-/// Why a model could not be compiled. Plans *never* throw out of compile:
-/// any architecture or state the compiler does not support is reported as
-/// one of these codes and the engine falls back to the generic layer walk.
-enum class CompileError {
-  kOk = 0,
-  kNonSequentialRoot,   // root layer is not a flat nn::Sequential
-  kUnsupportedLayer,    // Residual / DenseConcat / GlobalAvgPool / ...
-  kNotInferenceMode,    // model not locked; BN stats could still move
-  kBadDims,             // zero/negative extents, output collapses, no stages
-  kShapeMismatch,       // layer widths/channels do not chain together
-  kNonFiniteStats,      // BatchNorm running stats produce non-finite scales
-};
-
-const char* compile_error_name(CompileError e);
-
-/// Typed compile failure: code plus a human-readable detail string.
-struct CompileFailure {
-  CompileError code = CompileError::kOk;
-  std::string detail;
-};
 
 /// Interface shared by every compiled plan. Plans own mutable scratch, so
 /// they are not thread-safe — each engine replica owns its own plan.
@@ -76,6 +61,6 @@ class CompiledPlan {
 /// Returns nullptr when the model is outside the supported set; `why`
 /// (optional) receives the typed failure in that case.
 std::unique_ptr<CompiledPlan> compile_plan(nn::Model& model,
-                                           CompileFailure* why = nullptr);
+                                           nn::CompileFailure* why = nullptr);
 
 }  // namespace orev::serve

@@ -2,32 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "nn/blocks.hpp"
 #include "nn/layers.hpp"
-#include "nn/kernels.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace orev::serve {
 
-const char* compile_error_name(CompileError e) {
-  switch (e) {
-    case CompileError::kOk: return "ok";
-    case CompileError::kNonSequentialRoot: return "non-sequential-root";
-    case CompileError::kUnsupportedLayer: return "unsupported-layer";
-    case CompileError::kNotInferenceMode: return "not-inference-mode";
-    case CompileError::kBadDims: return "bad-dims";
-    case CompileError::kShapeMismatch: return "shape-mismatch";
-    case CompileError::kNonFiniteStats: return "non-finite-stats";
-  }
-  return "unknown";
-}
-
 namespace {
 
-CompiledCnn::CompileResult fail(CompileError code, std::string detail) {
+CompiledCnn::CompileResult fail(nn::CompileError code, std::string detail) {
   CompiledCnn::CompileResult r;
   r.failure.code = code;
   r.failure.detail = std::move(detail);
@@ -59,47 +43,7 @@ bool snapshot_bn(nn::BatchNorm& bn, CnnStage& s) {
          all_finite(s.bn_beta.data(), s.bn_beta.size());
 }
 
-/// The fused per-element epilogue, in the walk's exact op order: the
-/// GEMM/accumulator value first takes the stage's own bias (already done
-/// by the caller), then BatchNorm's (v − mean)·invstd·γ + β, then ReLU.
-inline float epilogue_bn_relu(const CnnStage& s, int c, float v) {
-  if (s.bn) {
-    const float xh = (v - s.bn_mean[static_cast<std::size_t>(c)]) *
-                     s.bn_invstd[static_cast<std::size_t>(c)];
-    v = s.bn_gamma[static_cast<std::size_t>(c)] * xh +
-        s.bn_beta[static_cast<std::size_t>(c)];
-  }
-  if (s.relu) v = std::max(v, 0.0f);
-  return v;
-}
-
 }  // namespace
-
-void run_pool_stage(const CnnStage& s, const float* in, float* out) {
-  if (s.k == 2 && s.stride == 2)
-    return nn::kernels::max_pool2x2(in, s.in_c, s.in_h, s.in_w, s.relu, out);
-  const int ihw = s.in_h * s.in_w;
-  const int ohw = s.out_h * s.out_w;
-  for (int c = 0; c < s.in_c; ++c) {
-    const float* plane = in + static_cast<std::size_t>(c) * ihw;
-    float* oplane = out + static_cast<std::size_t>(c) * ohw;
-    for (int oy = 0; oy < s.out_h; ++oy) {
-      for (int ox = 0; ox < s.out_w; ++ox) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (int ky = 0; ky < s.k; ++ky) {
-          const int iy = oy * s.stride + ky;
-          for (int kx = 0; kx < s.k; ++kx) {
-            const int ix = ox * s.stride + kx;
-            const float v = plane[static_cast<std::size_t>(iy) * s.in_w + ix];
-            if (v > best) best = v;
-          }
-        }
-        if (s.relu) best = std::max(best, 0.0f);
-        oplane[static_cast<std::size_t>(oy) * s.out_w + ox] = best;
-      }
-    }
-  }
-}
 
 void run_bn_stage(const CnnStage& s, const float* in, float* out) {
   const int sp = s.in_h * s.in_w;  // 1 for flat features
@@ -117,241 +61,62 @@ void run_bn_stage(const CnnStage& s, const float* in, float* out) {
   }
 }
 
-void run_relu_stage(const CnnStage& s, const float* in, float* out) {
-  const std::size_t n = s.in_elems();
-  for (std::size_t i = 0; i < n; ++i) out[i] = std::max(in[i], 0.0f);
-}
-
 CompiledCnn::CompileResult CompiledCnn::compile(nn::Model& model) {
   if (!model.inference_only())
-    return fail(CompileError::kNotInferenceMode,
+    return fail(nn::CompileError::kNotInferenceMode,
                 "model must be inference-locked before compilation "
                 "(BatchNorm running stats are snapshotted)");
-  auto* seq = dynamic_cast<nn::Sequential*>(&model.root());
-  if (seq == nullptr)
-    return fail(CompileError::kNonSequentialRoot,
-                "root layer is " + model.root().name() +
-                    ", not a flat Sequential");
-
-  const nn::Shape& in_shape = model.input_shape();
-  bool flat = false;
-  int c = 0, h = 1, w = 1;
-  if (in_shape.size() == 3) {
-    c = in_shape[0];
-    h = in_shape[1];
-    w = in_shape[2];
-  } else if (in_shape.size() == 1) {
-    flat = true;
-    c = in_shape[0];
-  } else {
-    return fail(CompileError::kBadDims,
-                "input must be [C, H, W] or [F], got rank " +
-                    std::to_string(in_shape.size()));
-  }
-  if (c <= 0 || h <= 0 || w <= 0)
-    return fail(CompileError::kBadDims, "input has a non-positive extent");
+  nn::LoweredChain chain = nn::lower_chain(model.root(), model.input_shape(),
+                                           model.num_classes());
+  if (chain.failure.code != nn::CompileError::kOk)
+    return fail(chain.failure.code, std::move(chain.failure.detail));
 
   auto plan = std::unique_ptr<CompiledCnn>(new CompiledCnn());
-  plan->in0_ = c * h * w;
+  plan->in0_ = chain.input_features;
   plan->classes_ = model.num_classes();
+  plan->flat_begin_ = chain.flat_begin;
   std::vector<CnnStage>& stages = plan->stages_;
-
-  // A BatchNorm fuses into the stage before it only when that stage's
-  // output channels are the BatchNorm's channels: after Flatten a
-  // BatchNorm indexes flattened features, which a conv stage's
-  // per-channel epilogue cannot express.
-  auto bn_host = [&](int channels) -> CnnStage* {
-    if (stages.empty()) return nullptr;
-    CnnStage& s = stages.back();
-    return (s.is_gemm() && !s.bn && !s.relu && s.out_c == channels) ? &s
-                                                                     : nullptr;
-  };
-
-  for (std::size_t li = 0; li < seq->size(); ++li) {
-    nn::Layer& l = seq->layer(li);
-    if (auto* conv = dynamic_cast<nn::Conv2D*>(&l)) {
-      if (flat)
-        return fail(CompileError::kShapeMismatch,
-                    "Conv2D after the input was flattened");
-      if (conv->in_channels() != c)
-        return fail(CompileError::kShapeMismatch,
-                    "Conv2D expects " + std::to_string(conv->in_channels()) +
-                        " channels, pipeline carries " + std::to_string(c));
-      const int oh = conv->out_height(h), ow = conv->out_width(w);
-      if (oh <= 0 || ow <= 0)
-        return fail(CompileError::kBadDims,
-                    "Conv2D output collapses to zero size");
-      CnnStage s;
-      s.kind = CnnStage::Kind::kConv;
-      s.in_c = c;
-      s.in_h = h;
-      s.in_w = w;
-      s.out_c = conv->out_channels();
-      s.out_h = oh;
-      s.out_w = ow;
-      s.k = conv->kernel();
-      s.stride = conv->stride();
-      s.pad = conv->padding();
-      s.geom = nn::kernels::conv_geometry(c, h, w, s.k, s.stride, s.pad);
-      const std::vector<nn::Param*> ps = conv->params();
-      const nn::Tensor& wt = ps[0]->value;  // [out_c, patch]
+  for (const nn::ChainStage& lowered : chain.stages) {
+    CnnStage s(lowered);
+    if (s.is_gemm()) {
+      const std::vector<nn::Param*> ps = s.layer->params();  // {weight[, bias]}
+      const nn::Tensor& wt = ps[0]->value;
       s.weight.assign(wt.raw(), wt.raw() + wt.numel());
-      // conv_stage reads the filter bank in its natural [out_c, patch]
-      // layout (pixel lanes, not column tiles) — widen in place.
-      s.bt.resize(wt.numel());
-      for (std::size_t e = 0; e < wt.numel(); ++e)
-        s.bt[e] = static_cast<double>(wt.raw()[e]);
-      // The walk adds the bias term unconditionally (0.0f when bias-less).
-      s.bias.assign(static_cast<std::size_t>(s.out_c), 0.0f);
-      if (conv->has_bias()) {
-        const nn::Tensor& b = ps[1]->value;
-        s.bias.assign(b.raw(), b.raw() + b.numel());
-      }
-      c = s.out_c;
-      h = oh;
-      w = ow;
-      stages.push_back(std::move(s));
-    } else if (auto* dw = dynamic_cast<nn::DepthwiseConv2D*>(&l)) {
-      if (flat)
-        return fail(CompileError::kShapeMismatch,
-                    "DepthwiseConv2D after the input was flattened");
-      if (dw->channels() != c)
-        return fail(CompileError::kShapeMismatch,
-                    "DepthwiseConv2D channel mismatch");
-      const int oh = (h + 2 * dw->padding() - dw->kernel()) / dw->stride() + 1;
-      const int ow = (w + 2 * dw->padding() - dw->kernel()) / dw->stride() + 1;
-      if (oh <= 0 || ow <= 0)
-        return fail(CompileError::kBadDims,
-                    "DepthwiseConv2D output collapses to zero size");
-      CnnStage s;
-      s.kind = CnnStage::Kind::kDepthwise;
-      s.in_c = c;
-      s.in_h = h;
-      s.in_w = w;
-      s.out_c = c;
-      s.out_h = oh;
-      s.out_w = ow;
-      s.k = dw->kernel();
-      s.stride = dw->stride();
-      s.pad = dw->padding();
-      const std::vector<nn::Param*> ps = dw->params();  // {weight, bias}
-      s.weight.assign(ps[0]->value.raw(),
-                      ps[0]->value.raw() + ps[0]->value.numel());
-      s.bias.assign(ps[1]->value.raw(),
-                    ps[1]->value.raw() + ps[1]->value.numel());
-      h = oh;
-      w = ow;
-      stages.push_back(std::move(s));
-    } else if (auto* pool = dynamic_cast<nn::MaxPool2D*>(&l)) {
-      if (flat)
-        return fail(CompileError::kShapeMismatch,
-                    "MaxPool2D after the input was flattened");
-      const int oh = (h - pool->kernel()) / pool->stride() + 1;
-      const int ow = (w - pool->kernel()) / pool->stride() + 1;
-      if (oh <= 0 || ow <= 0 || pool->kernel() > h || pool->kernel() > w)
-        return fail(CompileError::kBadDims,
-                    "MaxPool2D output collapses to zero size");
-      CnnStage s;
-      s.kind = CnnStage::Kind::kPool;
-      s.in_c = c;
-      s.in_h = h;
-      s.in_w = w;
-      s.out_c = c;
-      s.out_h = oh;
-      s.out_w = ow;
-      s.k = pool->kernel();
-      s.stride = pool->stride();
-      h = oh;
-      w = ow;
-      stages.push_back(std::move(s));
-    } else if (auto* bn = dynamic_cast<nn::BatchNorm*>(&l)) {
-      if (bn->channels() != c)
-        return fail(CompileError::kShapeMismatch, "BatchNorm channel mismatch");
-      if (CnnStage* host = bn_host(c)) {
-        if (!snapshot_bn(*bn, *host))
-          return fail(CompileError::kNonFiniteStats,
-                      "BatchNorm running stats produce non-finite scales");
-        host->bn = true;
-      } else {
-        CnnStage s;
-        s.kind = CnnStage::Kind::kBatchNorm;
-        s.in_c = c;
-        s.in_h = flat ? 1 : h;
-        s.in_w = flat ? 1 : w;
-        s.out_c = c;
-        s.out_h = s.in_h;
-        s.out_w = s.in_w;
-        if (!snapshot_bn(*bn, s))
-          return fail(CompileError::kNonFiniteStats,
-                      "BatchNorm running stats produce non-finite scales");
-        s.bn = true;
-        stages.push_back(std::move(s));
-      }
-    } else if (dynamic_cast<nn::ReLU*>(&l) != nullptr) {
-      if (!stages.empty() && !stages.back().relu) {
-        stages.back().relu = true;
-      } else {
-        CnnStage s;
-        s.kind = CnnStage::Kind::kRelu;
-        s.in_c = c;
-        s.in_h = flat ? 1 : h;
-        s.in_w = flat ? 1 : w;
-        s.out_c = c;
-        s.out_h = s.in_h;
-        s.out_w = s.in_w;
-        s.relu = true;
-        stages.push_back(std::move(s));
-      }
-    } else if (dynamic_cast<nn::Flatten*>(&l) != nullptr) {
-      if (!flat) {
-        flat = true;
-        plan->flat_begin_ = stages.size();
-        c = c * h * w;
-        h = 1;
-        w = 1;
-      }
-    } else if (dynamic_cast<nn::Dropout*>(&l) != nullptr) {
-      // Identity at inference.
-    } else if (auto* d = dynamic_cast<nn::Dense*>(&l)) {
-      if (!flat)
-        return fail(CompileError::kShapeMismatch,
-                    "Dense over a spatial tensor (missing Flatten)");
-      if (d->in_features() != c)
-        return fail(CompileError::kShapeMismatch,
-                    "Dense expects " + std::to_string(d->in_features()) +
-                        " features, pipeline carries " + std::to_string(c));
-      CnnStage s;
-      s.kind = CnnStage::Kind::kDense;
-      s.in_c = c;
-      s.out_c = d->out_features();
-      const std::vector<nn::Param*> ps = d->params();
-      const nn::Tensor& wt = ps[0]->value;  // [out, in]
-      s.weight.assign(wt.raw(), wt.raw() + wt.numel());
-      s.bt.resize(static_cast<std::size_t>(s.in_c) * s.out_c);
-      for (int o = 0; o < s.out_c; ++o)
-        for (int kk = 0; kk < s.in_c; ++kk)
-          s.bt[static_cast<std::size_t>(kk) * s.out_c + o] =
-              static_cast<double>(
-                  wt.raw()[static_cast<std::size_t>(o) * s.in_c + kk]);
-      if (ps.size() == 2) {
-        s.has_bias = true;
-        const nn::Tensor& b = ps[1]->value;
-        s.bias.assign(b.raw(), b.raw() + b.numel());
-      }
-      c = s.out_c;
-      stages.push_back(std::move(s));
-    } else {
-      return fail(CompileError::kUnsupportedLayer,
-                  "unsupported layer " + l.name());
+      if (ps.size() == 2)
+        s.bias.assign(ps[1]->value.raw(),
+                      ps[1]->value.raw() + ps[1]->value.numel());
     }
+    switch (s.kind) {
+      case CnnStage::Kind::kConv:
+        // conv_stage reads the filter bank in its natural [out_c, patch]
+        // layout (pixel lanes, not column tiles) — widen in place. The
+        // walk adds the bias term unconditionally (0.0f when bias-less).
+        s.bt.assign(s.weight.begin(), s.weight.end());
+        s.bias.resize(static_cast<std::size_t>(s.out_c), 0.0f);
+        break;
+      case CnnStage::Kind::kDense:
+        // dense_stage's column tiles read W^T as [in, out].
+        s.has_bias = !s.bias.empty();
+        s.bt.resize(static_cast<std::size_t>(s.in_c) * s.out_c);
+        for (int o = 0; o < s.out_c; ++o)
+          for (int kk = 0; kk < s.in_c; ++kk)
+            s.bt[static_cast<std::size_t>(kk) * s.out_c + o] =
+                static_cast<double>(
+                    s.weight[static_cast<std::size_t>(o) * s.in_c + kk]);
+        break;
+      default:
+        break;
+    }
+    if (s.bn_layer != nullptr) {
+      if (!snapshot_bn(*s.bn_layer, s))
+        return fail(nn::CompileError::kNonFiniteStats,
+                    "BatchNorm running stats produce non-finite scales");
+      s.bn = true;
+    }
+    s.layer = nullptr;  // the plan keeps its snapshot, not the replica
+    s.bn_layer = nullptr;
+    stages.push_back(std::move(s));
   }
-
-  if (stages.empty())
-    return fail(CompileError::kBadDims, "model compiles to zero stages");
-  if (!flat || c != plan->classes_)
-    return fail(CompileError::kShapeMismatch,
-                "model does not end in " + std::to_string(plan->classes_) +
-                    " flat logits");
 
   // Scratch capacities: per sample for the prefix, per row for the suffix.
   for (std::size_t si = 0; si < stages.size(); ++si) {
@@ -453,13 +218,13 @@ void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
           break;
         }
         case CnnStage::Kind::kPool:
-          run_pool_stage(s, cur, dst);
+          nn::run_pool_stage(s, cur, dst);
           break;
         case CnnStage::Kind::kBatchNorm:
           run_bn_stage(s, cur, dst);
           break;
         case CnnStage::Kind::kRelu:
-          run_relu_stage(s, cur, dst);
+          nn::run_relu_stage(s, cur, dst, 1);
           break;
         case CnnStage::Kind::kDense:  // never before Flatten
           break;
@@ -508,9 +273,7 @@ void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
                        dst + static_cast<std::size_t>(i) * out_w);
         break;
       case CnnStage::Kind::kRelu:
-        for (int i = 0; i < m; ++i)
-          run_relu_stage(s, cur + static_cast<std::size_t>(i) * in_w,
-                         dst + static_cast<std::size_t>(i) * out_w);
+        nn::run_relu_stage(s, cur, dst, m);
         break;
       case CnnStage::Kind::kConv:  // spatial kinds never follow Flatten
       case CnnStage::Kind::kDepthwise:
@@ -539,16 +302,10 @@ std::vector<int> CompiledCnn::predict_rows(const float* rows, int m) {
   const std::size_t need = static_cast<std::size_t>(m) * classes_;
   if (logits_.size() < need) logits_.resize(need);
   run_batch(rows, m, logits_.data(), nullptr);
-  // Argmax with the exact comparison order of nn::Model::predict: strict
-  // greater-than with the first maximum winning.
   std::vector<int> out(static_cast<std::size_t>(m));
-  for (int i = 0; i < m; ++i) {
-    const float* row = logits_.data() + static_cast<std::size_t>(i) * classes_;
-    int best = 0;
-    for (int j = 1; j < classes_; ++j)
-      if (row[j] > row[best]) best = j;
-    out[static_cast<std::size_t>(i)] = best;
-  }
+  for (int i = 0; i < m; ++i)
+    out[static_cast<std::size_t>(i)] = nn::argmax_row(
+        logits_.data() + static_cast<std::size_t>(i) * classes_, classes_);
   return out;
 }
 
@@ -569,7 +326,7 @@ std::vector<float> CompiledCnn::calibrate_input_maxabs(const float* rows,
 }
 
 std::unique_ptr<CompiledPlan> compile_plan(nn::Model& model,
-                                           CompileFailure* why) {
+                                           nn::CompileFailure* why) {
   CompiledCnn::CompileResult r = CompiledCnn::compile(model);
   if (why != nullptr) *why = r.failure;
   return std::move(r.plan);

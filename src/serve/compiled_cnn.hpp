@@ -1,8 +1,10 @@
 // Compiled conv-chain inference plans (DESIGN.md §12).
 //
-// CompiledCnn compiles a flat Sequential of Conv2D / DepthwiseConv2D /
-// MaxPool2D / BatchNorm / ReLU / Flatten / Dropout / Dense layers over a
-// [C, H, W] (or flat [F]) input into a fused stage list:
+// CompiledCnn runs the stage list nn::lower_chain (nn/lowering.hpp)
+// makes of a flat Sequential of Conv2D / DepthwiseConv2D / MaxPool2D /
+// BatchNorm / ReLU / Flatten / Dropout / Dense layers over a [C, H, W]
+// (or flat [F]) input — the lowering the gradient plan uses too — and
+// snapshots each stage's weights once at compile time:
 //
 //   * conv stages that copy each sample once into zero-padded input
 //     planes in per-thread scratch and read every tap through the
@@ -20,11 +22,8 @@
 //     weights would re-round every product and break bit-exactness, so
 //     the fused epilogue evaluates (v − mean)·invstd·γ + β literally,
 //     with invstd snapshotted as 1.0f/sqrt(var + eps) — the same float
-//     ops nn::BatchNorm performs at inference. A BatchNorm fuses only
-//     into a conv/depthwise/dense stage directly before it that has no
-//     epilogue yet and whose output channels are the BatchNorm's
-//     channels (a BatchNorm after Flatten normalises flattened features,
-//     not conv channels); otherwise it runs as a standalone stage — also
+//     ops nn::BatchNorm performs at inference. Which BatchNorms fuse is
+//     the lowering's host rule; the rest run as standalone stages — also
 //     bit-exact, just unfused.
 //
 // A plan runs in two parts. The spatial prefix (every stage before
@@ -41,26 +40,23 @@
 // statistics.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "nn/kernels.hpp"
+#include "nn/lowering.hpp"
 #include "serve/compiled.hpp"
 
 namespace orev::serve {
 
-/// One fused stage of a compiled conv-chain plan. Spatial stages carry
-/// [c, h, w] geometry; flat (post-Flatten) stages put the feature count in
-/// `*_c` with h = w = 1.
-struct CnnStage {
-  enum class Kind { kConv, kDepthwise, kDense, kPool, kBatchNorm, kRelu };
-  Kind kind = Kind::kRelu;
-
-  int in_c = 0, in_h = 1, in_w = 1;
-  int out_c = 0, out_h = 1, out_w = 1;
-  int k = 0, stride = 1, pad = 0;
-  /// Conv-only: the packed input's tap offsets and output grid.
-  nn::kernels::ConvGeometry geom;
+/// One fused stage of a compiled conv-chain plan: the lowered stage
+/// (nn::ChainStage — kind, geometry, fused ReLU, BatchNorm host) plus the
+/// weights snapshotted from its source layers at compile time. The plan
+/// never reads the source layers again: compile() clears `layer` and
+/// `bn_layer`, and `bn` records whether a BatchNorm was folded in.
+struct CnnStage : nn::ChainStage {
+  CnnStage() = default;
+  explicit CnnStage(const nn::ChainStage& lowered) : nn::ChainStage(lowered) {}
 
   /// Dense-only: the walk adds a Dense bias only when present, while a
   /// Conv2D *always* adds its bias term (0.0f when bias-less — which is
@@ -79,34 +75,36 @@ struct CnnStage {
   /// Dense: empty when has_bias is false.
   std::vector<float> bias;
 
+  /// A BatchNorm snapshot: invstd as 1.0f/sqrt(var + eps), as the walk.
   bool bn = false;
   std::vector<float> bn_mean, bn_invstd, bn_gamma, bn_beta;
-  bool relu = false;
-
-  std::size_t in_elems() const {
-    return static_cast<std::size_t>(in_c) * in_h * in_w;
-  }
-  std::size_t out_elems() const {
-    return static_cast<std::size_t>(out_c) * out_h * out_w;
-  }
-  bool is_gemm() const {
-    return kind == Kind::kConv || kind == Kind::kDepthwise ||
-           kind == Kind::kDense;
-  }
 };
 
-/// Bit-exact helpers shared with the int8 plan's float stages. Each runs
-/// one sample's stage with the exact op order of the layer walk.
-void run_pool_stage(const CnnStage& s, const float* in, float* out);
+/// The fused per-element epilogue, in the walk's exact op order: the
+/// GEMM/accumulator value first takes the stage's own bias (already done
+/// by the caller), then BatchNorm's (v − mean)·invstd·γ + β, then ReLU.
+/// Shared with the int8 plan's dequantized outputs.
+inline float epilogue_bn_relu(const CnnStage& s, int c, float v) {
+  if (s.bn) {
+    const auto ch = static_cast<std::size_t>(c);
+    const float xh = (v - s.bn_mean[ch]) * s.bn_invstd[ch];
+    v = s.bn_gamma[ch] * xh + s.bn_beta[ch];
+  }
+  if (s.relu) v = std::max(v, 0.0f);
+  return v;
+}
+
+/// A standalone BatchNorm stage over one sample, with the walk's exact op
+/// order; shared with the int8 plan's float stages (which also run
+/// nn::run_pool_stage and nn::run_relu_stage).
 void run_bn_stage(const CnnStage& s, const float* in, float* out);
-void run_relu_stage(const CnnStage& s, const float* in, float* out);
 
 class CompiledCnn : public CompiledPlan {
  public:
   struct CompileResult {
     /// Present iff failure.code == kOk.
     std::unique_ptr<CompiledCnn> plan;
-    CompileFailure failure;
+    nn::CompileFailure failure;
   };
 
   /// Compile `model` (which must be inference-locked) or report a typed

@@ -581,17 +581,17 @@ QuantGateReport ServeEngine::activate_int8_tier(const nn::Tensor& clean,
   CompiledCnn* plan = compiled_.front().get();
   if (plan == nullptr)
     return refuse(std::string("float plan not quantizable: ") +
-                  compile_error_name(plan_failure_.code) +
+                  nn::compile_error_name(plan_failure_.code) +
                   (plan_failure_.detail.empty() ? ""
                                                 : " — " + plan_failure_.detail));
 
   const int calib_m = std::min(m, std::max(cfg_.quant.calib_samples, 1));
-  CompileFailure qwhy;
+  nn::CompileFailure qwhy;
   std::unique_ptr<CompiledInt8> q =
       CompiledInt8::build(*plan, clean.raw(), calib_m, &qwhy);
   if (!q)
     return refuse(std::string("int8 build failed: ") +
-                  compile_error_name(qwhy.code) +
+                  nn::compile_error_name(qwhy.code) +
                   (qwhy.detail.empty() ? "" : " — " + qwhy.detail));
 
   // Gate metrics. The float plan's predictions are byte-identical to the

@@ -322,7 +322,7 @@ class ServeEngine {
   /// seeds the int8 quantizer.
   std::vector<std::unique_ptr<CompiledCnn>> compiled_;
   /// Why replica 0 did not compile (kOk when it did).
-  CompileFailure plan_failure_;
+  nn::CompileFailure plan_failure_;
   /// Int8 quantized tier: built and routed to only after the accuracy
   /// gate passes (activate_int8_tier). Internally sample-parallel, so the
   /// whole batch goes through this one plan when active.

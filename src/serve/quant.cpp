@@ -44,26 +44,13 @@ bool all_finite(const float* p, std::size_t n) {
   return true;
 }
 
-/// Same fused epilogue order as the float plan: bias is already folded
-/// into `v` by the caller, then BatchNorm, then ReLU.
-inline float epilogue_bn_relu(const CnnStage& s, int c, float v) {
-  if (s.bn) {
-    const float xh = (v - s.bn_mean[static_cast<std::size_t>(c)]) *
-                     s.bn_invstd[static_cast<std::size_t>(c)];
-    v = s.bn_gamma[static_cast<std::size_t>(c)] * xh +
-        s.bn_beta[static_cast<std::size_t>(c)];
-  }
-  if (s.relu) v = std::max(v, 0.0f);
-  return v;
-}
-
 }  // namespace
 
 std::unique_ptr<CompiledInt8> CompiledInt8::build(CompiledCnn& plan,
                                                   const float* calib_rows,
                                                   int m,
-                                                  CompileFailure* why) {
-  auto reject = [&](CompileError code, const std::string& detail) {
+                                                  nn::CompileFailure* why) {
+  auto reject = [&](nn::CompileError code, const std::string& detail) {
     if (why != nullptr) {
       why->code = code;
       why->detail = detail;
@@ -71,11 +58,11 @@ std::unique_ptr<CompiledInt8> CompiledInt8::build(CompiledCnn& plan,
     return std::unique_ptr<CompiledInt8>();
   };
   if (m < 1 || calib_rows == nullptr)
-    return reject(CompileError::kBadDims,
+    return reject(nn::CompileError::kBadDims,
                   "int8 calibration needs at least one sample");
   if (!all_finite(calib_rows,
                   static_cast<std::size_t>(m) * plan.input_features()))
-    return reject(CompileError::kNonFiniteStats,
+    return reject(nn::CompileError::kNonFiniteStats,
                   "int8 calibration set contains non-finite values");
 
   const std::vector<float> maxabs = plan.calibrate_input_maxabs(calib_rows, m);
@@ -94,7 +81,7 @@ std::unique_ptr<CompiledInt8> CompiledInt8::build(CompiledCnn& plan,
     q->max_elems_ = std::max(q->max_elems_, fs.out_elems());
     if (fs.is_gemm()) {
       if (!std::isfinite(maxabs[si]))
-        return reject(CompileError::kNonFiniteStats,
+        return reject(nn::CompileError::kNonFiniteStats,
                       "calibration produced a non-finite activation range");
       qs.sx = symmetric_scale(maxabs[si]);
       q->scales_[si] = qs.sx;
@@ -104,7 +91,7 @@ std::unique_ptr<CompiledInt8> CompiledInt8::build(CompiledCnn& plan,
           fs.kind == CnnStage::Kind::kDepthwise ? fs.in_c : fs.out_c);
       const std::size_t per_ch = fs.weight.size() / rows;
       if (!all_finite(fs.weight.data(), fs.weight.size()))
-        return reject(CompileError::kNonFiniteStats,
+        return reject(nn::CompileError::kNonFiniteStats,
                       "stage weights contain non-finite values");
       qs.sw.resize(rows);
       qs.wq.resize(fs.weight.size());
@@ -131,7 +118,7 @@ std::unique_ptr<CompiledInt8> CompiledInt8::build(CompiledCnn& plan,
     }
     q->stages_.push_back(std::move(qs));
   }
-  if (why != nullptr) *why = CompileFailure{};
+  if (why != nullptr) *why = nn::CompileFailure{};
   return q;
 }
 
@@ -230,13 +217,13 @@ void CompiledInt8::run_batch(const float* rows, int m, float* logits_out) {
           break;
         }
         case CnnStage::Kind::kPool:
-          run_pool_stage(s, cur, dst);
+          nn::run_pool_stage(s, cur, dst);
           break;
         case CnnStage::Kind::kBatchNorm:
           run_bn_stage(s, cur, dst);
           break;
         case CnnStage::Kind::kRelu:
-          run_relu_stage(s, cur, dst);
+          nn::run_relu_stage(s, cur, dst, 1);
           break;
       }
       cur = dst;
@@ -248,13 +235,9 @@ std::vector<int> CompiledInt8::predict_rows(const float* rows, int m) {
   std::vector<float> logits(static_cast<std::size_t>(m) * classes_);
   run_batch(rows, m, logits.data());
   std::vector<int> out(static_cast<std::size_t>(m));
-  for (int i = 0; i < m; ++i) {
-    const float* row = logits.data() + static_cast<std::size_t>(i) * classes_;
-    int best = 0;
-    for (int j = 1; j < classes_; ++j)
-      if (row[j] > row[best]) best = j;
-    out[static_cast<std::size_t>(i)] = best;
-  }
+  for (int i = 0; i < m; ++i)
+    out[static_cast<std::size_t>(i)] = nn::argmax_row(
+        logits.data() + static_cast<std::size_t>(i) * classes_, classes_);
   return out;
 }
 

@@ -64,7 +64,7 @@ class CompiledInt8 : public CompiledPlan {
   /// or an empty calibration set — never throws for data reasons.
   static std::unique_ptr<CompiledInt8> build(CompiledCnn& plan,
                                              const float* calib_rows, int m,
-                                             CompileFailure* why = nullptr);
+                                             nn::CompileFailure* why = nullptr);
 
   std::vector<int> predict(const nn::Tensor& batch) override;
   std::vector<int> predict_rows(const float* rows, int m) override;

@@ -305,7 +305,7 @@ TEST(AllocBudget, PgdOnGradPlanAllocatesOnlyItsResults) {
   const nn::Tensor x = nn::Tensor::uniform({1, 24, 24}, rng, 0.0f, 1.0f);
   attack::Pgd pgd(0.3f, kSteps);
   for (int i = 0; i < 3; ++i) pgd.perturb(surrogate, x, 1);
-  ASSERT_EQ(surrogate.grad_plan_refusal(), nn::GradPlanRefusal::kNone);
+  ASSERT_EQ(surrogate.grad_plan_refusal(), nn::CompileError::kOk);
   std::uint64_t worst = 0;
   for (int i = 0; i < 20; ++i) {
     const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);

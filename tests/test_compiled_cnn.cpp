@@ -51,10 +51,10 @@
 namespace orev {
 namespace {
 
-using serve::compile_error_name;
+using nn::compile_error_name;
+using nn::CompileError;
 using serve::CompiledCnn;
 using serve::CompiledInt8;
-using serve::CompileError;
 using serve::ServeConfig;
 using serve::ServeEngine;
 using serve::ServeResult;
@@ -586,7 +586,7 @@ TEST(Int8Calibrator, HostileActivationDistributionsProduceUsableScales) {
   for (const Dist& d : dists) {
     std::vector<float> calib(static_cast<std::size_t>(rows) * feats);
     for (float& v : calib) v = rng.uniform(d.lo, d.hi);
-    serve::CompileFailure why;
+    nn::CompileFailure why;
     std::unique_ptr<CompiledInt8> q =
         CompiledInt8::build(*r.plan, calib.data(), rows, &why);
     ASSERT_NE(q, nullptr) << d.name << ": " << why.detail;
@@ -672,7 +672,7 @@ TEST(Int8Calibrator, NonFiniteCalibrationOrWeightsAreTypedRefusals) {
 
   std::vector<float> calib(64, 0.25f);
   calib[7] = std::numeric_limits<float>::quiet_NaN();
-  serve::CompileFailure why;
+  nn::CompileFailure why;
   EXPECT_EQ(CompiledInt8::build(*r.plan, calib.data(), 1, &why), nullptr);
   EXPECT_EQ(why.code, CompileError::kNonFiniteStats);
 

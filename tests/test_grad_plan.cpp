@@ -8,9 +8,8 @@
 //     at m = 1 and m = 9, at 1 and 4 threads, for both the cross-entropy
 //     and the custom-dlogits entry points;
 //   * pool edge cases: tied maxima, all-zero post-ReLU windows, −0.0
-//     inputs and all-NaN windows (whose gradient the walk routes to flat
-//     index 0 of the batch), plus overlapping 3×3 pools and stride-2
-//     convs;
+//     inputs and all-NaN windows (whose gradient goes to the window's
+//     own first tap), plus overlapping 3×3 pools and stride-2 convs;
 //   * weights are read in place: set_weights, an optimizer step, load and
 //     a move all leave the next gradient equal to the walk's;
 //   * MiniDenseNet, MiniMobileNet, MiniResNet and malformed chains are
@@ -40,7 +39,7 @@ namespace orev {
 namespace {
 
 using nn::GradPlan;
-using nn::GradPlanRefusal;
+using nn::CompileError;
 using nn::Model;
 using nn::Shape;
 using nn::Tensor;
@@ -89,11 +88,11 @@ std::vector<int> labels_for(int m, int classes) {
 /// size and thread count the suite covers.
 void expect_plan_matches_walk(Model& m, const std::string& what) {
   ThreadGuard guard;
-  ASSERT_EQ(m.grad_plan_refusal(), GradPlanRefusal::kNone) << what;
+  ASSERT_EQ(m.grad_plan_refusal(), CompileError::kOk) << what;
   Model walk = m.clone();
   GradPlan::CompileResult direct =
       GradPlan::compile(m.root(), m.input_shape(), m.num_classes());
-  ASSERT_TRUE(direct.plan) << what << ": " << direct.detail;
+  ASSERT_TRUE(direct.plan) << what << ": " << direct.failure.detail;
   Rng rng(0x9a1);
   for (const int threads : {1, 4}) {
     util::set_num_threads(threads);
@@ -215,7 +214,7 @@ Tensor pool_edge_batch(int rows, bool no_max, Rng& rng) {
 TEST(GradPlan, PoolEdgeCasesMatchWalk) {
   ThreadGuard guard;
   Model m = pool_probe(2, 4, 6);
-  ASSERT_EQ(m.grad_plan_refusal(), GradPlanRefusal::kNone);
+  ASSERT_EQ(m.grad_plan_refusal(), CompileError::kOk);
   Model walk = m.clone();
   Rng rng(43);
   for (const int rows : {1, 3}) {
@@ -225,17 +224,14 @@ TEST(GradPlan, PoolEdgeCasesMatchWalk) {
     for (std::size_t e = 0; e < dz.numel(); ++e)
       dz[e] = rng.uniform(-1.0f, 1.0f);
     const std::vector<int> y = labels_for(rows, 3);
-    // An all-NaN window's gradient goes to flat index 0 of the batch. The
-    // walk's plane-parallel scatter then races on that element whenever
-    // it runs on several threads, so the walk is the reference at one
-    // thread, and the plan must give the same bytes at four.
-    util::set_num_threads(1);
-    const Tensor nan_ref = walk_gradient_custom(walk, x_nan, dz);
+    // An all-NaN window's gradient goes to its own first tap, inside its
+    // own plane, so the walk is the reference at every thread count.
     for (const int threads : {1, 4}) {
       util::set_num_threads(threads);
       const std::string tag = "m=" + std::to_string(rows) +
                               " threads=" + std::to_string(threads);
-      EXPECT_TRUE(same_bytes(m.input_gradient_custom(x_nan, dz), nan_ref))
+      EXPECT_TRUE(same_bytes(m.input_gradient_custom(x_nan, dz),
+                             walk_gradient_custom(walk, x_nan, dz)))
           << tag << " all-NaN window";
       EXPECT_TRUE(same_bytes(m.input_gradient_custom(x, dz),
                              walk_gradient_custom(walk, x, dz)))
@@ -327,10 +323,10 @@ TEST(GradPlan, ZooArchitecturesOutsideTheSetKeepTheWalk) {
     const GradPlan::CompileResult r =
         GradPlan::compile(m.root(), m.input_shape(), m.num_classes());
     EXPECT_FALSE(r.plan) << apps::arch_name(a);
-    EXPECT_EQ(r.refusal, GradPlanRefusal::kUnsupportedLayer)
-        << apps::arch_name(a) << ": " << r.detail;
-    EXPECT_FALSE(r.detail.empty());
-    EXPECT_EQ(m.grad_plan_refusal(), GradPlanRefusal::kUnsupportedLayer);
+    EXPECT_EQ(r.failure.code, CompileError::kUnsupportedLayer)
+        << apps::arch_name(a) << ": " << r.failure.detail;
+    EXPECT_FALSE(r.failure.detail.empty());
+    EXPECT_EQ(m.grad_plan_refusal(), CompileError::kUnsupportedLayer);
     Model walk = m.clone();
     EXPECT_TRUE(same_bytes(m.input_gradient(x, y), walk_gradient(walk, x, y)))
         << apps::arch_name(a);
@@ -346,7 +342,7 @@ TEST(GradPlan, MalformedChainsAreRefusedWithTypedReasons) {
     inner->emplace<nn::Dense>(4, 4);
     Model m("residual", std::make_unique<nn::Residual>(std::move(inner)), {4},
             4);
-    EXPECT_EQ(m.grad_plan_refusal(), GradPlanRefusal::kNotSequential);
+    EXPECT_EQ(m.grad_plan_refusal(), CompileError::kNonSequentialRoot);
   }
   {
     // Dense straight on a spatial input: the walk would throw, so the
@@ -354,22 +350,22 @@ TEST(GradPlan, MalformedChainsAreRefusedWithTypedReasons) {
     auto s = std::make_unique<nn::Sequential>();
     s->emplace<nn::Dense>(16, 2);
     Model m("no_flatten", std::move(s), {1, 4, 4}, 2);
-    EXPECT_EQ(m.grad_plan_refusal(), GradPlanRefusal::kShapeMismatch);
+    EXPECT_EQ(m.grad_plan_refusal(), CompileError::kShapeMismatch);
   }
   {
     auto s = std::make_unique<nn::Sequential>();
     s->emplace<nn::Flatten>().emplace<nn::Dense>(16, 3);
     Model m("wrong_classes", std::move(s), {1, 4, 4}, 2);
-    EXPECT_EQ(m.grad_plan_refusal(), GradPlanRefusal::kShapeMismatch);
+    EXPECT_EQ(m.grad_plan_refusal(), CompileError::kShapeMismatch);
   }
   {
     auto s = std::make_unique<nn::Sequential>();
     s->emplace<nn::Dense>(4, 4).emplace<nn::Sigmoid>().emplace<nn::Dense>(4, 2);
     Model m("sigmoid", std::move(s), {4}, 2);
-    EXPECT_EQ(m.grad_plan_refusal(), GradPlanRefusal::kUnsupportedLayer);
+    EXPECT_EQ(m.grad_plan_refusal(), CompileError::kUnsupportedLayer);
   }
-  EXPECT_STREQ(nn::grad_plan_refusal_name(GradPlanRefusal::kUnsupportedLayer),
-               "unsupported_layer");
+  EXPECT_STREQ(nn::compile_error_name(CompileError::kUnsupportedLayer),
+               "unsupported-layer");
 }
 
 TEST(GradPlan, InferenceLockedModelsStillRejectGradients) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -427,6 +428,27 @@ TEST(MaxPool2D, BackwardRoutesToArgmax) {
   EXPECT_EQ(dx[0], 0.0f);
   EXPECT_EQ(dx[1], 2.0f);
   EXPECT_EQ(dx[2], 0.0f);
+}
+
+TEST(MaxPool2D, NoMaxWindowKeepsItsGradientInItsOwnSample) {
+  // Sample 1's second window is all NaN, so it has no strict max. Its
+  // gradient must land on its own first tap, leaving sample 0's dx equal
+  // to what sample 0 gets on its own.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> s0 = {1, 5, 7, 2, 3, 2, 4, 6};
+  std::vector<float> both = s0;
+  both.insert(both.end(), {0.5f, 0.25f, nan, nan, 0.75f, 0.0f, nan, nan});
+  MaxPool2D alone(2), batch(2);
+  alone.forward(Tensor({1, 1, 2, 4}, s0), false);
+  const Tensor dx_alone = alone.backward(Tensor({1, 1, 1, 2}, 1.0f));
+  const Tensor y = batch.forward(Tensor({2, 1, 2, 4}, both), false);
+  EXPECT_EQ(y[3], -std::numeric_limits<float>::infinity());
+  const Tensor dx = batch.backward(Tensor({2, 1, 1, 2}, 1.0f));
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(dx[i], dx_alone[i]) << i;
+  // Sample 1: its first window's max (0.75), then the NaN window's first
+  // tap (row 0, column 2).
+  const std::vector<float> want1 = {0, 0, 1, 0, 1, 0, 0, 0};
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(dx[8 + i], want1[i]) << i;
 }
 
 TEST(MaxPool2D, GradientCheck) {

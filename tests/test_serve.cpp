@@ -556,10 +556,10 @@ TEST(CompiledPlan, KpmDnnMatchesLayerWalkAtServingBatchSizes) {
 TEST(CompiledPlan, UnlockedMlpIsRefusedAsNotInferenceMode) {
   nn::Model m = odd_mlp();
   ASSERT_FALSE(m.inference_only());
-  serve::CompileFailure why;
+  nn::CompileFailure why;
   EXPECT_EQ(serve::compile_plan(m, &why), nullptr);
-  EXPECT_EQ(why.code, serve::CompileError::kNotInferenceMode)
-      << serve::compile_error_name(why.code);
+  EXPECT_EQ(why.code, nn::CompileError::kNotInferenceMode)
+      << nn::compile_error_name(why.code);
 }
 
 TEST(CompiledPlan, RefusesNonMlpModelsSoTheEngineFallsBackToTheLayerWalk) {
@@ -574,10 +574,10 @@ TEST(CompiledPlan, RefusesNonMlpModelsSoTheEngineFallsBackToTheLayerWalk) {
   m.init(rng);
   nn::Model locked = m.clone();
   locked.set_inference_only(true);
-  serve::CompileFailure why;
+  nn::CompileFailure why;
   EXPECT_EQ(serve::compile_plan(locked, &why), nullptr);
-  EXPECT_EQ(why.code, serve::CompileError::kUnsupportedLayer)
-      << serve::compile_error_name(why.code) << " — " << why.detail;
+  EXPECT_EQ(why.code, nn::CompileError::kUnsupportedLayer)
+      << nn::compile_error_name(why.code) << " — " << why.detail;
 
   // The engine must still serve such a model, byte-identical to its own
   // unbatched reference path, through the generic layer walk — on one
