@@ -41,13 +41,10 @@ class CompiledPlan {
  public:
   virtual ~CompiledPlan() = default;
 
-  /// Batched argmax predictions; bit-identical to nn::Model::predict for
-  /// float plans (int8 plans are explicitly excluded from that contract).
-  virtual std::vector<int> predict(const nn::Tensor& batch) = 0;
-
-  /// Same, over a raw row-major [m, input_features] float buffer — lets
-  /// the engine's hot path stage queued requests into a flat reusable
-  /// buffer instead of assembling a batch tensor per flush.
+  /// Argmax predictions of a raw row-major [m, input_features] float
+  /// buffer (inputs of any rank, as contiguous rows — the engine stages
+  /// every flush this way); bit-identical to nn::Model::predict for float
+  /// plans (int8 plans are explicitly excluded from that contract).
   virtual std::vector<int> predict_rows(const float* rows, int m) = 0;
 
   virtual int input_features() const = 0;

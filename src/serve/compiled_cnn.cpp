@@ -298,23 +298,19 @@ nn::Tensor CompiledCnn::logits(const nn::Tensor& batch) {
   return out;
 }
 
-std::vector<int> CompiledCnn::predict_rows(const float* rows, int m) {
+void CompiledCnn::predict_rows(const float* rows, int m, int* out) {
   const std::size_t need = static_cast<std::size_t>(m) * classes_;
   if (logits_.size() < need) logits_.resize(need);
   run_batch(rows, m, logits_.data(), nullptr);
-  std::vector<int> out(static_cast<std::size_t>(m));
   for (int i = 0; i < m; ++i)
-    out[static_cast<std::size_t>(i)] = nn::argmax_row(
+    out[i] = nn::argmax_row(
         logits_.data() + static_cast<std::size_t>(i) * classes_, classes_);
-  return out;
 }
 
-std::vector<int> CompiledCnn::predict(const nn::Tensor& batch) {
-  OREV_CHECK(batch.rank() >= 2 &&
-                 batch.numel() ==
-                     static_cast<std::size_t>(batch.dim(0)) * in0_,
-             "CompiledCnn::predict expects [m, ...input_shape]");
-  return predict_rows(batch.raw(), batch.dim(0));
+std::vector<int> CompiledCnn::predict_rows(const float* rows, int m) {
+  std::vector<int> out(static_cast<std::size_t>(m));
+  predict_rows(rows, m, out.data());
+  return out;
 }
 
 std::vector<float> CompiledCnn::calibrate_input_maxabs(const float* rows,

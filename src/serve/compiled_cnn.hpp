@@ -111,8 +111,10 @@ class CompiledCnn : public CompiledPlan {
   /// failure. Never throws for architecture/state reasons.
   static CompileResult compile(nn::Model& model);
 
-  std::vector<int> predict(const nn::Tensor& batch) override;
   std::vector<int> predict_rows(const float* rows, int m) override;
+  /// Same predictions into a caller-owned buffer of m ints: no allocation
+  /// once the plan's scratch has grown to m rows.
+  void predict_rows(const float* rows, int m, int* out);
 
   /// Raw [m, num_classes] logits — the differential test harness compares
   /// these byte-for-byte against the layer walk.

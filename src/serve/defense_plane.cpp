@@ -307,12 +307,15 @@ std::vector<ReviewOutcome> DefensePlane::review(
 }
 
 std::span<const ReviewOutcome> DefensePlane::review_rows(
-    const RowsPredictor& predict_rows) {
+    int features, const RowsPredictor& predict_rows) {
   const std::size_t n = quarantine_.size();
   review_preds_.resize(n);
   if (n > 0) {
-    OREV_CHECK(stage_review_rows(),
-               "review_rows needs pending samples of one width");
+    // A checkpoint may carry samples of any width, so the staged rows are
+    // checked against the predictor's before it reads them.
+    OREV_CHECK(stage_review_rows() &&
+                   review_rows_.size() == n * static_cast<std::size_t>(features),
+               "review_rows needs pending samples of the model's width");
     predict_rows(review_rows_.data(), static_cast<int>(n),
                  review_preds_.data());
   }

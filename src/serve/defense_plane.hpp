@@ -275,13 +275,14 @@ class DefensePlane {
 
   /// review() with the re-predictions of every pending record made by
   /// one call, `predict_rows(rows, m, preds)`, over their samples staged
-  /// contiguously (all pending samples must have one width), and the
-  /// sibling scored in one call as well. Outcomes are bit-identical to
-  /// review(); the returned buffer is reused by the next pass.
+  /// contiguously (every pending sample must be `features` wide, else
+  /// CheckError), and the sibling scored in one call as well. Outcomes are
+  /// bit-identical to review(); the returned buffer is reused by the next
+  /// pass.
   using RowsPredictor =
       std::function<void(const float* rows, int m, int* preds)>;
   std::span<const ReviewOutcome> review_rows(
-      const RowsPredictor& predict_rows);
+      int features, const RowsPredictor& predict_rows);
 
   /// Serving-model swap epoch stamped onto new quarantine records.
   void set_model_epoch(std::uint64_t epoch) { model_epoch_ = epoch; }

@@ -71,6 +71,7 @@ ServeEngine::ServeEngine(nn::Model model, ServeConfig cfg)
     replicas_.push_back(std::move(replica));
     replica_rngs_.push_back(base.split(static_cast<std::uint64_t>(i)));
   }
+  features_ = static_cast<int>(nn::shape_numel(model.input_shape()));
   compile_replicas();
   if (cfg_.defense.enable)
     defense_ = std::make_unique<DefensePlane>(cfg_.defense, cfg_.name);
@@ -110,12 +111,35 @@ const Rng& ServeEngine::replica_rng(int i) const {
   return replica_rngs_[static_cast<std::size_t>(i)];
 }
 
-int ServeEngine::predict_on_replica(int replica, const nn::Tensor& input) {
-  return replicas_[static_cast<std::size_t>(replica)].predict_one(input);
+int ServeEngine::predict_sync(const nn::Tensor& input) {
+  return replicas_.front().predict_one(input);
 }
 
-int ServeEngine::predict_sync(const nn::Tensor& input) {
-  return predict_on_replica(0, input);
+void ServeEngine::predict_rows_on(int replica, const float* rows, int m,
+                                  int* out) {
+  const auto r = static_cast<std::size_t>(replica);
+  if (CompiledCnn* plan = compiled_[r].get()) {
+    plan->predict_rows(rows, m, out);
+    return;
+  }
+  nn::Model& model = replicas_[r];
+  nn::Shape shape{m};
+  shape.insert(shape.end(), model.input_shape().begin(),
+               model.input_shape().end());
+  const std::size_t count = static_cast<std::size_t>(m) * features_;
+  const std::vector<int> p = model.predict(
+      nn::Tensor(std::move(shape), std::vector<float>(rows, rows + count)));
+  std::copy(p.begin(), p.end(), out);
+}
+
+ServeStatus ServeEngine::serve_sync(ServeRequest& r,
+                                    std::uint64_t completion_us) {
+  int pred = -1;
+  predict_rows_on(0, r.input.raw(), 1, &pred);
+  ServeStatus status = ServeStatus::kDegradedSync;
+  screen_request(r, pred, status);
+  finish(r, pred, status, completion_us, 0, 1, 0, 0);
+  return status;
 }
 
 void ServeEngine::finish(ServeRequest& r, int prediction, ServeStatus status,
@@ -160,8 +184,8 @@ ServeStatus ServeEngine::submit(nn::Tensor input, obs::TraceContext ctx,
 
 ServeStatus ServeEngine::submit(nn::Tensor input, FlowTag flow,
                                 obs::TraceContext ctx, Completion done) {
-  const std::uint32_t id = flow_id(flow.key);
-  return admit(id, ctx, [&](ServeRequest& r) {
+  return admit(input, ctx, [&](ServeRequest& r) {
+    r.flow_id = flow_id(flow.key);
     r.flow = std::move(flow);
     r.input = std::move(input);
     r.done = std::move(done);
@@ -171,7 +195,8 @@ ServeStatus ServeEngine::submit(nn::Tensor input, FlowTag flow,
 ServeStatus ServeEngine::submit_row(const nn::Tensor& input, std::uint32_t flow,
                                     std::uint64_t flow_version,
                                     obs::TraceContext ctx, Completion done) {
-  return admit(flow, ctx, [&](ServeRequest& r) {
+  return admit(input, ctx, [&](ServeRequest& r) {
+    r.flow_id = flow;
     r.flow.key.clear();
     r.flow.version = flow_version;
     r.input = input;  // same shape as the slot's last input: no allocation
@@ -180,10 +205,14 @@ ServeStatus ServeEngine::submit_row(const nn::Tensor& input, std::uint32_t flow,
 }
 
 template <class Fill>
-ServeStatus ServeEngine::admit(std::uint32_t flow_id, obs::TraceContext ctx,
+ServeStatus ServeEngine::admit(const nn::Tensor& input, obs::TraceContext ctx,
                                Fill&& fill) {
   OREV_CHECK(!in_completion_,
              "serve completions must not call back into the engine");
+  // Every later stage stages rows of this width, so a wrong-width request
+  // is refused here, before it can strand the flush it would join.
+  OREV_CHECK(static_cast<int>(input.numel()) == features_,
+             "serve request input does not match the model's features");
   now_us_ += cfg_.tick_us;
   slo_.on_submit(now_us_);
 
@@ -204,7 +233,6 @@ ServeStatus ServeEngine::admit(std::uint32_t flow_id, obs::TraceContext ctx,
   r.id = next_request_id_++;
   r.arrival_us = now_us_;
   r.deadline_us = now_us_ + cfg_.deadline_us;
-  r.flow_id = flow_id;
   r.defense_score = 0.0;
   fill(r);
   // Admit span: child of the caller's context when it carries one, else
@@ -235,10 +263,7 @@ ServeStatus ServeEngine::admit(std::uint32_t flow_id, obs::TraceContext ctx,
     // fail-open side door past the plane.
     const std::uint64_t start = std::max(now_us_, busy_until_us_);
     busy_until_us_ = start + sync_cost_us();
-    int pred = predict_on_replica(0, r.input);
-    ServeStatus status = ServeStatus::kDegradedSync;
-    screen_request(r, pred, status);
-    finish(r, pred, status, busy_until_us_, 0, 1, 0, 0);
+    const ServeStatus status = serve_sync(r, busy_until_us_);
     pump();
     return status;
   }
@@ -299,36 +324,15 @@ void ServeEngine::run_review(std::uint64_t extra_us) {
   const std::size_t pending = defense_->quarantine().size();
   const std::uint64_t start = std::max(now_us_, busy_until_us_);
   busy_until_us_ = start + defense_->review_cost_us(pending) + extra_us;
-  // Re-predict on replica 0's compiled float plan (byte-identical to its
-  // layer walk, which stays the fallback) — never on the int8 tier, so
-  // review verdicts stay float-exact whichever tier is serving. When the
-  // plan takes every pending sample, the whole pass is one plan call.
-  CompiledPlan* plan = compiled_.front().get();
-  const auto& pending_q = defense_->quarantine();
-  const bool batched =
-      plan != nullptr &&
-      std::all_of(pending_q.begin(), pending_q.end(),
-                  [plan](const QuarantineRecord& rec) {
-                    return static_cast<int>(rec.sample.numel()) ==
-                           plan->input_features();
-                  });
-  std::vector<ReviewOutcome> walked;
-  std::span<const ReviewOutcome> outcomes;
-  if (batched) {
-    outcomes = defense_->review_rows(
-        [plan](const float* rows, int m, int* preds) {
-          const std::vector<int> p = plan->predict_rows(rows, m);
-          std::copy(p.begin(), p.end(), preds);
-        });
-  } else {
-    walked = defense_->review([this, plan](const nn::Tensor& sample) {
-      if (plan != nullptr &&
-          static_cast<int>(sample.numel()) == plan->input_features())
-        return plan->predict_rows(sample.raw(), 1).front();
-      return predict_on_replica(0, sample);
-    });
-    outcomes = walked;
-  }
+  // Re-predict every pending record in one call on replica 0's float path
+  // — never on the int8 tier, so review verdicts stay float-exact
+  // whichever tier is serving. Admission fixed the width of every sample
+  // screened here, but a loaded checkpoint may carry others: review_rows
+  // refuses those before any row is read.
+  const std::span<const ReviewOutcome> outcomes = defense_->review_rows(
+      features_, [this](const float* rows, int m, int* preds) {
+        predict_rows_on(0, rows, m, preds);
+      });
   if (!release_handler_) return;
   // Released rows replay to the apps under the completion no-reentry rule.
   in_completion_ = true;
@@ -359,10 +363,7 @@ void ServeEngine::execute_sync_fallback(std::span<ServeRequest> batch,
   std::uint64_t t = start_us;
   for (ServeRequest& r : batch) {
     t += sync_cost_us();
-    int pred = predict_on_replica(0, r.input);
-    ServeStatus status = ServeStatus::kDegradedSync;
-    screen_request(r, pred, status);
-    finish(r, pred, status, t, 0, 1, 0, 0);
+    serve_sync(r, t);
   }
   busy_until_us_ = t;
 }
@@ -430,29 +431,13 @@ void ServeEngine::execute_batch(std::size_t count, FlushTrigger trigger) {
     return;
   }
 
-  // Shard rows across the replica pool; each shard assembles its own
-  // [rows, ...input_shape] tensor directly from the queued requests.
-  // Shard boundaries depend only on (n, replicas); each shard is computed
-  // by its own replica and writes a disjoint prediction range, so the
-  // stream is bit-identical at every thread count.
-  const auto batch_shape = [this](int rows) {
-    const nn::Shape& sample_shape = replicas_.front().input_shape();
-    nn::Shape shape;
-    shape.push_back(rows);
-    shape.insert(shape.end(), sample_shape.begin(), sample_shape.end());
-    return shape;
-  };
-
-  std::vector<int> preds;
-  // Ensemble scores of the whole flush from one sibling call, when the
-  // rows are staged (null: the screen scores each row itself).
-  const double* ens_scores = nullptr;
-  const int nshards = std::min<int>(static_cast<int>(replicas_.size()), n);
-
   // Row → replica shard assignment is a pure function of (n, replicas,
-  // int8 tier): the int8 plan and the single-shard paths run everything
-  // on "replica 0"; the parallel path splits rows into contiguous shards.
-  // Tracing must not perturb it, so it is computed unconditionally.
+  // int8 tier): the int8 plan and a single shard run everything on
+  // "replica 0"; more shards split the rows into contiguous ranges, each
+  // computed by its own replica into a disjoint range of preds_, so the
+  // stream is bit-identical at every thread count. Tracing must not
+  // perturb it, so it is computed unconditionally.
+  const int nshards = std::min<int>(static_cast<int>(replicas_.size()), n);
   const bool single_exec = int8_active_ || nshards == 1;
   const int rows_per_shard = single_exec ? n : (n + nshards - 1) / nshards;
 
@@ -476,53 +461,43 @@ void ServeEngine::execute_batch(std::size_t count, FlushTrigger trigger) {
       if (single_exec) break;
     }
   }
-  // When the int8 tier is active the whole batch runs through the single
-  // quantized plan (it is sample-parallel internally); otherwise a lone
-  // shard uses replica 0's compiled plan. Either way rows are staged into
-  // a flat reusable buffer, skipping batch-tensor assembly — this is the
-  // latency-critical path, and CompiledPlan::predict_rows accepts inputs
-  // of any rank as contiguous rows.
-  CompiledPlan* staged_plan =
-      int8_active_ ? static_cast<CompiledPlan*>(int8_.get())
-                   : (nshards == 1 ? compiled_.front().get() : nullptr);
-  if (staged_plan != nullptr) {
-    const int f = staged_plan->input_features();
-    staging_.resize(static_cast<std::size_t>(n) * f);
-    for (int i = 0; i < n; ++i) {
-      const nn::Tensor& in = batch[static_cast<std::size_t>(i)].input;
-      OREV_CHECK(static_cast<int>(in.numel()) == f,
-                 "serve request input does not match the model's features");
-      std::copy(in.raw(), in.raw() + f,
+
+  // Stage the flush's rows into one flat reusable buffer (admission fixed
+  // their width), so every route below — and the sibling's ensemble
+  // scores — reads contiguous rows instead of assembling batch tensors.
+  const std::size_t f = static_cast<std::size_t>(features_);
+  staging_.resize(static_cast<std::size_t>(n) * f);
+  for (int i = 0; i < n; ++i)
+    std::copy_n(batch[static_cast<std::size_t>(i)].input.raw(), f,
                 staging_.data() + static_cast<std::size_t>(i) * f);
-    }
-    preds = staged_plan->predict_rows(staging_.data(), n);
-    if (defense_ != nullptr)
-      ens_scores =
-          defense_->batch_ensemble_scores(staging_.data(), n, f, preds.data());
-  } else if (nshards == 1) {
-    // Single shard without a compiled plan: run the layer walk on the
-    // calling thread without waking the pool.
-    nn::Tensor whole(batch_shape(n));
-    for (int i = 0; i < n; ++i)
-      whole.set_batch(i, batch[static_cast<std::size_t>(i)].input);
-    preds = replicas_.front().predict(whole);
+  preds_.resize(static_cast<std::size_t>(n));
+  if (int8_active_) {
+    // The int8 plan is sample-parallel internally: the whole batch goes
+    // through it at once.
+    const std::vector<int> p = int8_->predict_rows(staging_.data(), n);
+    std::copy(p.begin(), p.end(), preds_.begin());
   } else {
-    preds.assign(static_cast<std::size_t>(n), -1);
-    const int per_shard = (n + nshards - 1) / nshards;
-    util::parallel_for(0, nshards, 1, [&](std::int64_t s) {
-      const int lo = static_cast<int>(s) * per_shard;
-      const int hi = std::min(n, lo + per_shard);
-      if (lo >= hi) return;
-      nn::Tensor shard(batch_shape(hi - lo));
-      for (int i = lo; i < hi; ++i)
-        shard.set_batch(i - lo, batch[static_cast<std::size_t>(i)].input);
-      auto& plan = compiled_[static_cast<std::size_t>(s)];
-      const std::vector<int> p =
-          plan ? plan->predict(shard)
-               : replicas_[static_cast<std::size_t>(s)].predict(shard);
-      std::copy(p.begin(), p.end(), preds.begin() + lo);
-    });
+    const auto run_shard = [&](std::int64_t s) {
+      const int lo = static_cast<int>(s) * rows_per_shard;
+      const int hi = std::min(n, lo + rows_per_shard);
+      if (lo < hi)
+        predict_rows_on(static_cast<int>(s),
+                        staging_.data() + static_cast<std::size_t>(lo) * f,
+                        hi - lo, preds_.data() + lo);
+    };
+    // A lone shard runs on the calling thread without waking the pool.
+    if (nshards == 1)
+      run_shard(0);
+    else
+      util::parallel_for(0, nshards, 1, run_shard);
   }
+  // Ensemble scores of the whole flush from one sibling call (null: the
+  // screen scores each row itself).
+  const double* ens_scores =
+      defense_ != nullptr
+          ? defense_->batch_ensemble_scores(staging_.data(), n, features_,
+                                            preds_.data())
+          : nullptr;
 
   const std::uint64_t batch_id = next_batch_id_++;
   slo_.on_batch(n);
@@ -531,7 +506,7 @@ void ServeEngine::execute_batch(std::size_t count, FlushTrigger trigger) {
     // Defense screening happens here — on the driving thread, in row
     // order, after the replica pool produced the predictions — so the
     // stateful detectors see an identical sequence at every thread count.
-    int pred = preds[static_cast<std::size_t>(i)];
+    int pred = preds_[static_cast<std::size_t>(i)];
     ServeStatus status = ServeStatus::kOk;
     screen_request(batch[static_cast<std::size_t>(i)], pred, status,
                    ens_scores != nullptr ? ens_scores + i : nullptr);

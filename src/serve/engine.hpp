@@ -2,9 +2,14 @@
 // serving engine for xApps, rApps and the attacker's cloning loop
 // (DESIGN.md §11).
 //
-// Pipeline: bounded admission queue → dynamic micro-batcher (flush on
-// batch-size or virtual deadline) → replica pool (batch sharded across the
-// global thread pool, disjoint writes) → completion callbacks.
+// Pipeline: admission (input width checked before anything moves) →
+// bounded admission queue → dynamic micro-batcher (flush on batch-size or
+// virtual deadline) → the flush's rows staged into one flat buffer →
+// replica pool (contiguous staged row ranges, one per replica; several
+// shards run across the global thread pool, disjoint writes) → completion
+// callbacks. predict_rows_on() is the one place that picks a replica's
+// compiled plan or its layer walk; flushes, degraded syncs and review
+// passes all predict through it.
 //
 // Time is *virtual*: the clock advances by `tick_us` per submitted request
 // (plus explicit tick()/advance_us() heartbeats), batches take
@@ -26,10 +31,10 @@
 // Degraded mode (util/fault integration): queue-full admissions, failed
 // batches (injected at site "serve.batch") and batches whose projected
 // completion would miss a request deadline fall back to synchronous
-// single-sample inference on replica 0 (counted per request as
-// degraded_syncs). Site "serve.admit" can shed or degrade admissions;
-// with `sync_fallback` off the engine sheds instead (counted, no
-// prediction).
+// single-row inference on replica 0 through predict_rows_on (counted per
+// request as degraded_syncs). Site "serve.admit" can shed or degrade
+// admissions; with `sync_fallback` off the engine sheds instead (counted,
+// no prediction).
 //
 // Persistence (util/persist integration): save_status() commits a framed
 // checkpoint carrying the engine's config fingerprint plus its SLO
@@ -120,7 +125,9 @@ class ServeEngine {
   /// *earlier* requests may fire inside this call. Returns kQueued when
   /// admitted (completion fires later), kDegradedSync when the request was
   /// shed at admission but served synchronously, kRejected when shed with
-  /// no prediction.
+  /// no prediction. An input whose element count is not the model's input
+  /// width throws CheckError before the clock, the queue or the SLO
+  /// counters move (every submit overload).
   ServeStatus submit(nn::Tensor input, Completion done);
 
   /// Traced submit: the same pipeline, with the request's causal context
@@ -166,7 +173,9 @@ class ServeEngine {
   void drain();
 
   /// Unbatched reference path: one synchronous single-sample forward on
-  /// replica 0. Does not touch the queue, clock, or SLO accounting.
+  /// replica 0 through nn::Model::predict_one — the reference the tests
+  /// compare the served stream against. Does not touch the queue, clock,
+  /// or SLO accounting.
   int predict_sync(const nn::Tensor& input);
 
   std::uint64_t virtual_now_us() const { return now_us_; }
@@ -289,23 +298,31 @@ class ServeEngine {
   /// Virtual cost of one degraded synchronous inference (defense screen
   /// included when the plane is enabled).
   std::uint64_t sync_cost_us() const;
-  /// Admission shared by submit() and submit_row(): `fill(r)` sets the
-  /// request's input, flow tag and completion.
+  /// Admission shared by submit() and submit_row(): checks `input`'s
+  /// width, then `fill(r)` sets the request's input, flow and completion.
   template <class Fill>
-  ServeStatus admit(std::uint32_t flow_id, obs::TraceContext ctx,
+  ServeStatus admit(const nn::Tensor& input, obs::TraceContext ctx,
                     Fill&& fill);
+  /// Predict `m` contiguous rows of the model's input width on `replica`
+  /// into `out`: its compiled plan when it compiled, else the layer walk
+  /// over a [m, ...input_shape] tensor. The only engine code that chooses
+  /// between the two; both are bit-identical to the walk.
+  void predict_rows_on(int replica, const float* rows, int m, int* out);
   /// Flush the first `count` requests of batch_.
   void execute_batch(std::size_t count, FlushTrigger trigger);
   void execute_sync_fallback(std::span<ServeRequest> batch,
                              std::uint64_t start_us);
-  int predict_on_replica(int replica, const nn::Tensor& input);
+  /// One degraded synchronous inference: predict `r` alone on replica 0,
+  /// screen it, and complete it at `completion_us`.
+  ServeStatus serve_sync(ServeRequest& r, std::uint64_t completion_us);
   /// Cadence-gated review driver, called from pump(): consults the
   /// "defense.review" fault site (drop/transient defers the pass to the
   /// next cadence point, delay stretches it) then runs one review pass.
   void maybe_review_quarantine();
   /// One review pass: charges the deterministic virtual cost, drains the
-  /// ring through DefensePlane::review (re-predicting on replica 0), and
-  /// fires the release handler for every released record.
+  /// ring through DefensePlane::review_rows (re-predicting every pending
+  /// record in one predict_rows_on(0, …) call), and fires the release
+  /// handler for every released record.
   void run_review(std::uint64_t extra_us);
   /// Replace the replica pool with inference-locked clones of `candidate`,
   /// recompile the per-replica plans, and retire the int8 tier.
@@ -317,10 +334,13 @@ class ServeEngine {
   std::vector<nn::Model> replicas_;
   /// Per-replica compiled inference plan (CompiledCnn, for conv chains
   /// and flat Dense/ReLU stacks alike) — bit-identical to the layer walk
-  /// and much faster; null when the architecture is unsupported. One per
-  /// replica because plans own mutable scratch. Replica 0's plan also
-  /// seeds the int8 quantizer.
+  /// and much faster; null when the architecture is unsupported, and
+  /// predict_rows_on then walks that replica. One per replica because
+  /// plans own mutable scratch. Replica 0's plan also seeds the int8
+  /// quantizer.
   std::vector<std::unique_ptr<CompiledCnn>> compiled_;
+  /// Elements per request input (the product of the input shape).
+  int features_ = 0;
   /// Why replica 0 did not compile (kOk when it did).
   nn::CompileFailure plan_failure_;
   /// Int8 quantized tier: built and routed to only after the accuracy
@@ -343,8 +363,11 @@ class ServeEngine {
   obs::Counter& quant_rejected_;
   obs::Counter& m_swap_accepted_;
   obs::Counter& m_swap_rejected_;
-  /// Reusable flat row buffer for the single-shard compiled hot path.
+  /// Every flush's rows, staged contiguously in batch order ([n,
+  /// features_]); replica shards read contiguous ranges of it and write
+  /// the matching ranges of preds_.
   std::vector<float> staging_;
+  std::vector<int> preds_;
   // Reused per flush: the batch's requests (swapped out of the queue)
   // and its replica-shard trace contexts.
   std::vector<ServeRequest> batch_;

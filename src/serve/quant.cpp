@@ -241,12 +241,4 @@ std::vector<int> CompiledInt8::predict_rows(const float* rows, int m) {
   return out;
 }
 
-std::vector<int> CompiledInt8::predict(const nn::Tensor& batch) {
-  OREV_CHECK(batch.rank() >= 2 &&
-                 batch.numel() ==
-                     static_cast<std::size_t>(batch.dim(0)) * in0_,
-             "CompiledInt8::predict expects [m, ...input_shape]");
-  return predict_rows(batch.raw(), batch.dim(0));
-}
-
 }  // namespace orev::serve

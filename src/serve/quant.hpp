@@ -66,7 +66,6 @@ class CompiledInt8 : public CompiledPlan {
                                              const float* calib_rows, int m,
                                              nn::CompileFailure* why = nullptr);
 
-  std::vector<int> predict(const nn::Tensor& batch) override;
   std::vector<int> predict_rows(const float* rows, int m) override;
 
   int input_features() const override { return in0_; }

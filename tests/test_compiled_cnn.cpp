@@ -207,7 +207,9 @@ TEST(CompiledCnnDifferential, RandomArchitecturesByteIdenticalAtOneAndFourThread
                           walk.numel() * sizeof(float)),
               0)
         << "seed " << seed << ": thread count changed the compiled bits";
-    EXPECT_EQ(r.plan->predict(batch), m.predict(batch)) << "seed " << seed;
+    EXPECT_EQ(r.plan->predict_rows(batch.raw(), batch.dim(0)),
+              m.predict(batch))
+        << "seed " << seed;
   }
 }
 
@@ -886,11 +888,12 @@ TEST(ServeCheckpoint, GoldenCnnCheckpointPredictionsAreLocked) {
 
   const nn::Tensor batch = random_batch(m, 12, 0x601d2, 0.0f, 1.0f);
   const nn::Tensor lg = r.plan->logits(batch);
-  EXPECT_EQ(r.plan->predict(batch), m.predict(batch));
+  EXPECT_EQ(r.plan->predict_rows(batch.raw(), batch.dim(0)), m.predict(batch));
 
   CsvWriter csv;
   csv.header({"sample", "prediction"});
-  const std::vector<int> preds = r.plan->predict(batch);
+  const std::vector<int> preds =
+      r.plan->predict_rows(batch.raw(), batch.dim(0));
   for (std::size_t i = 0; i < preds.size(); ++i)
     csv.row(static_cast<int>(i), preds[i]);
   csv.row("logits_sha256", tensor_digest(lg));

@@ -23,6 +23,8 @@
 #include "apps/ic_xapp.hpp"
 #include "apps/model_zoo.hpp"
 #include "defense/detectors.hpp"
+#include "nn/blocks.hpp"
+#include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "oran/near_rt_ric.hpp"
 #include "serve/serve.hpp"
@@ -600,44 +602,6 @@ TEST(ServeDefense, QuarantinedRequestsSurfaceAndCountInTheSlo) {
   EXPECT_EQ(s.rejected, 0u);
   EXPECT_EQ(eng.defense()->flagged(),
             static_cast<std::uint64_t>(quarantined));
-}
-
-TEST(ServeDefense, DecisionsAreByteIdenticalAcrossThreadCounts) {
-  ThreadGuard guard;
-  const std::vector<nn::Tensor> inputs = mixed_inputs(48, 0x61);
-  const int thread_counts[2] = {1, 4};
-  std::vector<ServeResult> runs[2];
-  for (int t = 0; t < 2; ++t) {
-    util::set_num_threads(thread_counts[t]);
-    ServeEngine eng(kpm_model(), defended_engine_config("threads"));
-    eng.attach_defense_sibling(apps::make_one_layer({4}, 4, 5));
-    eng.defense()->calibrate(cluster_rows(64, 0x62));
-    // Flow-tag half the stream so the norm screen participates too.
-    std::vector<ServeResult>& results = runs[t];
-    results.resize(inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      serve::FlowTag flow;
-      if (i % 2 == 0) {
-        flow.key = "flow/a";
-        flow.version = i;
-      }
-      eng.submit(nn::Tensor(inputs[i]), std::move(flow), obs::TraceContext{},
-                 [&results, i](const ServeResult& r) { results[i] = r; });
-    }
-    eng.drain();
-  }
-  ASSERT_EQ(runs[0].size(), runs[1].size());
-  for (std::size_t i = 0; i < runs[0].size(); ++i) {
-    EXPECT_EQ(runs[0][i].status, runs[1][i].status) << "request " << i;
-    EXPECT_EQ(runs[0][i].prediction, runs[1][i].prediction) << "request " << i;
-    EXPECT_EQ(runs[0][i].latency_us, runs[1][i].latency_us) << "request " << i;
-    // Bitwise, not approximate: the defense scores are accumulated in a
-    // fixed order on the driving thread.
-    EXPECT_EQ(std::memcmp(&runs[0][i].defense_score,
-                          &runs[1][i].defense_score, sizeof(double)),
-              0)
-        << "request " << i;
-  }
 }
 
 TEST(ServeDefense, DegradedSyncPathIsNotAFailOpenSideDoor) {
@@ -1336,35 +1300,233 @@ TEST(ServeSwap, CrashKillPointResumesByteExactAgainstNeverCrashed) {
   }
 }
 
+TEST(ServeDefense, DecisionsAreByteIdenticalAcrossThreadCounts) {
+  // Two defended streams, each served with a compiled sibling at 1–3
+  // replicas and 1 and 4 threads. Every flush stages its rows and scores
+  // the sibling in one call, whichever shard route predicts them, so the
+  // decisions — served results, review outcomes and the fine-tune queue —
+  // must be identical bit for bit across the six runs of a stream.
+  //  - default: the default defended config over mixed far rows, every
+  //    other row untagged (an adaptive track but no norm-screen state);
+  //  - closed loop: adaptive thresholds and a review cadence that releases
+  //    and confirms, every row tagged. Its virtual costs stay under one
+  //    tick, so every run flushes the same 8-row batches at the same rows.
+  ThreadGuard guard;
+  struct Run {
+    std::vector<ServeResult> results;
+    std::vector<serve::ReviewOutcome> released;
+    std::uint64_t passes = 0, reviewed = 0, confirmed = 0;
+    std::string finetune;
+  };
+  for (const bool closed_loop : {false, true}) {
+    SCOPED_TRACE(closed_loop ? "closed loop" : "default");
+    std::vector<nn::Tensor> inputs;
+    if (closed_loop) {
+      Rng rng(0x1e8);
+      for (int i = 0; i < 120; ++i)
+        inputs.push_back(i % 3 == 1   ? offset_row(rng, 0.225f)
+                         : i % 7 == 3 ? offset_row(rng, 2.0f)
+                                      : cluster_row(rng));
+    } else {
+      inputs = mixed_inputs(48, 0x61);
+    }
+    std::vector<Run> runs;
+    for (const int replicas : {1, 2, 3}) {
+      for (const int threads : {1, 4}) {
+        util::set_num_threads(threads);
+        ServeConfig cfg = defended_engine_config("threads");
+        cfg.replicas = replicas;
+        if (closed_loop) {
+          cfg.tick_us = 1000;
+          cfg.flush_wait_us = 100000;
+          cfg.defense.adaptive = fast_adaptive();
+          cfg.defense.review_every = 40;
+          cfg.defense.ens_threshold = 4.0;
+        }
+        ServeEngine eng(kpm_model(), cfg);
+        eng.attach_defense_sibling(apps::make_one_layer({4}, 4, 5));
+        ASSERT_TRUE(eng.defense()->sibling_compiled());
+        eng.defense()->calibrate(cluster_rows(64, closed_loop ? 0x1ea : 0x62));
+        Run run;
+        run.results.resize(inputs.size());
+        eng.set_release_handler([&run](const serve::ReviewOutcome& o) {
+          run.released.push_back(o);
+        });
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+          serve::FlowTag flow;
+          if (closed_loop) {
+            // Operator recalibration mid-stream turns pending early flags
+            // into reviewable false positives.
+            if (i == 54) eng.defense()->calibrate(wide_rows(384, 0x1eb));
+            flow = serve::FlowTag{"flow/" + std::to_string(i % 4), i / 4};
+          } else if (i % 2 == 0) {
+            flow = serve::FlowTag{"flow/a", i};
+          }
+          eng.submit(nn::Tensor(inputs[i]), std::move(flow),
+                     obs::TraceContext{}, [&run, i](const ServeResult& r) {
+                       run.results[i] = r;
+                     });
+        }
+        eng.drain();
+        eng.review_quarantine_now();
+        const DefensePlane& plane = *eng.defense();
+        run.passes = plane.review_passes();
+        run.reviewed = plane.reviewed();
+        run.confirmed = plane.confirmed();
+        persist::ByteWriter w;
+        plane.finetune().save(w);
+        run.finetune = w.take();
+        runs.push_back(std::move(run));
+      }
+    }
+
+    const Run& ref = runs.front();
+    int quarantined = 0;
+    for (const ServeResult& r : ref.results)
+      if (r.status == ServeStatus::kQuarantined) ++quarantined;
+    EXPECT_GT(quarantined, 0);
+    if (closed_loop) {
+      // Every branch ran: flags, releases and confirmations, all batched.
+      for (const ServeResult& r : ref.results)
+        ASSERT_NE(r.status, ServeStatus::kDegradedSync);
+      EXPECT_GT(ref.released.size(), 0u);
+      EXPECT_GT(ref.confirmed, 0u);
+    }
+    for (std::size_t k = 1; k < runs.size(); ++k) {
+      const Run& run = runs[k];
+      const Run& twin = runs[k & ~std::size_t{1}];  // same replicas, 1 thread
+      ASSERT_EQ(run.results.size(), ref.results.size());
+      for (std::size_t i = 0; i < ref.results.size(); ++i) {
+        EXPECT_EQ(run.results[i].status, ref.results[i].status)
+            << "run " << k << " request " << i;
+        EXPECT_EQ(run.results[i].prediction, ref.results[i].prediction)
+            << "run " << k << " request " << i;
+        // Bitwise, not approximate: the defense scores are accumulated in
+        // a fixed order on the driving thread.
+        EXPECT_EQ(std::memcmp(&run.results[i].defense_score,
+                              &ref.results[i].defense_score, sizeof(double)),
+                  0)
+            << "run " << k << " request " << i;
+        EXPECT_EQ(run.results[i].latency_us, twin.results[i].latency_us)
+            << "run " << k << " request " << i;
+        EXPECT_EQ(run.results[i].replica, twin.results[i].replica)
+            << "run " << k << " request " << i;
+      }
+      ASSERT_EQ(run.released.size(), ref.released.size()) << "run " << k;
+      for (std::size_t j = 0; j < ref.released.size(); ++j) {
+        EXPECT_EQ(run.released[j].request_id, ref.released[j].request_id);
+        EXPECT_EQ(run.released[j].corrected_pred,
+                  ref.released[j].corrected_pred);
+        EXPECT_EQ(std::memcmp(&run.released[j].review_score,
+                              &ref.released[j].review_score, sizeof(double)),
+                  0)
+            << "run " << k << " release " << j;
+      }
+      EXPECT_EQ(run.passes, ref.passes) << "run " << k;
+      EXPECT_EQ(run.reviewed, ref.reviewed) << "run " << k;
+      EXPECT_EQ(run.confirmed, ref.confirmed) << "run " << k;
+      EXPECT_EQ(run.finetune, ref.finetune) << "run " << k;
+    }
+    // The sharded route really ran: the 3-replica runs answered rows from
+    // their third replica.
+    bool third_replica = false;
+    for (const ServeResult& r : runs.back().results)
+      third_replica = third_replica || r.replica == 2;
+    EXPECT_TRUE(third_replica);
+  }
+}
+
+/// A Dense → ReLU → Residual(Dense) → Dense net over 4 features: outside
+/// the plan compiler's supported set, so an engine serving it walks.
+nn::Model residual_kpm_model() {
+  auto s = std::make_unique<nn::Sequential>();
+  s->emplace<nn::Dense>(4, 8);
+  s->emplace<nn::ReLU>();
+  s->emplace<nn::Residual>(std::make_unique<nn::Dense>(8, 8));
+  s->emplace<nn::Dense>(8, 4);
+  nn::Model m("ResidualKpm", std::move(s), {4}, 4);
+  Rng rng(5);
+  m.init(rng);
+  return m;
+}
+
 TEST(ServeReview, ReleaseHandlerReplaysRecalibratedFalsePositives) {
-  ServeConfig cfg = defended_engine_config("enginereview");
-  cfg.batch_max = 1;  // flush in submit: each row screens immediately
-  cfg.defense.use_ensemble = false;
+  // Review re-predicts through replica 0's row path: its compiled plan
+  // for the KPM DNN, the layer walk for the residual net (which does not
+  // compile) — both on a 2-replica engine, both equal to predict_sync.
+  for (const bool compiles : {true, false}) {
+    ServeConfig cfg = defended_engine_config("enginereview");
+    cfg.batch_max = 1;  // flush in submit: each row screens immediately
+    cfg.defense.use_ensemble = false;
+    cfg.defense.review_every = 1000;  // manual review below
+    ServeEngine eng(compiles ? kpm_model(17) : residual_kpm_model(), cfg);
+    ASSERT_EQ(eng.replicas(), 2);
+    eng.defense()->calibrate(cluster_rows(64, 0xe7));
+
+    std::vector<serve::ReviewOutcome> releases;
+    eng.set_release_handler(
+        [&releases](const serve::ReviewOutcome& o) { releases.push_back(o); });
+
+    Rng rng(0xe8);
+    const nn::Tensor row = offset_row(rng, 0.225f);
+    ServeResult flagged_result;
+    eng.submit(nn::Tensor(row),
+               [&flagged_result](const ServeResult& r) { flagged_result = r; });
+    eng.drain();
+    ASSERT_EQ(flagged_result.status, ServeStatus::kQuarantined);
+
+    // Recalibrating on wider clean traffic turns the early flag into a
+    // reviewable false positive; the handler replays it with the serving
+    // model's corrected prediction.
+    eng.defense()->calibrate(wide_rows(192, 0xe9));
+    eng.review_quarantine_now();
+    ASSERT_EQ(releases.size(), 1u) << "compiles=" << compiles;
+    EXPECT_TRUE(releases[0].released);
+    EXPECT_EQ(releases[0].corrected_pred, eng.predict_sync(row))
+        << "compiles=" << compiles;
+    EXPECT_EQ(eng.defense()->released(), 1u);
+    EXPECT_EQ(eng.defense()->review_passes(), 1u);
+  }
+}
+
+TEST(ServeReview, CheckpointSamplesOfAnotherWidthAreRefused) {
+  // The defense fingerprint does not cover the model's input width, so a
+  // checkpoint written under a 4-feature model loads into an engine of
+  // another width. Its quarantine samples must then fail the review with
+  // CheckError instead of being read as rows of the wrong width.
+  const std::string dir = ::testing::TempDir() + "orev_review_width";
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir, ec);
+  const std::string path = dir + "/defense.ckpt";
+
+  ServeConfig cfg = defended_engine_config("reviewwidth");
   cfg.defense.review_every = 1000;  // manual review below
-  ServeEngine eng(kpm_model(17), cfg);
-  eng.defense()->calibrate(cluster_rows(64, 0xe7));
-
-  std::vector<serve::ReviewOutcome> releases;
-  eng.set_release_handler(
-      [&releases](const serve::ReviewOutcome& o) { releases.push_back(o); });
-
-  Rng rng(0xe8);
-  ServeResult flagged_result;
-  eng.submit(offset_row(rng, 0.225f),
-             [&flagged_result](const ServeResult& r) { flagged_result = r; });
-  eng.drain();
-  ASSERT_EQ(flagged_result.status, ServeStatus::kQuarantined);
-
-  // Recalibrating on wider clean traffic turns the early flag into a
-  // reviewable false positive; the handler replays it with the serving
-  // model's corrected prediction.
-  eng.defense()->calibrate(wide_rows(192, 0xe9));
-  eng.review_quarantine_now();
-  ASSERT_EQ(releases.size(), 1u);
-  EXPECT_TRUE(releases[0].released);
-  EXPECT_GE(releases[0].corrected_pred, 0);
-  EXPECT_EQ(eng.defense()->released(), 1u);
-  EXPECT_EQ(eng.defense()->review_passes(), 1u);
+  {
+    ServeEngine writer(kpm_model(), cfg);
+    writer.defense()->calibrate(cluster_rows(64, 0x7a1));
+    for (const nn::Tensor& x : mixed_inputs(12, 0x7a2))
+      writer.submit(nn::Tensor(x), [](const ServeResult&) {});
+    writer.drain();
+    ASSERT_FALSE(writer.defense()->quarantine().empty());
+    ASSERT_TRUE(writer.defense()->save_status(path).ok());
+  }
+  for (const int features : {3, 5}) {
+    for (const int replicas : {1, 2}) {
+      cfg.replicas = replicas;
+      ServeEngine reader(apps::make_kpm_dnn(features, 4, 17), cfg);
+      ASSERT_TRUE(reader.defense()->load_status(path).ok());
+      const std::size_t pending = reader.defense()->quarantine().size();
+      ASSERT_GT(pending, 0u);
+      const std::uint64_t reviewed = reader.defense()->reviewed();
+      EXPECT_THROW(reader.review_quarantine_now(), CheckError)
+          << "features=" << features << " replicas=" << replicas;
+      // Nothing was reviewed: the records stay pending.
+      EXPECT_EQ(reader.defense()->reviewed(), reviewed);
+      EXPECT_EQ(reader.defense()->quarantine().size(), pending);
+    }
+  }
+  std::filesystem::remove_all(dir, ec);
 }
 
 // ------------------------------------------- compiled sibling disbelief --
@@ -1919,7 +2081,7 @@ TEST(DefensePlane, BatchedReviewMatchesPerRecordReviewBitForBit) {
       [&victim](const nn::Tensor& x) { return victim.predict_one(x); });
   int calls = 0;
   const std::span<const serve::ReviewOutcome> got = batched.review_rows(
-      [&victim, &calls](const float* x, int m, int* preds) {
+      4, [&victim, &calls](const float* x, int m, int* preds) {
         ++calls;
         for (int i = 0; i < m; ++i)
           preds[i] = victim.predict_one(
@@ -2011,7 +2173,7 @@ TEST(DefensePlane, FlowIdScreensWriteTheStringKeyedCheckpointBytes) {
     by_id.screen_flow(i + 1, by_id.flow_id(key), 9 + i / 5, rows[i], pred);
     if (by_key.review_due()) {
       by_key.review([](const nn::Tensor&) { return 1; });
-      by_id.review_rows([](const float*, int m, int* preds) {
+      by_id.review_rows(4, [](const float*, int m, int* preds) {
         std::fill(preds, preds + m, 1);
       });
     }

@@ -1,9 +1,12 @@
 // RICTest emulator tests: Fig. 10 topology invariants, UE redistribution
-#include <set>
 // on capacity-cell shutdown (the Fig. 7 mechanism), PM report semantics,
 // city-trace structure, the power-saving oracle, and the window/history
 // permutation round trip the rApp attack depends on.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <set>
+#include <string>
 
 #include "rictest/dataset.hpp"
 #include "rictest/emulator.hpp"
@@ -228,7 +231,13 @@ struct OracleCase {
   double k1;
   double k2;
   PsAction expected;
+  // gtest names each case by printing the param's bytes; this explicit,
+  // zeroed tail stands where padding would be, so every id is fixed bytes.
+  std::int32_t tail = 0;
 };
+static_assert(sizeof(OracleCase) ==
+                  2 * sizeof(double) + 2 * sizeof(std::int32_t),
+              "OracleCase must have no padding bytes");
 
 class OracleRules : public ::testing::TestWithParam<OracleCase> {};
 

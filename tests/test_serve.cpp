@@ -535,7 +535,8 @@ void expect_plan_matches_walk(nn::Model& m, std::uint64_t seed) {
                             walk.numel() * sizeof(float)),
                 0)
           << "threads=" << threads << " rows=" << rows;
-      EXPECT_EQ(plan->predict(batch), m.predict(batch))
+      EXPECT_EQ(plan->predict_rows(batch.raw(), batch.dim(0)),
+                m.predict(batch))
           << "threads=" << threads << " rows=" << rows;
     }
   }
@@ -624,6 +625,35 @@ TEST(ServeEngine, AccessorsGuardAgainstAnEmptyReplicaPool) {
   EXPECT_EQ(eng.model_num_classes(), 4);
   EXPECT_EQ(eng.model_input_shape(), (nn::Shape{4}));
   EXPECT_FALSE(eng.model_name().empty());
+}
+
+TEST(ServeEngine, WrongWidthRequestIsRefusedAtAdmission) {
+  // A 5-wide row into a 4-feature model throws at admission, before the
+  // clock, the queue or the SLO counters move — so the good row queued
+  // ahead of it still completes, on one replica and on a sharded pool.
+  for (const int replicas : {1, 2}) {
+    ServeConfig cfg;
+    cfg.batch_max = 2;
+    cfg.replicas = replicas;
+    ServeEngine eng(kpm_model(), cfg);
+    ServeResult good;
+    ASSERT_EQ(eng.submit(single_request(),
+                         [&good](const ServeResult& r) { good = r; }),
+              ServeStatus::kQueued);
+    const std::uint64_t now = eng.virtual_now_us();
+    const nn::Tensor wide({5}, 0.1f);
+    EXPECT_THROW(eng.submit(nn::Tensor(wide), nullptr), CheckError);
+    EXPECT_THROW(eng.submit_row(wide, 0, 0, obs::TraceContext{}, nullptr),
+                 CheckError);
+    EXPECT_EQ(eng.virtual_now_us(), now);
+    EXPECT_EQ(eng.queue_depth(), 1u);
+    eng.drain();
+    EXPECT_EQ(good.status, ServeStatus::kOk) << "replicas=" << replicas;
+    EXPECT_EQ(good.prediction, eng.predict_sync(single_request()));
+    const serve::SloSnapshot s = eng.slo();
+    EXPECT_EQ(s.submitted, 1u) << "replicas=" << replicas;
+    EXPECT_EQ(s.completed, 1u) << "replicas=" << replicas;
+  }
 }
 
 // ------------------------------------------------------- causal tracing --
