@@ -28,11 +28,11 @@
 // and batch occupancy — written to --report-out and summarised on stdout.
 // --digests-out writes the phase digests one per line for CI diffing.
 //
-// Observability overhead phase (DESIGN.md §13): the KPM fleet reruns
-// back-to-back with causal span recording off then on; the delta is the
-// cost of the telemetry plane and --max-obs-overhead-pct gates it (0 =
-// report only). Both runs must reproduce the reference digest — tracing
-// is observational by contract.
+// Observability overhead phase (DESIGN.md §13): the KPM fleet reruns in
+// five off/on pairs of causal span recording, the order alternating pair
+// by pair; the median per-pair delta is the cost of the telemetry plane
+// and --max-obs-overhead-pct gates it (0 = report only). Every run must
+// reproduce the reference digest — tracing is observational by contract.
 //
 // Defense overhead phase (DESIGN.md §14): the KPM fleet reruns with the
 // inline defense plane enabled but its thresholds parked at infinity —
@@ -472,30 +472,51 @@ int main(int argc, char** argv) {
   }
 
   // ---- causal-tracing overhead: obs-off vs obs-on, same workload -------
-  // Back-to-back best-of-passes runs of the KPM fleet at 4 threads with
-  // span recording disabled then enabled. Tracing-off must be free (the
-  // spans are simply not recorded); tracing-on is gated by
-  // --max-obs-overhead-pct. The prediction digests must agree — the
-  // telemetry plane is observational by contract.
+  // kObsPairs pairs of best-of-passes runs of the KPM fleet at 4 threads,
+  // span recording disabled in one run of each pair and enabled in the
+  // other, the order alternating pair by pair. At the CI smoke size one
+  // run is sub-millisecond, so a single pair reads the host's timing
+  // noise, and the first traced run of a process also builds the causal
+  // span ring; --max-obs-overhead-pct gates the median of the per-pair
+  // overheads. Tracing-off must be free (the spans are simply not
+  // recorded). Every run's prediction digest must match the reference —
+  // the telemetry plane is observational by contract.
+  constexpr int kObsPairs = 5;
   const bool causal_was_enabled = obs::causal_enabled();
-  obs::set_causal_enabled(false);
-  const ServedRun obs_off = run_served(victim, f, 4, inputs, "obsoff");
-  obs::set_causal_enabled(true);
-  const ServedRun obs_on = run_served(victim, f, 4, inputs, "obson");
+  std::vector<double> obs_off_rps, obs_on_rps, obs_pair_pct;
+  bool obs_digest_ok = true;
+  for (int pair = 0; pair < kObsPairs; ++pair) {
+    double rps[2] = {0.0, 0.0};  // [off, on]
+    for (const bool on : {pair % 2 == 1, pair % 2 == 0}) {
+      obs::set_causal_enabled(on);
+      const ServedRun run =
+          run_served(victim, f, 4, inputs, on ? "obson" : "obsoff");
+      rps[on ? 1 : 0] = run.throughput_rps;
+      obs_digest_ok = obs_digest_ok && run.digest == ref_digest;
+    }
+    obs_off_rps.push_back(rps[0]);
+    obs_on_rps.push_back(rps[1]);
+    obs_pair_pct.push_back((rps[0] - rps[1]) / std::max(rps[0], 1e-12) *
+                           100.0);
+  }
   obs::set_causal_enabled(causal_was_enabled);
   const std::uint64_t causal_spans = obs::causal_size();
-  const double obs_overhead_pct =
-      (obs_off.throughput_rps - obs_on.throughput_rps) /
-      std::max(obs_off.throughput_rps, 1e-12) * 100.0;
-  const bool obs_digest_ok =
-      obs_off.digest == ref_digest && obs_on.digest == ref_digest;
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double obs_off_median = median(obs_off_rps);
+  const double obs_on_median = median(obs_on_rps);
+  const double obs_overhead_pct = median(obs_pair_pct);
   const bool obs_gate_ok =
       obs_digest_ok && (f.max_obs_overhead_pct <= 0.0 ||
                         obs_overhead_pct <= f.max_obs_overhead_pct);
-  std::printf("[obs overhead] off=%.0f req/s  on=%.0f req/s  "
-              "overhead=%.2f%% (gate %.2f%%)  spans=%llu  digests %s\n",
-              obs_off.throughput_rps, obs_on.throughput_rps,
-              obs_overhead_pct, f.max_obs_overhead_pct,
+  std::printf("[obs overhead] %d alternating pairs, medians: off=%.0f req/s  "
+              "on=%.0f req/s  overhead=%.2f%% (pairs:",
+              kObsPairs, obs_off_median, obs_on_median, obs_overhead_pct);
+  for (const double pct : obs_pair_pct) std::printf(" %.2f", pct);
+  std::printf("; gate %.2f%%)  spans=%llu  digests %s\n",
+              f.max_obs_overhead_pct,
               static_cast<unsigned long long>(causal_spans),
               obs_digest_ok ? "match" : "MISMATCH");
 
@@ -640,11 +661,12 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(quant_rejected),
         qrep.reason.c_str());
     std::fprintf(fp,
-                 "  \"obs\": {\"off_rps\": %.1f, \"on_rps\": %.1f, "
-                 "\"overhead_pct\": %.2f, \"max_obs_overhead_pct\": %.2f, "
+                 "  \"obs\": {\"pairs\": %d, \"off_rps\": %.1f, "
+                 "\"on_rps\": %.1f, \"overhead_pct\": %.2f, "
+                 "\"max_obs_overhead_pct\": %.2f, "
                  "\"digests_match\": %s, \"causal_spans\": %llu, "
                  "\"gate_ok\": %s},\n",
-                 obs_off.throughput_rps, obs_on.throughput_rps,
+                 kObsPairs, obs_off_median, obs_on_median,
                  obs_overhead_pct, f.max_obs_overhead_pct,
                  obs_digest_ok ? "true" : "false",
                  static_cast<unsigned long long>(causal_spans),

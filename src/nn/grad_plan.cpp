@@ -147,22 +147,23 @@ void GradPlan::pool_backward(const ChainStage& st, const float* in,
                              const float* g, float* dx, int m) {
   const std::size_t plane = static_cast<std::size_t>(st.in_h) * st.in_w;
   const std::size_t in_n = st.in_elems(), out_n = st.out_elems();
+  const bool two = st.k == 2 && st.stride == 2;
   // Every window scatters into its own plane (a window with no strict max
   // into its first tap, as nn::MaxPool2D does), so samples are disjoint.
   util::parallel_for(0, m, 1, [&](std::int64_t i) {
     const float* x = in + static_cast<std::size_t>(i) * in_n;
     const float* gi = g + static_cast<std::size_t>(i) * out_n;
     float* d = dx + static_cast<std::size_t>(i) * in_n;
+    if (two)
+      return kernels::max_pool2x2_backward(x, gi, st.in_c, st.in_h, st.in_w,
+                                           d);
     std::fill(d, d + in_n, 0.0f);
-    const bool two = st.k == 2;
     for (int c = 0; c < st.in_c; ++c, x += plane, d += plane)
       for (int oy = 0; oy < st.out_h; ++oy)
         for (int ox = 0; ox < st.out_w; ++ox, ++gi) {
           const int iy0 = oy * st.stride, ix0 = ox * st.stride;
-          // A literal 2 lets the window loops unroll for the common pool.
           const std::ptrdiff_t a =
-              two ? kernels::pool_window_argmax(x, st.in_w, iy0, ix0, 2)
-                  : kernels::pool_window_argmax(x, st.in_w, iy0, ix0, st.k);
+              kernels::pool_window_argmax(x, st.in_w, iy0, ix0, st.k);
           d[kernels::pool_grad_tap(a, st.in_w, iy0, ix0)] += *gi;
         }
   });

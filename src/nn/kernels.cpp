@@ -195,30 +195,37 @@ __attribute__((target("avx512f"))) inline __m512 max_ps512(__m512 a,
   return _mm512_maskz_max_ps(static_cast<__mmask16>(0xffff), a, b);
 }
 
-// Conv channels [c, c + NC) over sixteen pixels: NC × 2 zmm accumulators.
-template <int NC>
+// Conv channels [c, c + NC) over T consecutive sixteen-pixel tiles:
+// NC × 2T zmm accumulators, so each broadcast weight feeds 2T fmadds and
+// each widened tap load NC. An fmadd's result is ready only several
+// cycles after the FMA ports could start the next one, so the tile must
+// keep that many independent chains in flight: NC·2T = 16 for four
+// channels (T = 2), 8 for one (T = 4).
+template <int NC, int T>
 __attribute__((target("avx2,fma,avx512f"))) inline void conv_tile16_avx512(
     const float* src, const int* off, const double* w, const ConvEpilogue& e,
     float* y, int m, int k, int c) {
-  __m512d lo[NC], hi[NC];
-  for (int j = 0; j < NC; ++j) lo[j] = hi[j] = _mm512_setzero_pd();
+  __m512d acc[NC][2 * T];
+  for (int j = 0; j < NC; ++j)
+    for (int h = 0; h < 2 * T; ++h) acc[j][h] = _mm512_setzero_pd();
   const double* wc = w + static_cast<std::size_t>(c) * k;
   for (int kk = 0; kk < k; ++kk) {
     const float* xp = src + off[kk];
-    const __m512d x0 = cvtps_pd512(_mm256_loadu_ps(xp));
-    const __m512d x1 = cvtps_pd512(_mm256_loadu_ps(xp + 8));
+    __m512d x[2 * T];
+    for (int h = 0; h < 2 * T; ++h)
+      x[h] = cvtps_pd512(_mm256_loadu_ps(xp + 8 * h));
     for (int j = 0; j < NC; ++j) {
       const __m512d wv =
           _mm512_set1_pd(wc[static_cast<std::size_t>(j) * k + kk]);
-      lo[j] = _mm512_fmadd_pd(x0, wv, lo[j]);
-      hi[j] = _mm512_fmadd_pd(x1, wv, hi[j]);
+      for (int h = 0; h < 2 * T; ++h)
+        acc[j][h] = _mm512_fmadd_pd(x[h], wv, acc[j][h]);
     }
   }
   for (int j = 0; j < NC; ++j) {
     float* out = y + static_cast<std::size_t>(c + j) * m;
-    _mm256_storeu_ps(out, conv_epilogue8(cvtpd_ps512(lo[j]), e, c + j));
-    _mm256_storeu_ps(out + 8,
-                     conv_epilogue8(cvtpd_ps512(hi[j]), e, c + j));
+    for (int h = 0; h < 2 * T; ++h)
+      _mm256_storeu_ps(out + 8 * h,
+                       conv_epilogue8(cvtpd_ps512(acc[j][h]), e, c + j));
   }
 }
 
@@ -231,12 +238,17 @@ __attribute__((target("avx2,fma"))) void conv_channels_avx2(
     conv_tile8_avx2<NC>(src + p, off, w, e, y + p, m, k, c);
 }
 
+// T tiles at a time, then the grid's last m/16 mod T tiles one by one.
 template <int NC>
 __attribute__((target("avx2,fma,avx512f"))) void conv_channels_avx512(
     const float* src, const int* off, const double* w, const ConvEpilogue& e,
     float* y, int m, int k, int c) {
-  for (int p = 0; p < m; p += 16)
-    conv_tile16_avx512<NC>(src + p, off, w, e, y + p, m, k, c);
+  constexpr int T = NC == 1 ? 4 : 2;
+  int p = 0;
+  for (; p + 16 * T <= m; p += 16 * T)
+    conv_tile16_avx512<NC, T>(src + p, off, w, e, y + p, m, k, c);
+  for (; p < m; p += 16)
+    conv_tile16_avx512<NC, 1>(src + p, off, w, e, y + p, m, k, c);
 }
 
 // The four taps of 2×2 pool outputs, already split into (ky, kx) order,
@@ -442,34 +454,65 @@ __attribute__((target("avx2"))) inline void conv_bwd_tile8_avx2(
     _mm256_storeu_ps(dxg + static_cast<std::size_t>(ci0 + b) * m + q, acc[b]);
 }
 
-template <int CB>
+// Same over T consecutive sixteen-position tiles: CB × T dcols chains per
+// tap, each dy load and zero mask feeding CB of them and each broadcast
+// weight T — 8 chains for four channels (T = 2), 4–12 for fewer (T = 4).
+template <int CB, int T>
 __attribute__((target("avx2,avx512f"))) inline void conv_bwd_tile16_avx512(
     const float* gp, std::size_t plane, int gw, int k, const float* w,
     int n, int c_in, float* dxg, int m, int ci0, int q) {
   const int taps = k * k;
   const std::size_t patch = static_cast<std::size_t>(c_in) * taps;
-  __m512 acc[CB];
-  for (int b = 0; b < CB; ++b) acc[b] = _mm512_setzero_ps();
+  __m512 acc[CB][T];
+  for (int b = 0; b < CB; ++b)
+    for (int t = 0; t < T; ++t) acc[b][t] = _mm512_setzero_ps();
   for (int ky = k - 1; ky >= 0; --ky) {
     for (int kx = k - 1; kx >= 0; --kx) {
       const float* gq = gp + (k - 1 - ky) * gw + (k - 1 - kx) + q;
       const float* wt = w + static_cast<std::size_t>(ci0) * taps + ky * k + kx;
-      __m512 d[CB];
-      for (int b = 0; b < CB; ++b) d[b] = _mm512_setzero_ps();
+      __m512 d[CB][T];
+      for (int b = 0; b < CB; ++b)
+        for (int t = 0; t < T; ++t) d[b][t] = _mm512_setzero_ps();
       for (int c = 0; c < n; ++c) {
-        const __m512 gv = _mm512_loadu_ps(gq + c * plane);
-        const __mmask16 nz =
-            _mm512_cmp_ps_mask(gv, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+        __m512 gv[T];
+        __mmask16 nz[T];
+        for (int t = 0; t < T; ++t) {
+          gv[t] = _mm512_loadu_ps(gq + c * plane + 16 * t);
+          nz[t] = _mm512_cmp_ps_mask(gv[t], _mm512_setzero_ps(), _CMP_NEQ_UQ);
+        }
         const float* wc = wt + c * patch;
-        for (int b = 0; b < CB; ++b)
-          d[b] = _mm512_mask_add_ps(
-              d[b], nz, d[b], _mm512_mul_ps(gv, _mm512_set1_ps(wc[b * taps])));
+        for (int b = 0; b < CB; ++b) {
+          const __m512 wv = _mm512_set1_ps(wc[b * taps]);
+          for (int t = 0; t < T; ++t)
+            d[b][t] = _mm512_mask_add_ps(d[b][t], nz[t], d[b][t],
+                                         _mm512_mul_ps(gv[t], wv));
+        }
       }
-      for (int b = 0; b < CB; ++b) acc[b] = _mm512_add_ps(acc[b], d[b]);
+      for (int b = 0; b < CB; ++b)
+        for (int t = 0; t < T; ++t)
+          acc[b][t] = _mm512_add_ps(acc[b][t], d[b][t]);
     }
   }
   for (int b = 0; b < CB; ++b)
-    _mm512_storeu_ps(dxg + static_cast<std::size_t>(ci0 + b) * m + q, acc[b]);
+    for (int t = 0; t < T; ++t)
+      _mm512_storeu_ps(dxg + static_cast<std::size_t>(ci0 + b) * m + q + 16 * t,
+                       acc[b][t]);
+}
+
+// Input channels [ci, ci + CB) over the whole grid: T tiles at a time,
+// then the grid's last m/16 mod T tiles one by one.
+template <int CB>
+__attribute__((target("avx2,avx512f"))) void conv_bwd_block_avx512(
+    const float* gp, std::size_t plane, int gw, int k, const float* w, int n,
+    int c_in, float* dxg, int m, int ci) {
+  constexpr int T = CB < 4 ? 4 : 2;
+  int q = 0;
+  for (; q + 16 * T <= m; q += 16 * T)
+    conv_bwd_tile16_avx512<CB, T>(gp, plane, gw, k, w, n, c_in, dxg, m, ci,
+                                  q);
+  for (; q < m; q += 16)
+    conv_bwd_tile16_avx512<CB, 1>(gp, plane, gw, k, w, n, c_in, dxg, m, ci,
+                                  q);
 }
 
 // Int8 dot-product rows: widen int8 lanes to int16, multiply-accumulate
@@ -659,6 +702,20 @@ void max_pool2x2_generic(const float* in, int c, int h, int w, bool relu,
       for (int ox = 0; ox < ow; ++ox) o[ox] = pool4(r0, r1, ox, relu);
     }
   }
+}
+
+void max_pool2x2_backward_generic(const float* in, const float* g, int c,
+                                  int h, int w, float* dx) {
+  const int oh = h / 2, ow = w / 2;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  std::fill(dx, dx + c * plane, 0.0f);
+  for (int ch = 0; ch < c; ++ch, in += plane, dx += plane)
+    for (int oy = 0; oy < oh; ++oy)
+      for (int ox = 0; ox < ow; ++ox, ++g) {
+        const std::ptrdiff_t a =
+            pool_window_argmax(in, w, 2 * oy, 2 * ox, 2);
+        dx[pool_grad_tap(a, w, 2 * oy, 2 * ox)] += *g;
+      }
 }
 
 void row_axpy_generic(const float* a, std::ptrdiff_t a_row,
@@ -868,6 +925,76 @@ __attribute__((target("avx2,avx512f"))) void max_pool2x2_avx512(
   }
 }
 
+// The pool's backward sixteen windows at a time, deinterleaved as in
+// max_pool2x2_avx512. The running max from −inf records which taps beat
+// it (ordered v > best, so NaN never does); the last of them is the first
+// strict max, and a window none beat routes to tap 0, as pool_grad_tap
+// does. The winner's lane gets 0.0f + g (the scalar += into a zeroed dx,
+// so a −0.0 gradient stores +0.0), the other taps +0.0; both row spans
+// are re-interleaved and stored through the load masks.
+__attribute__((target("avx2,avx512f"))) void max_pool2x2_backward_avx512(
+    const float* in, const float* g, int c, int h, int w, float* dx) {
+  const int oh = h / 2, ow = w / 2;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  std::fill(dx, dx + c * plane, 0.0f);
+  const __m512i even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                         20, 22, 24, 26, 28, 30);
+  const __m512i odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
+  const __m512i lo = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5,
+                                       21, 6, 22, 7, 23);
+  const __m512i hi = _mm512_add_epi32(lo, _mm512_set1_epi32(8));
+  const __m512 zero = _mm512_setzero_ps();
+  auto mask = [](int lanes) {
+    return static_cast<__mmask16>((1u << std::clamp(lanes, 0, 16)) - 1u);
+  };
+  for (int ch = 0; ch < c; ++ch) {
+    for (int oy = 0; oy < oh; ++oy) {
+      const std::size_t row = static_cast<std::size_t>(ch) * plane +
+                              static_cast<std::size_t>(2 * oy) * w;
+      const float* gi = g + (static_cast<std::size_t>(ch) * oh + oy) * ow;
+      for (int ox = 0; ox < ow; ox += 16) {
+        const int left = std::min(ow - ox, 16);
+        const __mmask16 m_lo = mask(2 * left), m_hi = mask(2 * left - 16);
+        const float* p0 = in + row + 2 * ox;
+        const float* p1 = p0 + w;
+        const __m512 a0 = _mm512_maskz_loadu_ps(m_lo, p0);
+        const __m512 a1 = _mm512_maskz_loadu_ps(m_hi, p0 + 16);
+        const __m512 b0 = _mm512_maskz_loadu_ps(m_lo, p1);
+        const __m512 b1 = _mm512_maskz_loadu_ps(m_hi, p1 + 16);
+        const __m512 t0 = _mm512_permutex2var_ps(a0, even, a1);
+        const __m512 t1 = _mm512_permutex2var_ps(a0, odd, a1);
+        const __m512 t2 = _mm512_permutex2var_ps(b0, even, b1);
+        const __m512 t3 = _mm512_permutex2var_ps(b0, odd, b1);
+        __m512 best = _mm512_set1_ps(-std::numeric_limits<float>::infinity());
+        best = _mm512_mask_mov_ps(
+            best, _mm512_cmp_ps_mask(t0, best, _CMP_GT_OQ), t0);
+        const __mmask16 k1 = _mm512_cmp_ps_mask(t1, best, _CMP_GT_OQ);
+        best = _mm512_mask_mov_ps(best, k1, t1);
+        const __mmask16 k2 = _mm512_cmp_ps_mask(t2, best, _CMP_GT_OQ);
+        best = _mm512_mask_mov_ps(best, k2, t2);
+        const __mmask16 k3 = _mm512_cmp_ps_mask(t3, best, _CMP_GT_OQ);
+        const __mmask16 w2 = static_cast<__mmask16>(k2 & ~k3);
+        const __mmask16 w1 = static_cast<__mmask16>(k1 & ~(k2 | k3));
+        const __mmask16 w0 = static_cast<__mmask16>(~(k1 | k2 | k3));
+        const __m512 gv =
+            _mm512_add_ps(zero, _mm512_maskz_loadu_ps(mask(left), gi + ox));
+        const __m512 v0 = _mm512_maskz_mov_ps(w0, gv);
+        const __m512 v1 = _mm512_maskz_mov_ps(w1, gv);
+        const __m512 v2 = _mm512_maskz_mov_ps(w2, gv);
+        const __m512 v3 = _mm512_maskz_mov_ps(k3, gv);
+        float* d0 = dx + row + 2 * ox;
+        float* d1 = d0 + w;
+        _mm512_mask_storeu_ps(d0, m_lo, _mm512_permutex2var_ps(v0, lo, v1));
+        _mm512_mask_storeu_ps(d0 + 16, m_hi,
+                              _mm512_permutex2var_ps(v0, hi, v1));
+        _mm512_mask_storeu_ps(d1, m_lo, _mm512_permutex2var_ps(v2, lo, v3));
+        _mm512_mask_storeu_ps(d1 + 16, m_hi,
+                              _mm512_permutex2var_ps(v2, hi, v3));
+      }
+    }
+  }
+}
+
 // Each row's nonzero multipliers are compacted chunk by chunk, then the
 // row is updated a register block at a time over that chunk.
 __attribute__((target("avx2"))) void row_axpy_avx2(
@@ -957,26 +1084,22 @@ static __attribute__((target("avx2"))) void conv_bwd_grid_avx2(
   }
 }
 
+// Channel-block-major, like the forward: each block walks the whole grid.
 static __attribute__((target("avx2,avx512f"))) void conv_bwd_grid_avx512(
     const float* gp, std::size_t plane, int gw, int k, const float* w, int n,
     int c_in, float* dxg, int m) {
-  for (int q = 0; q < m; q += 16) {
-    int ci = 0;
-    for (; ci + 4 <= c_in; ci += 4)
-      conv_bwd_tile16_avx512<4>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
-    switch (c_in - ci) {
-      case 3:
-        conv_bwd_tile16_avx512<3>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
-        break;
-      case 2:
-        conv_bwd_tile16_avx512<2>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
-        break;
-      case 1:
-        conv_bwd_tile16_avx512<1>(gp, plane, gw, k, w, n, c_in, dxg, m, ci, q);
-        break;
-      default:
-        break;
-    }
+  int ci = 0;
+  for (; ci + 4 <= c_in; ci += 4)
+    conv_bwd_block_avx512<4>(gp, plane, gw, k, w, n, c_in, dxg, m, ci);
+  switch (c_in - ci) {
+    case 3:
+      return conv_bwd_block_avx512<3>(gp, plane, gw, k, w, n, c_in, dxg, m, ci);
+    case 2:
+      return conv_bwd_block_avx512<2>(gp, plane, gw, k, w, n, c_in, dxg, m, ci);
+    case 1:
+      return conv_bwd_block_avx512<1>(gp, plane, gw, k, w, n, c_in, dxg, m, ci);
+    default:
+      return;
   }
 }
 
@@ -1041,6 +1164,15 @@ void max_pool2x2(const float* in, int c, int h, int w, bool relu,
   if (isa == 1) return detail::max_pool2x2_avx2(in, c, h, w, relu, out);
 #endif
   detail::max_pool2x2_generic(in, c, h, w, relu, out);
+}
+
+void max_pool2x2_backward(const float* in, const float* g, int c, int h,
+                          int w, float* dx) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (isa_level() == 2)
+    return detail::max_pool2x2_backward_avx512(in, g, c, h, w, dx);
+#endif
+  detail::max_pool2x2_backward_generic(in, g, c, h, w, dx);
 }
 
 void row_axpy(const float* a, std::ptrdiff_t a_row, std::ptrdiff_t a_k,

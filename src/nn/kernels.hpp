@@ -24,12 +24,19 @@
 //
 // Convolution never builds a patch matrix: conv_forward copies a sample
 // once into zero-padded (phase) planes and conv_stage reads each tap
-// through an offset table over them (ConvGeometry below). The 2×2 max
-// pool has SIMD variants too; a max is a compare-select, so they are
-// bit-exact with no such caveat. The gradient plan's kernels follow the
-// same rules: dense_rows is the Dense forward over unpacked weights, and
-// conv_backward_data computes a conv's dx element by element in the
-// im2col route's op order.
+// through an offset table over them (ConvGeometry below). The conv
+// register tiles are shaped by latency, not by arithmetic: every lane's
+// sum is one dependent chain of fused multiply-adds (or, backward, of
+// float adds), and a chain waits out each op's full latency, so a tile
+// must keep several chains in flight per tap to fill the FMA ports. The
+// AVX-512 tiles therefore span several sixteen-pixel tiles at once (see
+// conv_stage and conv_backward_data); each lane keeps its own op order,
+// so the tile shape never changes a bit. The 2×2 max pool and its
+// backward have SIMD variants too; a max and an argmax are
+// compare-selects, so they are bit-exact with no such caveat. The
+// gradient plan's kernels follow the same rules: dense_rows is the Dense
+// forward over unpacked weights, and conv_backward_data computes a conv's
+// dx element by element in the im2col route's op order.
 //
 // The int8 GEMM feeds the explicitly *non*-bit-exact quantized serving
 // tier (serve/quant.hpp): pure integer dot products, so it is exact (and
@@ -113,9 +120,14 @@ void pack_conv_input(const float* src, const ConvGeometry& g, float* packed);
 /// whole number of kConvTile pixels, with packed readable at every
 /// off[kk] + p, p < m. The SIMD variants vectorize across *pixels*,
 /// giving each lane its own ascending-k accumulator, and register-tile
-/// four output channels so one widened tap load feeds several
+/// up to four output channels so one widened tap load feeds several
 /// accumulators — conv channel counts are far too narrow for the
-/// column-tiled dense kernel.
+/// column-tiled dense kernel. The AVX-512 variant also runs T
+/// sixteen-pixel tiles at once — T = 2 for 2–4-channel blocks, T = 4 for
+/// a 1-channel block, the grid's leftover tiles one at a time — so each
+/// broadcast weight feeds 2T fmadds and a 4-channel tile holds 16
+/// independent accumulator chains (one tile held 8, and the 2-channel
+/// remainder of a 6-channel conv 4: too few to cover an fmadd's latency).
 void conv_stage(const float* packed, const int* off, const double* w,
                 const ConvEpilogue& e, float* y, int m, int k, int n);
 
@@ -145,8 +157,10 @@ void dense_rows(const float* x, const float* w, const float* bias, bool relu,
 /// in descending (ky, kx) are its ascending pixels — over dy planes
 /// zero-padded by k − 1, vectorized across output positions: a padded
 /// position's dcols sum stays +0.0, and adding +0.0 to a sum that started
-/// at +0.0 changes no bit. Other strides run the im2col route itself.
-/// Uses thread_scratch.
+/// at +0.0 changes no bit. Its AVX-512 variant runs T = 2 sixteen-position
+/// tiles per block of four input channels and T = 4 for a smaller block,
+/// so each tap keeps 4–12 dcols chains in flight where one tile kept 1–4.
+/// Other strides run the im2col route itself. Uses thread_scratch.
 void conv_backward_data(const float* dy, const ConvGeometry& g,
                         const float* w, int n, float* dx);
 
@@ -156,6 +170,16 @@ void conv_backward_data(const float* dy, const ConvGeometry& g,
 /// results exactly.
 void max_pool2x2(const float* in, int c, int h, int w, bool relu,
                  float* out);
+
+/// The 2×2, stride-2 max pool's input gradient: dx ([c, h, w]) is
+/// overwritten with each window's gradient g ([c, h/2, w/2]) at the tap
+/// pool_grad_tap picks (its first strict max from −inf, or its first tap
+/// when it has none) as 0.0f + g, and +0.0 everywhere else — the scalar
+/// scatter into a zeroed dx, bit for bit. The AVX-512 variant picks the
+/// tap with compare-selects sixteen windows at a time; the others run
+/// that scalar scatter.
+void max_pool2x2_backward(const float* in, const float* g, int c, int h,
+                          int w, float* dx);
 
 /// This thread's float scratch, grown to at least n floats. Shared by
 /// conv_forward, conv_backward_data and nn::Conv2D's backward (which
@@ -250,6 +274,8 @@ void conv_stage_generic(const float* packed, const int* off, const double* w,
                         const ConvEpilogue& e, float* y, int m, int k, int n);
 void max_pool2x2_generic(const float* in, int c, int h, int w, bool relu,
                          float* out);
+void max_pool2x2_backward_generic(const float* in, const float* g, int c,
+                                  int h, int w, float* dx);
 void row_axpy_generic(const float* a, std::ptrdiff_t a_row,
                       std::ptrdiff_t a_k, const float* b, float* y, int m,
                       int k, int n);
@@ -271,6 +297,8 @@ void max_pool2x2_avx2(const float* in, int c, int h, int w, bool relu,
                       float* out);
 void max_pool2x2_avx512(const float* in, int c, int h, int w, bool relu,
                         float* out);
+void max_pool2x2_backward_avx512(const float* in, const float* g, int c,
+                                 int h, int w, float* dx);
 void row_axpy_avx2(const float* a, std::ptrdiff_t a_row, std::ptrdiff_t a_k,
                    const float* b, float* y, int m, int k, int n);
 void row_axpy_avx512(const float* a, std::ptrdiff_t a_row,

@@ -333,6 +333,18 @@ Tensor MaxPool2D::forward(const Tensor& x, bool /*training*/) {
   if (!inference_mode_) cached_input_ = x;
   out_shape_ = {n, c, oh, ow};
   Tensor out(out_shape_);
+  if (two_by_two()) {
+    // The compiled plans' pool kernels; backward recomputes each window's
+    // tap from cached_input_, so no argmax is kept.
+    argmax_.clear();
+    const std::size_t in_n = static_cast<std::size_t>(c) * h * w;
+    const std::size_t out_n = static_cast<std::size_t>(c) * oh * ow;
+    util::parallel_for(0, n, 1, [&](std::int64_t i) {
+      kernels::max_pool2x2(x.raw() + i * in_n, c, h, w, false,
+                           out.raw() + i * out_n);
+    });
+    return out;
+  }
   argmax_.assign(out.numel(), 0);
 
   // Plane-parallel: each (sample, channel) plane owns a contiguous run of
@@ -362,6 +374,18 @@ Tensor MaxPool2D::backward(const Tensor& grad_out) {
   OREV_CHECK(grad_out.shape() == out_shape_,
              "MaxPool2D backward shape mismatch");
   Tensor dx(cached_input_.shape());
+  if (two_by_two()) {
+    const int c = out_shape_[1], h = cached_input_.dim(2),
+              w = cached_input_.dim(3);
+    const std::size_t in_n = static_cast<std::size_t>(c) * h * w;
+    const std::size_t out_n = grad_out.numel() / out_shape_[0];
+    util::parallel_for(0, out_shape_[0], 1, [&](std::int64_t i) {
+      kernels::max_pool2x2_backward(cached_input_.raw() + i * in_n,
+                                    grad_out.raw() + i * out_n, c, h, w,
+                                    dx.raw() + i * in_n);
+    });
+    return dx;
+  }
   // Plane-parallel scatter: overlapping windows can hit the same input
   // cell, but only within one (sample, channel) plane — which a single
   // task owns, keeping the += order serial per plane.

@@ -111,9 +111,15 @@ class MaxPool2D : public Layer {
   int stride() const { return stride_; }
 
  private:
+  /// 2×2, stride 2: forward and backward run kernels::max_pool2x2 and
+  /// max_pool2x2_backward, the compiled plans' pool pair.
+  bool two_by_two() const { return k_ == 2 && stride_ == 2; }
+
   int k_, stride_;
   Tensor cached_input_;
-  std::vector<std::size_t> argmax_;  // flat input index of each output max
+  /// Flat input index of each output's gradient tap; other window shapes
+  /// only.
+  std::vector<std::size_t> argmax_;
   Shape out_shape_;
 };
 

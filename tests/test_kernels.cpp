@@ -11,12 +11,14 @@
 //     is meaningful on AVX-512 hosts and still runs everywhere. The
 //     gradient plan's dense_rows and conv_backward_data (every variant)
 //     must match the layer walk's arithmetic they replace: the Dense
-//     double dot products, and row_axpy plus col2im_accum.
+//     double dot products, and row_axpy plus col2im_accum; the 2×2 pool
+//     backward must match the scalar argmax scatter.
 //   * KernelIm2col — the bounds-hoisted im2col packers and the conv
 //     input packer against a per-tap bounds-checked reference over
 //     strides, paddings and kernels wider than the padded border.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -99,6 +101,8 @@ struct EpilogueParams {
 };
 
 using PoolFn = void (*)(const float*, int, int, int, bool, float*);
+using PoolBwdFn = void (*)(const float*, const float*, int, int, int,
+                          float*);
 
 #if defined(__x86_64__) && defined(__GNUC__)
 
@@ -127,11 +131,14 @@ TEST(KernelIsa, ConvStageVariantsMatchGeneric) {
   int compared = 0;
   // Arbitrary tap offsets into one buffer, so the kernels are held to
   // their contract (tap kk of pixel p at packed[off[kk] + p]) and not
-  // just to conv layouts. m covers one and several tiles; n the
-  // 4-channel tiles and their 1–3-channel remainders.
-  for (const int m : {16, 32, 48, 160}) {
+  // just to conv layouts. m walks 1–9 and 11 sixteen-pixel tiles, so the
+  // multi-tile loops (two or four tiles at a time) meet every count of
+  // leftover single tiles; n the 4-channel blocks and their 1–3-channel
+  // remainders.
+  for (const int tiles : {1, 2, 3, 4, 5, 6, 7, 8, 9, 11}) {
+    const int m = 16 * tiles;
     for (const int k : {1, 5, 27}) {
-      for (const int n : {1, 3, 4, 5, 9}) {
+      for (const int n : {1, 2, 3, 4, 5, 6, 9, 12, 13}) {
         const int span = 97;
         const std::vector<float> packed =
             special_vector(static_cast<std::size_t>(span + m), rng);
@@ -569,6 +576,15 @@ TEST(KernelIsa, DenseRowsMatchesWalkDotProducts) {
   }
 }
 
+/// Fill this thread's kernel scratch with NaN, so a variant that skips a
+/// write it later reads fails instead of reading what the variant before
+/// it left there.
+void poison_thread_scratch() {
+  constexpr std::size_t kFloats = std::size_t{1} << 16;
+  float* s = thread_scratch(kFloats);
+  std::fill(s, s + kFloats, std::numeric_limits<float>::quiet_NaN());
+}
+
 TEST(KernelIsa, ConvBackwardDataMatchesWalkRoute) {
   // nn::Conv2D's dx: zeroed dcols = dy^T · w through row_axpy, then
   // col2im_accum into a zeroed dx. dy holds runs of ±0 (ReLU masks) and
@@ -584,7 +600,12 @@ TEST(KernelIsa, ConvBackwardDataMatchesWalkRoute) {
       {4, 10, 10, 3, 1, 0, 7}, {3, 6, 6, 1, 1, 0, 5},
       {2, 5, 5, 3, 1, 3, 3},   {5, 7, 11, 2, 1, 1, 9},
       {2, 8, 9, 3, 2, 1, 4},   {3, 11, 9, 3, 3, 2, 2},
-      {1, 1, 1, 1, 1, 0, 1},   {7, 3, 17, 3, 1, 1, 3}};
+      {1, 1, 1, 1, 1, 0, 1},   {7, 3, 17, 3, 1, 1, 3},
+      // Odd dx-grid tile counts (5 or 7 sixteen-position tiles), so the
+      // two- and four-tile loops leave single tiles, at c_in 1–5 and 8.
+      {1, 7, 13, 3, 1, 1, 4},  {2, 7, 8, 3, 1, 1, 5},
+      {3, 11, 7, 3, 1, 1, 6},  {4, 9, 7, 3, 1, 1, 5},
+      {5, 12, 7, 3, 1, 1, 3},  {8, 7, 9, 3, 1, 1, 6}};
   for (const Geo& g : geos) {
     const ConvGeometry geom =
         conv_geometry(g.c_in, g.h, g.w, g.k, g.stride, g.pad);
@@ -604,6 +625,7 @@ TEST(KernelIsa, ConvBackwardDataMatchesWalkRoute) {
                  geom.ow, ref.data());
     for (const auto& [name, fn] : conv_bwd_fns()) {
       std::vector<float> got(ref.size(), 7.0f);  // overwritten, not added to
+      poison_thread_scratch();
       fn(dy.data(), geom, w.data(), g.n, got.data());
       EXPECT_TRUE(bytes_equal(ref, got))
           << name << " c_in=" << g.c_in << " " << g.h << "x" << g.w
@@ -611,6 +633,89 @@ TEST(KernelIsa, ConvBackwardDataMatchesWalkRoute) {
           << " n=" << g.n;
     }
   }
+}
+
+TEST(KernelIsa, MaxPool2x2BackwardMatchesScalarScatter) {
+  // The walk's rule, written out: per window, the first tap in (ky, kx)
+  // order strictly above the running max from −inf (its first tap when
+  // none is), gets 0.0f + g in a zeroed dx. Inputs hold NaN, ±inf and
+  // ±0 ties and whole NaN or −inf windows; g holds −0.0 (which lands as
+  // +0.0), NaN and ±inf.
+  Rng rng(0x9b0c);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<std::pair<std::string, PoolBwdFn>> fns = {
+      {"generic", detail::max_pool2x2_backward_generic},
+      {"dispatch", max_pool2x2_backward}};
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (isa_level() >= 2)
+    fns.emplace_back("avx512", detail::max_pool2x2_backward_avx512);
+#endif
+  int cases = 0;
+  for (const int ow : {1, 7, 16, 17, 40}) {
+    for (const int w : {2 * ow, 2 * ow + 1}) {
+      for (const int h : {2, 3, 6, 7}) {
+        const int c = 2, oh = h / 2;
+        std::vector<float> in(std::size_t(c) * h * w);
+        for (float& v : in) {
+          switch (rng.uniform_int(0, 9)) {
+            case 0: v = nan; break;
+            case 1: v = -nan; break;
+            case 2: v = -inf; break;
+            case 3: v = inf; break;
+            case 4: v = -0.0f; break;
+            case 5: v = 0.0f; break;
+            default: v = rng.uniform(-1.0f, 1.0f);
+          }
+        }
+        // Whole windows of NaN and of −inf: no strict max.
+        for (int ch = 0; ch < c; ++ch)
+          for (int oy = 0; oy < oh; ++oy)
+            for (int ox = 0; ox < ow; ++ox) {
+              const int kind = rng.uniform_int(0, 5);
+              if (kind > 1) continue;
+              for (int ky = 0; ky < 2; ++ky)
+                for (int kx = 0; kx < 2; ++kx)
+                  in[(std::size_t(ch) * h + 2 * oy + ky) * w + 2 * ox + kx] =
+                      kind == 0 ? nan : -inf;
+            }
+        std::vector<float> g(std::size_t(c) * oh * ow);
+        for (float& v : g) {
+          switch (rng.uniform_int(0, 7)) {
+            case 0: v = -0.0f; break;
+            case 1: v = nan; break;
+            case 2: v = rng.uniform_int(0, 1) ? inf : -inf; break;
+            default: v = rng.uniform(-2.0f, 2.0f);
+          }
+        }
+        std::vector<float> ref(in.size(), 0.0f);
+        for (int ch = 0; ch < c; ++ch)
+          for (int oy = 0; oy < oh; ++oy)
+            for (int ox = 0; ox < ow; ++ox) {
+              float best = -inf;
+              std::size_t tap = (std::size_t(ch) * h + 2 * oy) * w + 2 * ox;
+              for (int ky = 0; ky < 2; ++ky)
+                for (int kx = 0; kx < 2; ++kx) {
+                  const std::size_t at =
+                      (std::size_t(ch) * h + 2 * oy + ky) * w + 2 * ox + kx;
+                  if (in[at] > best) {
+                    best = in[at];
+                    tap = at;
+                  }
+                }
+              ref[tap] += g[(std::size_t(ch) * oh + oy) * ow + ox];
+            }
+        for (const auto& [name, fn] : fns) {
+          std::vector<float> got(in.size(), 7.0f);  // overwritten
+          fn(in.data(), g.data(), c, h, w, got.data());
+          EXPECT_TRUE(bytes_equal(ref, got))
+              << name << " " << h << "x" << w << " ow=" << ow;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 5 * 2 * 4 * 2);
 }
 
 // ------------------------------------------------------------- im2col --
